@@ -1,29 +1,19 @@
-"""Kernel selection: the compiled elimination core when built, pure Python otherwise.
+"""The exact elimination kernel: one pure-Python column reducer in ``_pure``.
 
-Set ORDERTOP_PURE=1 to force the pure kernel (used by the benchmark and the
-backend-equivalence tests).
+``BACKEND``, ``active()`` and ``pure()`` stay only because the benchmark
+tracer (``perfbench/spans.py``) finds the kernel entry points through them.
 """
-
-import os
 
 from . import _pure
 
-if os.environ.get("ORDERTOP_PURE"):
-    _impl = _pure
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pure
-
-BACKEND = "pure" if _impl is _pure else "compiled"
+BACKEND = "pure"
 
 
 def active():
-    """The selected kernel module."""
-    return _impl
+    """The kernel module."""
+    return _pure
 
 
 def pure():
-    """The pure-Python kernel (big-integer fallback path)."""
+    """The kernel module."""
     return _pure

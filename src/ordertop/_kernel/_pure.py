@@ -1,120 +1,121 @@
-"""Pure-Python elimination kernels.
+"""Exact column reduction over Z and Z/2, with clearing.
 
-These are the hot loops of the exact homology solver: partial integer
-diagonalization by unit pivots, and Gaussian elimination rank over Z/2.
-The compiled twin in ``_speedups`` implements the same contract.
+Both entry points reduce the columns of a sparse matrix left to right: each
+column is reduced against the earlier pivot columns until its lowest nonzero
+row (its "low") is a row no earlier pivot owns.  ``reduced_homology`` calls
+them once per degree, top dimension down, and passes the pivot rows found in
+degree k+1 as ``cleared`` columns of degree k (the clearing or "twist" trick
+of Chen-Kerber, *Persistent homology computation with a twist*, 2011).  A
+cleared column never has to be reduced: over Z/2 it is a combination of the
+other columns, and over Z it is an integer one because only +-1 lows become
+pivots.  When ``pivot_rows`` is a list, the pivot rows found are appended.
+
+The names ``eliminate_unit_pivots`` and ``rank_mod2`` are the kernel entry
+points the benchmark tracer wraps.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import Collection, Iterable
+
+
+def _check(r: int, c: int, n_rows: int, n_cols: int) -> None:
+    if not 0 <= r < n_rows or not 0 <= c < n_cols:
+        raise ValueError(f"entry ({r}, {c}) outside a {n_rows} x {n_cols} matrix")
+
+
+def _subtract(col: dict[int, int], q: int, piv: dict[int, int]) -> None:
+    """col -= q * piv, dropping entries that become zero."""
+    for r, v in piv.items():
+        nv = col.get(r, 0) - q * v
+        if nv:
+            col[r] = nv
+        else:
+            del col[r]  # nv == 0 needs r in col, since q and v are nonzero
 
 
 def eliminate_unit_pivots(
-    n_rows: int, n_cols: int, entries: Sequence[tuple[int, int, int]]
+    n_rows: int,
+    n_cols: int,
+    entries: Iterable[tuple[int, int, int]],
+    cleared: Collection[int] = (),
+    pivot_rows: list[int] | None = None,
 ) -> tuple[int, list[tuple[int, int, int]]]:
-    """Diagonalize away every +-1 pivot of a sparse integer matrix.
+    """Split a sparse integer matrix into unit pivots and a small residual.
 
-    Pivots are chosen by the Markowitz fill estimate
-    (row_nonzeros - 1) * (col_nonzeros - 1), smallest first.  Each pivot
-    contributes one unit invariant factor and its row and column are removed;
-    a column operation clearing the pivot row would touch nothing else, so
-    removal is sound.  Returns ``(unit_count, residual)`` where ``residual``
-    lists the surviving entries (no +-1 values) with their original indices;
-    the Smith normal form of the input is ``[1] * unit_count`` followed by
-    the Smith normal form of the residual.
+    Duplicate (row, col) entries are summed.  Only column operations are
+    used, and a column becomes a pivot only when its low entry is +-1.  A
+    column whose low is not a unit is set aside; once every pivot is known it
+    is reduced against them until it is zero on all pivot rows.  Returns
+    ``(unit_count, residual)``: the invariant factors of the matrix (without
+    the ``cleared`` columns) are ``[1] * unit_count`` followed by those of the
+    ``residual`` entries, because the pivot block is unimodular and the
+    residual columns vanish on its rows.
     """
-    rows: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
-    for r, c, v in sorted(entries):
-        if not 0 <= r < n_rows or not 0 <= c < n_cols:
-            raise ValueError(f"entry ({r}, {c}) outside a {n_rows} x {n_cols} matrix")
-        if not v:
-            continue
-        row = rows.setdefault(r, {})
-        nv = row.get(c, 0) + v
-        if nv:
-            row[c] = nv
-            col_rows.setdefault(c, set()).add(r)
-        elif c in row:
-            del row[c]
-            col_rows[c].discard(r)
-    for r in [r for r, row in rows.items() if not row]:
-        del rows[r]
-
-    heap: list[tuple[int, int, int]] = []
-
-    def push_units(r: int, row: dict[int, int]) -> None:
-        rlen = len(row) - 1
-        for c, v in row.items():
-            if v == 1 or v == -1:
-                heappush(heap, (rlen * (len(col_rows[c]) - 1), r, c))
-
-    for r, row in rows.items():
-        push_units(r, row)
-
-    unit_count = 0
-    while heap:
-        cost, r, c = heappop(heap)
-        row = rows.get(r)
-        if row is None:
-            continue
-        v = row.get(c, 0)
-        if v != 1 and v != -1:
-            continue
-        current = (len(row) - 1) * (len(col_rows[c]) - 1)
-        if current > cost:
-            heappush(heap, (current, r, c))  # stale estimate, retry later
-            continue
-        unit_count += 1
-        pivot_row = row
-        del rows[r]
-        for cc in pivot_row:
-            col_rows[cc].discard(r)
-        for r2 in sorted(col_rows[c]):
-            row2 = rows[r2]
-            q = row2[c] * v  # v is +-1, so this is row2[c] / v
-            for cc, vv in pivot_row.items():
-                nv = row2.get(cc, 0) - q * vv
-                if nv:
-                    if cc not in row2:
-                        col_rows[cc].add(r2)
-                    row2[cc] = nv
-                else:
-                    if cc in row2:
-                        del row2[cc]
-                        col_rows[cc].discard(r2)
-            if row2:
-                push_units(r2, row2)
-            else:
-                del rows[r2]
-        del col_rows[c]
-
-    residual = sorted(
-        (r, c, v) for r, row in rows.items() for c, v in row.items()
-    )
-    return unit_count, residual
-
-
-def rank_mod2(n_rows: int, n_cols: int, entries: Iterable[tuple[int, int, int]]) -> int:
-    """Rank over Z/2, with rows packed into Python integers as bit vectors."""
-    rows: dict[int, int] = {}
+    cols: dict[int, dict[int, int]] = {}
     for r, c, v in entries:
-        if not 0 <= r < n_rows or not 0 <= c < n_cols:
-            raise ValueError(f"entry ({r}, {c}) outside a {n_rows} x {n_cols} matrix")
-        if v & 1:
-            rows[r] = rows.get(r, 0) ^ (1 << c)
-    pivots: dict[int, int] = {}
-    rank = 0
-    for r in sorted(rows):
-        vec = rows[r]
-        while vec:
-            low = vec & -vec
+        _check(r, c, n_rows, n_cols)
+        if v and c not in cleared:
+            col = cols.setdefault(c, {})
+            col[r] = col.get(r, 0) + v
+
+    pivots: dict[int, dict[int, int]] = {}  # low row -> pivot column, +-1 there
+    set_aside: list[tuple[int, dict[int, int]]] = []
+    for c in sorted(cols):
+        col = cols.pop(c)
+        if 0 in col.values():
+            col = {r: v for r, v in col.items() if v}
+        while col:
+            low = max(col)
             piv = pivots.get(low)
             if piv is None:
-                pivots[low] = vec
-                rank += 1
+                if col[low] in (1, -1):
+                    pivots[low] = col
+                else:
+                    set_aside.append((c, col))
                 break
-            vec ^= piv
-    return rank
+            _subtract(col, col[low] * piv[low], piv)
+
+    residual = []
+    for c, col in set_aside:
+        while hits := [r for r in col if r in pivots]:
+            low = max(hits)
+            piv = pivots[low]
+            _subtract(col, col[low] * piv[low], piv)
+        residual += [(r, c, v) for r, v in col.items()]
+    if pivot_rows is not None:
+        pivot_rows += pivots
+    return len(pivots), sorted(residual)
+
+
+def rank_mod2(
+    n_rows: int,
+    n_cols: int,
+    entries: Iterable[tuple[int, int, int]],
+    cleared: Collection[int] = (),
+    pivot_rows: list[int] | None = None,
+) -> int:
+    """Rank over Z/2 of a sparse integer matrix (without the ``cleared``
+    columns).  Each column is packed into a Python integer, bit r for row r,
+    only when its turn comes, so at most the pivots are held as bitsets."""
+    col_rows: dict[int, list[int]] = {}
+    for r, c, v in entries:
+        _check(r, c, n_rows, n_cols)
+        if v & 1 and c not in cleared:
+            col_rows.setdefault(c, []).append(r)
+
+    pivots: dict[int, int] = {}  # low row -> pivot column
+    for c in sorted(col_rows):
+        col = 0
+        for r in col_rows.pop(c):
+            col ^= 1 << r
+        while col:
+            low = col.bit_length() - 1
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = col
+                break
+            col ^= piv
+    if pivot_rows is not None:
+        pivot_rows += pivots
+    return len(pivots)

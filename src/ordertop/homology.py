@@ -3,14 +3,21 @@
 Chain complexes are augmented: degree -1 carries the empty simplex, so the
 empty complex reports one unit of homology in degree -1 and all conventions
 for joins and suspensions of the empty complex compose correctly.
+
+``reduced_homology`` reduces the boundary matrices top dimension down with
+the column reducer in ``ordertop._kernel._pure``, clearing from d_k the pivot
+rows of d_{k+1}.  Over Z only +-1 lows become pivots, which keeps clearing
+exact; the few columns left over go to the classical Smith normal form
+``_dense_snf``.  ``smith_normal_form`` runs the same reduction on a single
+matrix, without clearing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Collection, Sequence
 
-from . import _kernel
+from ._kernel import _pure
 from .complexes import SimplicialComplex
 from .posets import BoundedPoset, PosetError
 
@@ -51,26 +58,6 @@ class SparseMatrix:
             if v
         )
         return cls(len(rows), n_cols, entries)
-
-
-def _unit_phase(m: SparseMatrix) -> tuple[int, list[tuple[int, int, int]]]:
-    impl = _kernel.active()
-    if impl is not _kernel.pure():
-        try:
-            return impl.eliminate_unit_pivots(m.n_rows, m.n_cols, m.entries)
-        except OverflowError:
-            pass  # entries outside int64: redo with big integers
-    return _kernel.pure().eliminate_unit_pivots(m.n_rows, m.n_cols, m.entries)
-
-
-def _rank_mod2(m: SparseMatrix) -> int:
-    impl = _kernel.active()
-    if impl is not _kernel.pure():
-        try:
-            return impl.rank_mod2(m.n_rows, m.n_cols, m.entries)
-        except MemoryError:
-            pass
-    return _kernel.pure().rank_mod2(m.n_rows, m.n_cols, m.entries)
 
 
 def _dense_snf(entries: Sequence[tuple[int, int, int]]) -> list[int]:
@@ -143,9 +130,17 @@ def _dense_snf(entries: Sequence[tuple[int, int, int]]) -> list[int]:
     return factors
 
 
-def invariant_factors(m: SparseMatrix) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... of an integer matrix (d_i > 0)."""
-    units, residual = _unit_phase(m)
+def invariant_factors(
+    m: SparseMatrix, cleared: Collection[int] = (), pivot_rows: list[int] | None = None
+) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... of an integer matrix (d_i > 0).
+
+    The columns in ``cleared`` are left out, and the pivot rows are appended
+    to ``pivot_rows`` when it is a list (see ``reduced_homology``).
+    """
+    units, residual = _pure.eliminate_unit_pivots(
+        m.n_rows, m.n_cols, m.entries, cleared, pivot_rows
+    )
     return (1,) * units + tuple(_dense_snf(residual))
 
 
@@ -260,18 +255,25 @@ class HomologyProfile:
 
 
 def reduced_homology(K: SimplicialComplex, coeff: str = Z) -> HomologyProfile:
-    """Reduced simplicial homology of K over Z or Z/2."""
+    """Reduced simplicial homology of K over Z or Z/2.
+
+    Degrees are reduced top down, and the pivot rows of d_{k+1} are cleared
+    from the columns of d_k (see ``ordertop._kernel._pure``).
+    """
     ring = normalize_coeff(coeff)
     cc = ChainComplex.from_complex(K)
     ranks: dict[int, int] = {}
     factors: dict[int, tuple[int, ...]] = {}
-    for k, mat in cc.boundary.items():
+    cleared: frozenset[int] = frozenset()
+    for k in sorted(cc.boundary, reverse=True):
+        mat = cc.boundary[k]
+        pivot_rows: list[int] = []
         if ring == Z:
-            facs = invariant_factors(mat)
-            factors[k] = facs
-            ranks[k] = len(facs)
+            factors[k] = invariant_factors(mat, cleared, pivot_rows)
+            ranks[k] = len(factors[k])
         else:
-            ranks[k] = _rank_mod2(mat)
+            ranks[k] = _pure.rank_mod2(mat.n_rows, mat.n_cols, mat.entries, cleared, pivot_rows)
+        cleared = frozenset(pivot_rows)
 
     betti: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}

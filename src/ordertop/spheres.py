@@ -183,7 +183,10 @@ def partition_type(n: int) -> SphereWedge:
     current = wedge_of([0, 0])
     for k in range(4, n + 1):
         current = combine("wedge", [suspend(current)] * (k - 1))
-    assert current == wedge_of([n - 3] * factorial(n - 1))
+    if current != wedge_of([n - 3] * factorial(n - 1)):
+        raise SphereCalcError(
+            f"internal check failed: the recurrence for n={n} is not (n-1)! spheres"
+        )
     return current
 
 

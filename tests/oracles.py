@@ -123,6 +123,24 @@ def sympy_invariant_factors(mat):
     return tuple(factors)
 
 
+def sympy_homology(facets):
+    """Reduced Betti numbers and torsion over Z from sympy's Smith normal
+    forms of the dense boundaries, degrees -1 and up, zeros omitted."""
+    faces, mats = dense_boundaries(facets)
+    counts = {-1: 1}
+    counts.update({d: len(fs) for d, fs in faces.items()})
+    factors = {k: sympy_invariant_factors(m) for k, m in mats.items()}
+    betti, torsion = {}, {}
+    for k in range(-1, max(counts) + 1):
+        b = counts.get(k, 0) - len(factors.get(k, ())) - len(factors.get(k + 1, ()))
+        if b:
+            betti[k] = b
+        tors = tuple(f for f in factors.get(k + 1, ()) if f > 1)
+        if tors:
+            torsion[k] = tors
+    return betti, torsion
+
+
 def brute_mobius(elements, leq):
     """mu(bottom, top) for a bounded order given as a comparison predicate."""
     bottom = next(e for e in elements if all(leq(e, x) for x in elements))

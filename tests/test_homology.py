@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from randgen import random_bounded_poset, random_complex
+from randgen import projective_plane, random_bounded_poset, random_complex
 from ordertop.complexes import SimplicialComplex, empty_complex, point_complex
 from ordertop.homology import (
     ChainComplex,
@@ -17,9 +17,7 @@ from ordertop.homology import (
 )
 from ordertop.posets import BoundedPoset, boolean_lattice, chain_poset, partition_lattice
 
-RP2 = SimplicialComplex(
-    [list(s) for s in "014 015 023 024 035 123 125 134 245 345".split()]
-)
+RP2 = projective_plane()
 HOLLOW_TRIANGLE = SimplicialComplex([["a", "b"], ["b", "c"], ["a", "c"]])
 
 

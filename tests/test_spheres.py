@@ -5,6 +5,7 @@ import pytest
 
 from ordertop.homology import reduced_homology
 from ordertop.posets import BoundedPoset, boolean_lattice
+from ordertop import spheres
 from ordertop.complexes import quotient_model
 from ordertop.spheres import (
     EMPTY,
@@ -120,6 +121,13 @@ class TestFamilies:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
     def test_partition(self, n):
         assert partition_type(n) == wedge_of([n - 3] * factorial(n - 1))
+
+    def test_partition_closed_form_check_raises(self, monkeypatch):
+        # the recurrence is checked against (n-1)! spheres with a raised error,
+        # which ``python -O`` keeps, not an assert
+        monkeypatch.setattr(spheres, "factorial", lambda n: 1)
+        with pytest.raises(SphereCalcError, match="internal check failed"):
+            partition_type(4)
 
     def test_partition_3_realization(self):
         assert reduced_homology(realize(partition_type(3))).betti == {0: 2}
