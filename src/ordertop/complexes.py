@@ -24,12 +24,17 @@ def _check_label(label: str) -> str:
     return label
 
 
+_NO_FACETS: frozenset[int] = frozenset()
+
+
 class SimplicialComplex:
     """Immutable abstract simplicial complex stored by its facets.
 
     The constructor normalizes input: faces contained in other faces are
     dropped, so ``facets`` always holds exactly the maximal faces.  Vertices
-    not covered by any larger face appear as singleton facets.
+    not covered by any larger face appear as singleton facets.  Faces are
+    tested by size class, largest first, against a vertex -> kept-facet index
+    of the larger classes; pure input never builds the index.
     """
 
     __slots__ = ("vertices", "facets", "_faces")
@@ -39,10 +44,26 @@ class SimplicialComplex:
         raw = [f for f in raw if f]
         for v in vertices:
             raw.append(frozenset((_check_label(v),)))
-        maximal = []
-        for f in sorted(set(raw), key=len, reverse=True):
-            if not any(f < g for g in maximal):
+        by_size: dict[int, list[frozenset[str]]] = {}
+        for f in set(raw):
+            by_size.setdefault(len(f), []).append(f)
+        # A face can only lie in a strictly larger one, so each size class is
+        # tested against an index of the faces kept from the larger classes.
+        maximal: list[frozenset[str]] = []
+        index: dict[str, set[int]] = {}  # vertex -> positions in ``maximal``
+        sizes = sorted(by_size, reverse=True)
+        for size in sizes:
+            start = len(maximal)
+            for f in by_size[size]:
+                if index:
+                    holders = sorted((index.get(v, _NO_FACETS) for v in f), key=len)
+                    if holders[0].intersection(*holders[1:]):
+                        continue
                 maximal.append(f)
+            if size != sizes[-1]:
+                for pos in range(start, len(maximal)):
+                    for v in maximal[pos]:
+                        index.setdefault(v, set()).add(pos)
         self.facets: frozenset[frozenset[str]] = frozenset(maximal)
         self.vertices: tuple[str, ...] = tuple(sorted(set().union(*maximal) if maximal else ()))
         self._faces: dict[int, tuple[tuple[str, ...], ...]] | None = None

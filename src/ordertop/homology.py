@@ -166,11 +166,19 @@ class ChainComplex:
         for k, mat in self.boundary.items():
             if mat.n_cols != self.counts.get(k, 0) or mat.n_rows != self.counts.get(k - 1, 0):
                 raise HomologyError(f"boundary {k} has inconsistent shape")
+        # Each matrix is grouped by column once: d_{k+1} is the inner matrix
+        # of one pair and the outer matrix of the next.
+        outer_cols = None
         for k in sorted(self.boundary):
-            if k + 1 in self.boundary and not _composes_to_zero(
-                self.boundary[k], self.boundary[k + 1]
-            ):
+            if k + 1 not in self.boundary:
+                outer_cols = None
+                continue
+            if outer_cols is None:
+                outer_cols = _columns(self.boundary[k])
+            inner_cols = _columns(self.boundary[k + 1])
+            if not _composes_to_zero(outer_cols, inner_cols):
                 raise HomologyError(f"boundary composition {k} o {k + 1} is nonzero")
+            outer_cols = inner_cols
 
     @classmethod
     def from_complex(cls, K: SimplicialComplex) -> "ChainComplex":
@@ -195,17 +203,24 @@ class ChainComplex:
         return cls(counts, boundary)
 
 
-def _composes_to_zero(outer: SparseMatrix, inner: SparseMatrix) -> bool:
-    outer_by_col: dict[int, list[tuple[int, int]]] = {}
-    for r, c, v in outer.entries:
-        outer_by_col.setdefault(c, []).append((r, v))
-    inner_by_col: dict[int, list[tuple[int, int]]] = {}
-    for r, c, v in inner.entries:
-        inner_by_col.setdefault(c, []).append((r, v))
-    for cells in inner_by_col.values():
+def _columns(m: SparseMatrix) -> list[list[tuple[int, int]]]:
+    """The (row, value) entries of each column, in a list indexed by column."""
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(m.n_cols)]
+    for r, c, v in m.entries:
+        if not (0 <= r < m.n_rows and 0 <= c < m.n_cols):
+            raise HomologyError(f"entry ({r}, {c}) lies outside a {m.n_rows}x{m.n_cols} matrix")
+        cols[c].append((r, v))
+    return cols
+
+
+def _composes_to_zero(
+    outer_cols: list[list[tuple[int, int]]], inner_cols: list[list[tuple[int, int]]]
+) -> bool:
+    """True when outer @ inner == 0, for matrices grouped by ``_columns``."""
+    for cells in inner_cols:
         acc: dict[int, int] = {}
         for mid, v in cells:
-            for out_row, w in outer_by_col.get(mid, ()):
+            for out_row, w in outer_cols[mid]:
                 acc[out_row] = acc.get(out_row, 0) + v * w
         if any(acc.values()):
             return False

@@ -2,13 +2,14 @@
 
 Order data is kept as reachability bitmasks over the canonical (lexicographic)
 element ordering, which makes comparability queries, cone extraction and
-brute-force meets/joins cheap at desk scale.
+brute-force meets/joins cheap at desk scale.  The generators emit cover
+relations only and leave the transitive closure to ``FinitePoset``.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product as iproduct
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexes import SimplicialComplex
 
@@ -57,6 +58,7 @@ class FinitePoset:
         # Strict reachability by iterative DFS; gray nodes detect cycles.
         up = [-1] * n
         state = [0] * n  # 0 new, 1 on stack, 2 done
+        finished = []  # every element after all of its successors
         for root in range(n):
             if state[root] == 2:
                 continue
@@ -81,11 +83,13 @@ class FinitePoset:
                         mask |= up[j]
                     up[i] = mask
                     state[i] = 2
+                    finished.append(i)
         self._up = tuple(0 if m < 0 else m for m in up)
         down = [0] * n
-        for i, mask in enumerate(self._up):
-            for j in _bits(mask):
-                down[j] |= 1 << i
+        for i in reversed(finished):
+            below = down[i] | 1 << i
+            for j in _bits(succ[i]):
+                down[j] |= below
         self._down = tuple(down)
         self._covers: frozenset[tuple[str, str]] | None = None
 
@@ -312,7 +316,12 @@ class BoundedPoset:
     # -- Mobius function -----------------------------------------------------
 
     def mobius_pair(self, x: str, y: str) -> int:
-        """mu(x, y) by the defining recursion, memoized per element pair."""
+        """mu(x, y), memoized per element pair.
+
+        mu(x, z) = -sum(mu(x, w) for x <= w < z) is evaluated for every z of
+        the interval [x, y] in a linear extension (by down-set size), without
+        recursion; the sums run over the order bitmasks.
+        """
         if x == y:
             return 1
         P = self.poset
@@ -321,9 +330,16 @@ class BoundedPoset:
         key = (x, y)
         cached = self._mobius.get(key)
         if cached is None:
-            interval = (P.upset(x, strict=False) & P.downset(y)) | {x}
-            cached = -sum(self.mobius_pair(x, z) for z in interval)
-            self._mobius[key] = cached
+            ix, iy = P._idx(x), P._idx(y)
+            interval = P._up[ix] & (P._down[iy] | 1 << iy)
+            mu = {ix: 1}
+            nonzero = 1 << ix  # the z in [x, y] with mu(x, z) != 0 so far
+            for z in sorted(_bits(interval), key=lambda j: P._down[j].bit_count()):
+                mu[z] = -sum(mu[w] for w in _bits(P._down[z] & nonzero))
+                if mu[z]:
+                    nonzero |= 1 << z
+                self._mobius[(x, P.elements[z])] = mu[z]
+            cached = mu[iy]
         return cached
 
     def mobius(self) -> int:
@@ -348,18 +364,26 @@ def chain_poset(k: int) -> FinitePoset:
     return FinitePoset(labels, zip(labels, labels[1:]))
 
 
+def _subset_poset(sets: Iterable[frozenset], label: Callable[[frozenset], str]) -> FinitePoset:
+    """Inclusion order on a family of sets, from the covers b - {x} < b.
+
+    The closure of those covers is the inclusion order when the family holds
+    every set between any two of its members, as the down-closed and
+    size-bounded families of the generators below do.
+    """
+    labels = {s: label(s) for s in sets}
+    covers = [
+        (labels[b - {x}], lab) for b, lab in labels.items() for x in b if b - {x} in labels
+    ]
+    return FinitePoset(labels.values(), covers)
+
+
 def boolean_lattice(n: int) -> FinitePoset:
     """All subsets of {1..n}, including the empty set, ordered by inclusion."""
     if n < 0:
         raise PosetError("boolean rank must be >= 0")
     subsets = [frozenset(c) for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
-    rels = [
-        (_subset_label(a), _subset_label(b))
-        for a in subsets
-        for b in subsets
-        if len(a) < len(b) and a < b
-    ]
-    return FinitePoset((_subset_label(s) for s in subsets), rels)
+    return _subset_poset(subsets, _subset_label)
 
 
 def exp_discrete_poset(m: int, n: int) -> FinitePoset:
@@ -367,13 +391,7 @@ def exp_discrete_poset(m: int, n: int) -> FinitePoset:
     if not 1 <= n <= m:
         raise PosetError(f"need 1 <= n <= m, got n={n}, m={m}")
     subsets = [frozenset(c) for k in range(1, n + 1) for c in combinations(range(1, m + 1), k)]
-    rels = [
-        (_subset_label(a), _subset_label(b))
-        for a in subsets
-        for b in subsets
-        if len(a) < len(b) and a < b
-    ]
-    return FinitePoset((_subset_label(s) for s in subsets), rels)
+    return _subset_poset(subsets, _subset_label)
 
 
 def set_partitions(n: int) -> list[tuple[frozenset[int], ...]]:
@@ -398,33 +416,31 @@ def partition_label(blocks: Sequence[frozenset[int]]) -> str:
     )
 
 
-def _refines(p: Sequence[frozenset[int]], q: Sequence[frozenset[int]]) -> bool:
-    return all(any(b <= c for c in q) for b in p)
-
-
 def partition_lattice(n: int) -> FinitePoset:
-    """Partitions of {1..n} ordered by refinement; the discrete one is bottom."""
+    """Partitions of {1..n} ordered by refinement; the discrete one is bottom.
+
+    The covers merge two blocks of a partition.
+    """
     if n < 1:
         raise PosetError("partition lattice needs n >= 1")
     parts = set_partitions(n)
     labels = [partition_label(p) for p in parts]
-    rels = []
-    for i, p in enumerate(parts):
-        for j, q in enumerate(parts):
-            if len(p) > len(q) and _refines(p, q):
-                rels.append((labels[i], labels[j]))
-    return FinitePoset(labels, rels)
+    covers = []
+    for p, lab in zip(parts, labels):
+        for i, j in combinations(range(len(p)), 2):
+            merged = [b for k, b in enumerate(p) if k != i and k != j]
+            merged.append(p[i] | p[j])
+            covers.append((lab, partition_label(merged)))
+    return FinitePoset(labels, covers)
 
 
 def face_poset(K: SimplicialComplex) -> FinitePoset:
     """Nonempty faces of a complex ordered by inclusion."""
-    faces = [set(f) for fs in K.faces_by_dim().values() for f in fs]
 
-    def lab(f: set) -> str:
+    def lab(f: frozenset) -> str:
         return "{" + ",".join(sorted(f)) + "}"
 
-    rels = [(lab(a), lab(b)) for a in faces for b in faces if len(a) < len(b) and a < b]
-    return FinitePoset((lab(f) for f in faces), rels)
+    return _subset_poset((frozenset(f) for fs in K.faces_by_dim().values() for f in fs), lab)
 
 
 def poset_product(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
@@ -434,13 +450,9 @@ def poset_product(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
         return f"({p},{q})"
 
     labels = [lab(p, q) for p in P for q in Q]
-    rels = [
-        (lab(p1, q1), lab(p2, q2))
-        for p1, p2 in iproduct(P.elements, repeat=2)
-        for q1, q2 in iproduct(Q.elements, repeat=2)
-        if P.leq(p1, p2) and Q.leq(q1, q2) and (p1, q1) != (p2, q2)
-    ]
-    return FinitePoset(labels, rels)
+    covers = [(lab(a, q), lab(b, q)) for a, b in P.covers for q in Q]
+    covers += [(lab(p, a), lab(p, b)) for p in P for a, b in Q.covers]
+    return FinitePoset(labels, covers)
 
 
 def generate(kind: str, *params) -> FinitePoset:

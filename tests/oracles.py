@@ -3,7 +3,9 @@
 Everything here recomputes expected values by a route different from the
 library under test: dense Gaussian elimination over exact fractions for
 Betti numbers, sympy for Smith normal forms, direct recursion for Mobius
-numbers, and exhaustive enumeration for counting problems.
+numbers, exhaustive enumeration for counting problems, pairwise inclusion and
+refinement tests for the generated orders, and the quadratic maximal-face scan
+for facet normalization.
 """
 
 from fractions import Fraction
@@ -139,6 +141,52 @@ def sympy_homology(facets):
         if tors:
             torsion[k] = tors
     return betti, torsion
+
+
+def maximal_faces(faces):
+    """The maximal nonempty faces of a face list, by the quadratic scan that
+    tests every face against every kept larger one."""
+    maximal = []
+    for f in sorted({frozenset(f) for f in faces if f}, key=len, reverse=True):
+        if not any(f < g for g in maximal):
+            maximal.append(f)
+    return frozenset(maximal)
+
+
+def subset_family(ground, sizes):
+    """Subsets of ``ground`` with a size in ``sizes``, keyed by their
+    ``{a,b}`` label (members sorted as strings)."""
+    ground = sorted(ground)
+    return {
+        "{" + ",".join(sorted(str(x) for x in c)) + "}": frozenset(str(x) for x in c)
+        for k in sizes
+        for c in combinations(ground, k)
+    }
+
+
+def set_partitions_by_label(n):
+    """Set partitions of {1..n} (n <= 9) from restricted growth strings,
+    keyed by their ``(12)(3)`` label, as frozensets of blocks."""
+    out = {}
+
+    def grow(word):
+        if len(word) == n:
+            blocks = {}
+            for item, b in enumerate(word, start=1):
+                blocks.setdefault(b, []).append(str(item))
+            label = "".join("(" + "".join(blk) + ")" for blk in blocks.values())
+            out[label] = frozenset(frozenset(blk) for blk in blocks.values())
+            return
+        for b in range(max(word, default=-1) + 2):
+            grow(word + [b])
+
+    grow([])
+    return out
+
+
+def strictly_refines(p, q):
+    """p < q in the refinement order: p != q and each block of p lies in a block of q."""
+    return p != q and all(any(b <= c for c in q) for b in p)
 
 
 def brute_mobius(elements, leq):

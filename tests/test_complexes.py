@@ -43,6 +43,26 @@ class TestValues:
         K = SimplicialComplex([["a", "b"]], vertices=["c"])
         assert frozenset(["c"]) in K.facets
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_facets_match_quadratic_scan(self, seed):
+        # non-pure input with duplicates, nested faces, permuted vertex order,
+        # empty faces and extra vertices
+        rng = random.Random(900 + seed)
+        for _ in range(25):
+            verts = [f"v{i}" for i in range(rng.randint(1, 9))]
+            faces = [
+                rng.sample(verts, rng.randint(0, len(verts))) for _ in range(rng.randint(0, 15))
+            ]
+            for f in list(faces)[: rng.randint(0, 5)]:
+                faces.append(rng.sample(f, len(f)))
+                faces.append(rng.sample(f, rng.randint(0, len(f))))
+            rng.shuffle(faces)
+            extra = rng.sample(verts + ["w0", "w1"], rng.randint(0, 3))
+            K = SimplicialComplex(faces, vertices=extra)
+            expected = oracles.maximal_faces(faces + [[v] for v in extra])
+            assert K.facets == expected
+            assert K.vertices == tuple(sorted(set().union(*expected)))
+
     def test_euler_reduced(self):
         assert empty_complex().euler_reduced() == -1
         assert point_complex().euler_reduced() == 0

@@ -132,6 +132,46 @@ class TestChainComplex:
         with pytest.raises(HomologyError, match="composition"):
             ChainComplex(good.counts, {**good.boundary, 1: bad_d1})
 
+    def test_triangle_with_one_sign_flipped_rejected(self):
+        good = ChainComplex.from_complex(SimplicialComplex([["a", "b", "c"]]))
+        (r, c, v), *rest = good.boundary[2].entries
+        bad_d2 = SparseMatrix(good.boundary[2].n_rows, 1, ((r, c, -v), *rest))
+        with pytest.raises(HomologyError, match="composition 1 o 2"):
+            ChainComplex(good.counts, {**good.boundary, 2: bad_d2})
+
+    @pytest.mark.parametrize(
+        "column, ok",
+        [([1, 1, -2], True), ([2, -1, -1], True), ([1, 1, -1], False), ([1, 1, 2], False)],
+    )
+    def test_contributions_are_summed(self, column, ok):
+        # d0 = [1 1 1]: d0 . d1 is the sum of the column, three contributions
+        counts = {-1: 1, 0: 3, 1: 1}
+        d0 = SparseMatrix.from_dense([[1, 1, 1]])
+        d1 = SparseMatrix.from_dense([[v] for v in column])
+        if ok:
+            assert ChainComplex(counts, {0: d0, 1: d1}).dim == 1
+        else:
+            with pytest.raises(HomologyError, match="composition 0 o 1"):
+                ChainComplex(counts, {0: d0, 1: d1})
+
+    def test_wrong_shape_rejected(self):
+        good = ChainComplex.from_complex(HOLLOW_TRIANGLE)
+        d1 = good.boundary[1]
+        for bad in (
+            SparseMatrix(d1.n_rows + 1, d1.n_cols, d1.entries),
+            SparseMatrix(d1.n_rows, d1.n_cols - 1, ()),
+        ):
+            with pytest.raises(HomologyError, match="inconsistent shape"):
+                ChainComplex(good.counts, {**good.boundary, 1: bad})
+
+    @pytest.mark.parametrize("entry", [(0, 3, 1), (3, 0, 1), (-1, 0, 1), (0, -1, 1)])
+    def test_entry_outside_shape_rejected(self, entry):
+        good = ChainComplex.from_complex(HOLLOW_TRIANGLE)
+        d1 = good.boundary[1]
+        bad = SparseMatrix(d1.n_rows, d1.n_cols, d1.entries + (entry,))
+        with pytest.raises(HomologyError, match="outside"):
+            ChainComplex(good.counts, {**good.boundary, 1: bad})
+
     @pytest.mark.parametrize("seed", range(10))
     def test_construction_validates_random_complexes(self, seed):
         K = random_complex(random.Random(500 + seed))

@@ -1,9 +1,11 @@
 import random
+from itertools import product
+from math import comb, factorial
 
 import pytest
 
 import oracles
-from randgen import random_bounded_poset, random_poset
+from randgen import random_bounded_poset, random_complex, random_poset
 from ordertop.posets import (
     BoundedPoset,
     FinitePoset,
@@ -24,6 +26,13 @@ from ordertop.complexes import SimplicialComplex
 
 def bounded(P):
     return BoundedPoset.from_poset(P)
+
+
+def assert_order(P, objects, less):
+    """P has exactly the labels of ``objects`` and is ordered by ``less``."""
+    assert set(P.elements) == set(objects)
+    for a, b in product(P.elements, repeat=2):
+        assert P.lt(a, b) == less(objects[a], objects[b]), (a, b)
 
 
 class TestParse:
@@ -98,11 +107,51 @@ class TestGenerators:
         B = bounded(P)
         assert B.is_lattice()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_product_order_is_componentwise(self, seed):
+        rng = random.Random(800 + seed)
+        P, Q = random_poset(rng, max_elements=5), random_poset(rng, max_elements=5)
+        pairs = {f"({p},{q})": (p, q) for p in P for q in Q}
+        assert_order(
+            poset_product(P, Q),
+            pairs,
+            lambda a, b: a != b and P.leq(a[0], b[0]) and Q.leq(a[1], b[1]),
+        )
+
     def test_generate_dispatch(self):
         assert generate("boolean", 2) == boolean_lattice(2)
         assert generate("chain", 3) == chain_poset(3)
         with pytest.raises(PosetError, match="unknown generator"):
             generate("mystery", 1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_partition_order_is_refinement(self, n):
+        assert_order(
+            partition_lattice(n), oracles.set_partitions_by_label(n), oracles.strictly_refines
+        )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_partition_covers_merge_two_blocks(self, n):
+        parts = oracles.set_partitions_by_label(n).values()
+        assert len(partition_lattice(n).covers) == sum(comb(len(p), 2) for p in parts)
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_boolean_order_is_inclusion(self, n):
+        sets = oracles.subset_family(range(1, n + 1), range(n + 1))
+        assert_order(boolean_lattice(n), sets, lambda a, b: a < b)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_exp_discrete_order_is_inclusion(self, m):
+        for n in range(1, m + 1):
+            sets = oracles.subset_family(range(1, m + 1), range(1, n + 1))
+            assert_order(exp_discrete_poset(m, n), sets, lambda a, b: a < b)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_face_poset_order_is_inclusion(self, seed):
+        K = random_complex(random.Random(700 + seed))
+        faces = [f for fs in oracles.faces_of(K.facets).values() for f in fs]
+        sets = {"{" + ",".join(f) + "}": frozenset(f) for f in faces}
+        assert_order(face_poset(K), sets, lambda a, b: a < b)
 
     def test_partition_lattice_property(self):
         # meet and join total up to the 203-element lattice
@@ -143,6 +192,24 @@ class TestMobius:
     def test_random_against_oracle(self, seed):
         B = random_bounded_poset(random.Random(seed))
         assert B.mobius() == oracles.brute_mobius(list(B.poset.elements), B.poset.leq)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_interval_against_oracle(self, seed):
+        B = random_bounded_poset(random.Random(50 + seed))
+        P = B.poset
+        for x, y in product(P.elements, repeat=2):
+            if not P.lt(x, y):
+                assert B.mobius_pair(x, y) == (1 if x == y else 0)
+                continue
+            interval = [z for z in P.elements if P.leq(x, z) and P.leq(z, y)]
+            assert B.mobius_pair(x, y) == oracles.brute_mobius(interval, P.leq)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_partition_lattice_closed_form(self, n):
+        assert bounded(partition_lattice(n)).mobius() == (-1) ** (n - 1) * factorial(n - 1)
+
+    def test_long_chain_needs_no_recursion(self):
+        assert bounded(chain_poset(3000)).mobius() == 0
 
 
 class TestComplements:
