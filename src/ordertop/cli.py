@@ -127,7 +127,7 @@ def _wedge_lines(x: spheres.SphereWedge) -> list[str]:
         return ["empty"]
     if x.is_point:
         return ["point"]
-    return [f"wedge {c} x S^{d}" for d, c in x.dim_counts().items()]
+    return [f"wedge {c} x S^{d}" for d, c in x.dims.items()]
 
 
 def _bool(value: bool) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from .complexes import cyclic_polytope_boundary, is_pseudomanifold
 from .homology import HomologyProfile, reduced_homology
@@ -21,6 +22,24 @@ from .posets import exp_discrete_poset
 
 class ConfigError(ValueError):
     """Parameter out of range."""
+
+
+# Largest point count n for the power-of-two tables.  Their memoised
+# recursion runs up to n frames deep and its cache is never freed: n = 400
+# takes under a second and 65 MB, fuchs_table(495) overflows the default
+# recursion limit and predicted_betti_exp2(2000) holds 1.27 GB.
+MAX_N = 400
+
+# Largest C(m, 2n) for the circle model, which cyclic_polytope_boundary
+# enumerates one vertex subset at a time: C(18, 8) = 43,758 (n = 4, m = 18)
+# runs in under a second, and the slowest input within the limit, n = 1 and
+# m = 296, in about 3 s.
+MAX_CIRCLE_SUBSETS = comb(18, 8)
+
+
+def _check_max_n(n: int) -> None:
+    if n > MAX_N:
+        raise ConfigError(f"need n <= {MAX_N}, got {n}")
 
 
 @lru_cache(maxsize=None)
@@ -67,6 +86,7 @@ class FuchsTable:
 
 
 def fuchs_table(n: int) -> FuchsTable:
+    _check_max_n(n)
     return FuchsTable(n, {k: fuchs_dimension(n, k) for k in range(n)})
 
 
@@ -92,6 +112,7 @@ def predicted_betti_exp2(n: int) -> PredictedBetti:
     degree 3n - p - 1."""
     if n < 1:
         raise ConfigError("need n >= 1")
+    _check_max_n(n)
     betti = {}
     for p in range(3 * n):
         rank = fuchs_dimension(n, 3 * n - p - 1)
@@ -138,6 +159,11 @@ def circle_model_check(n: int, m: int, coeff: str = "Z") -> CircleModelReport:
         raise ConfigError("need n >= 1")
     if m < 2 * n + 2:
         raise ConfigError(f"need m >= 2n + 2 = {2 * n + 2}, got {m}")
+    subsets = comb(m, 2 * n)
+    if subsets > MAX_CIRCLE_SUBSETS:
+        raise ConfigError(
+            f"C(m, 2n) = {subsets} vertex subsets, above the limit {MAX_CIRCLE_SUBSETS}"
+        )
     K = cyclic_polytope_boundary(m, 2 * n)
     return CircleModelReport(
         n=n,
@@ -165,8 +191,6 @@ class ExpDiscreteReport:
 
 
 def exp_discrete_check(m: int, n: int, coeff: str = "Z") -> ExpDiscreteReport:
-    from math import comb
-
     if not 1 <= n <= m:
         raise ConfigError(f"need 1 <= n <= m, got n={n}, m={m}")
     P = exp_discrete_poset(m, n)

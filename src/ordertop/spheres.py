@@ -2,10 +2,11 @@
 
 The calculus covers exactly the normal forms Empty, Point and finite wedges
 of spheres S^d (d >= 0), with join, smash, suspension and wedge as operators.
-The rewrite rules (S^a * S^b = S^{a+b+1}, S^a ^ S^b = S^{a+b}, distribution
-over wedges, Empty as join unit, Point as wedge unit and smash zero) are
-homotopy equivalences for this class only; nothing here applies to arbitrary
-spaces.
+A normal form maps sphere dimension to multiplicity: Point is the empty map
+and Empty is S^{-1}, the map {-1: 1}.  The rewrite rules (S^a * S^b =
+S^{a+b+1}, S^a ^ S^b = S^{a+b}, distribution over wedges, Empty as join unit,
+Point as wedge unit and smash zero) are homotopy equivalences for this class
+only; nothing here applies to arbitrary spaces.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .complexes import PointedComplex, SimplicialComplex, sphere_complex, wedge as complex_wedge
 
@@ -22,84 +24,86 @@ class SphereCalcError(ValueError):
     """Operand outside the wedge-of-spheres calculus."""
 
 
+# Largest n evaluated.  The multiplicities (n-1)! and 2^(n-2) stay well below
+# the interpreter's 4300-digit int-to-str limit, which the CLI output would
+# hit, and the partition recurrence (O(n^2) big-integer additions) stays fast.
+PARTITION_MAX_N = 500
+ORIENTED_MAX_N = 10_000
+
+
 @dataclass(frozen=True)
 class SphereWedge:
-    """Normal form: Empty, Point, or a nonempty multiset of sphere dimensions."""
+    """Normal form: a read-only map dimension -> multiplicity, sorted by
+    dimension; Point is {} and Empty is {-1: 1}, the only form with -1."""
 
-    kind: str
-    dims: tuple[int, ...] = ()
+    dims: Mapping[int, int]
 
     def __post_init__(self):
-        if self.kind not in ("empty", "point", "wedge"):
-            raise SphereCalcError(f"unknown kind {self.kind!r}")
-        if self.kind == "wedge":
-            if not self.dims:
-                raise SphereCalcError("a wedge needs at least one sphere; use POINT")
-            if any(d < 0 for d in self.dims):
-                raise SphereCalcError("sphere dimensions must be >= 0")
-            if tuple(sorted(self.dims)) != self.dims:
-                raise SphereCalcError("dims must be sorted; use wedge_of()")
-        elif self.dims:
-            raise SphereCalcError(f"{self.kind} carries no sphere dimensions")
+        items = sorted(self.dims.items())
+        if any(d < -1 or c < 1 for d, c in items):
+            raise SphereCalcError("need dimensions >= -1 and multiplicities >= 1")
+        if items and items[0][0] == -1 and items != [(-1, 1)]:
+            raise SphereCalcError("S^{-1} is Empty and cannot be wedged")
+        object.__setattr__(self, "dims", MappingProxyType(dict(items)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.dims.items()))
 
     @property
     def is_empty(self) -> bool:
-        return self.kind == "empty"
+        return -1 in self.dims
 
     @property
     def is_point(self) -> bool:
-        return self.kind == "point"
+        return not self.dims
 
     def sphere_count(self) -> int:
-        return len(self.dims)
-
-    def dim_counts(self) -> dict[int, int]:
-        return dict(sorted(Counter(self.dims).items()))
+        return 0 if self.is_empty else sum(self.dims.values())
 
     def __str__(self) -> str:
-        if self.kind == "empty":
+        if self.is_empty:
             return "Empty"
-        if self.kind == "point":
+        if self.is_point:
             return "Point"
-        parts = []
-        for d, c in self.dim_counts().items():
-            parts.append(f"S^{d}" if c == 1 else f"{c}xS^{d}")
-        return " v ".join(parts)
+        return " v ".join(
+            f"S^{d}" if c == 1 else f"{c}xS^{d}" for d, c in self.dims.items()
+        )
 
 
-EMPTY = SphereWedge("empty")
-POINT = SphereWedge("point")
+EMPTY = SphereWedge({-1: 1})
+POINT = SphereWedge({})
 
 
 def sphere(d: int) -> SphereWedge:
     """S^d as a normal form; S^{-1} is EMPTY."""
-    if d == -1:
-        return EMPTY
-    return SphereWedge("wedge", (d,))
+    return SphereWedge({d: 1})
 
 
 def wedge_of(dims: Sequence[int]) -> SphereWedge:
-    dims = tuple(sorted(dims))
-    return SphereWedge("wedge", dims) if dims else POINT
+    """The wedge of one sphere per listed dimension (each >= 0); [] is POINT."""
+    counts = Counter(dims)
+    if any(d < 0 for d in counts):
+        raise SphereCalcError("sphere dimensions must be >= 0")
+    return SphereWedge(counts)
 
 
-def _join2(a: SphereWedge, b: SphereWedge) -> SphereWedge:
-    if a.is_empty:
-        return b
-    if b.is_empty:
-        return a
-    # Point has no spheres, so the product multiset is empty: Point * X = Point.
-    return wedge_of([x + y + 1 for x in a.dims for y in b.dims])
+def _product(a: SphereWedge, b: SphereWedge, shift: int) -> SphereWedge:
+    """Join (shift 1) or smash (shift 0) of wedges: S^x, S^y -> S^{x+y+shift}."""
+    out: Counter[int] = Counter()
+    for x, c in a.dims.items():
+        for y, e in b.dims.items():
+            out[x + y + shift] += c * e
+    return SphereWedge(out)
 
 
 def _smash2(a: SphereWedge, b: SphereWedge) -> SphereWedge:
     if a.is_empty or b.is_empty:
         raise SphereCalcError("smash with the empty space is undefined (no basepoint)")
-    return wedge_of([x + y for x in a.dims for y in b.dims])
+    return _product(a, b, 0)
 
 
 def suspend(x: SphereWedge) -> SphereWedge:
-    return _join2(sphere(0), x)
+    return _product(sphere(0), x, 1)
 
 
 def combine(operator: str, operands: Sequence[SphereWedge]) -> SphereWedge:
@@ -108,7 +112,7 @@ def combine(operator: str, operands: Sequence[SphereWedge]) -> SphereWedge:
     if operator == "join":
         out = EMPTY
         for x in ops:
-            out = _join2(out, x)
+            out = _product(out, x, 1)
         return out
     if operator == "smash":
         if not ops:
@@ -121,12 +125,12 @@ def combine(operator: str, operands: Sequence[SphereWedge]) -> SphereWedge:
         (x,) = ops
         return suspend(x)
     if operator == "wedge":
-        dims: list[int] = []
+        counts: Counter[int] = Counter()
         for x in ops:
             if x.is_empty:
                 raise SphereCalcError("cannot wedge the empty space (no basepoint)")
-            dims.extend(x.dims)
-        return wedge_of(dims)
+            counts.update(x.dims)
+        return SphereWedge(counts)
     raise SphereCalcError(f"unknown operator {operator!r}")
 
 
@@ -162,10 +166,12 @@ def oriented_grassmannian_type(n: int) -> SphereWedge:
     """
     if n < 2:
         raise SphereCalcError("need n >= 2")
+    if n > ORIENTED_MAX_N:
+        raise SphereCalcError(f"need n <= {ORIENTED_MAX_N}, got {n}")
     current = sphere(1)
     for k in range(3, n + 1):
         current = _smash2(wedge_of([k - 1, k - 1]), suspend(current))
-    closed = wedge_of([comb(n, 2) + n - 2] * 2 ** (n - 2))
+    closed = SphereWedge({comb(n, 2) + n - 2: 2 ** (n - 2)})
     if current != closed:
         raise SphereCalcError(
             f"recurrence {current} disagrees with closed form {closed}"
@@ -180,14 +186,17 @@ def partition_type(n: int) -> SphereWedge:
     """
     if n < 3:
         raise SphereCalcError("need n >= 3")
+    if n > PARTITION_MAX_N:
+        raise SphereCalcError(f"need n <= {PARTITION_MAX_N}, got {n}")
     current = wedge_of([0, 0])
     for k in range(4, n + 1):
         current = combine("wedge", [suspend(current)] * (k - 1))
-    if current != wedge_of([n - 3] * factorial(n - 1)):
+    closed = SphereWedge({n - 3: factorial(n - 1)})
+    if current != closed:
         raise SphereCalcError(
             f"internal check failed: the recurrence for n={n} is not (n-1)! spheres"
         )
-    return current
+    return closed
 
 
 def exp_circle_type(n: int) -> SphereWedge:
@@ -206,9 +215,7 @@ def exp_circle_type(n: int) -> SphereWedge:
 
 def implied_betti(x: SphereWedge) -> dict[int, int]:
     """Reduced Betti numbers the normal form implies (degree -> rank)."""
-    if x.is_empty:
-        return {-1: 1}
-    return x.dim_counts() if x.kind == "wedge" else {}
+    return dict(x.dims)
 
 
 def realize(x: SphereWedge) -> SimplicialComplex:
@@ -218,7 +225,7 @@ def realize(x: SphereWedge) -> SimplicialComplex:
     if x.is_point:
         return SimplicialComplex([["pt"]])
     parts = []
-    for d in x.dims:
+    for d, c in x.dims.items():
         K = sphere_complex(d)
-        parts.append(PointedComplex(K, K.vertices[0]))
+        parts += [PointedComplex(K, K.vertices[0])] * c
     return complex_wedge(parts).complex

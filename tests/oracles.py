@@ -4,8 +4,8 @@ Everything here recomputes expected values by a route different from the
 library under test: dense Gaussian elimination over exact fractions for
 Betti numbers, sympy for Smith normal forms, direct recursion for Mobius
 numbers, exhaustive enumeration for counting problems, pairwise inclusion and
-refinement tests for the generated orders, and the quadratic maximal-face scan
-for facet normalization.
+refinement tests for the generated orders, the quadratic maximal-face scan
+for facet normalization, and the sphere calculus on fully expanded multisets.
 """
 
 from fractions import Fraction
@@ -234,3 +234,48 @@ def bell_number(n):
             nxt.append(nxt[-1] + v)
         row = nxt
     return row[0]
+
+
+class MultisetCalcError(ValueError):
+    """An operand outside the calculus, in the expanded model."""
+
+
+def multiset_combine(operator, operands):
+    """The wedge-of-spheres calculus with each form fully expanded: None is
+    Empty and a sorted list holds one dimension per sphere ([] is Point).
+    Raises MultisetCalcError where the calculus is undefined, and a plain
+    ValueError when suspend does not get exactly one operand."""
+
+    def join(a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        return sorted(x + y + 1 for x in a for y in b)
+
+    def smash(a, b):
+        if a is None or b is None:
+            raise MultisetCalcError("smash with the empty space")
+        return sorted(x + y for x in a for y in b)
+
+    if operator == "join":
+        out = None
+        for x in operands:
+            out = join(out, x)
+        return out
+    if operator == "smash":
+        if not operands:
+            raise MultisetCalcError("smash of nothing")
+        out = operands[0]
+        for x in operands[1:]:
+            out = smash(out, x)
+        return out
+    if operator == "suspend":
+        if len(operands) != 1:
+            raise ValueError("suspend takes one operand")
+        return join([0], operands[0])
+    if operator == "wedge":
+        if any(x is None for x in operands):
+            raise MultisetCalcError("wedge with the empty space")
+        return sorted(d for x in operands for d in x)
+    raise MultisetCalcError(f"unknown operator {operator!r}")

@@ -1,3 +1,5 @@
+from math import comb, factorial
+
 import pytest
 
 from ordertop import complementation, config, grassmann, spheres
@@ -108,7 +110,7 @@ class TestCalcCommand:
         outcome = run(["calc", "oriented", "--n", "4"])
         result = spheres.oriented_grassmannian_type(4)
         assert outcome.stdout_lines == tuple(
-            f"wedge {c} x S^{d}" for d, c in result.dim_counts().items()
+            f"wedge {c} x S^{d}" for d, c in result.dims.items()
         )
 
     def test_grassmannian_flags(self):
@@ -121,6 +123,47 @@ class TestCalcCommand:
 
     def test_bad_params(self):
         assert run(["calc", "grassmannian", "--n", "1"]).exit_code == 2
+
+
+class TestInputBounds:
+    """Each limit accepts its largest input and rejects the next with exit 2
+    before doing any work."""
+
+    @pytest.mark.parametrize(
+        "argv,limit",
+        [
+            (["calc", "partition", "--n"], spheres.PARTITION_MAX_N),
+            (["calc", "oriented", "--n"], spheres.ORIENTED_MAX_N),
+            (["config", "fuchs", "--n"], config.MAX_N),
+            (["config", "exp2-betti", "--n"], config.MAX_N),
+            (["config", "neighborly", "--n"], config.MAX_N),
+        ],
+    )
+    def test_n_limit(self, argv, limit):
+        assert run(argv + [str(limit)]).exit_code == 0
+        over = run(argv + [str(limit + 1)])
+        assert over.exit_code == 2
+        assert over.stdout_lines == ()
+        assert over.stderr_lines == (f"error: need n <= {limit}, got {limit + 1}",)
+
+    def test_partition_at_limit(self):
+        n = spheres.PARTITION_MAX_N
+        assert run(["calc", "partition", "--n", str(n)]).stdout_lines == (
+            f"wedge {factorial(n - 1)} x S^{n - 3}",
+        )
+
+    def test_circle_subset_limit(self, monkeypatch):
+        argv = ["config", "circle", "--n", "4", "--m", "18"]
+        assert config.MAX_CIRCLE_SUBSETS == comb(18, 8)
+        assert run(argv).exit_code == 0
+        monkeypatch.setattr(config, "MAX_CIRCLE_SUBSETS", comb(18, 8) - 1)
+        assert run(argv).exit_code == 2
+
+    @pytest.mark.parametrize("n,m", [(1, 297), (4, 19), (6, 40)])
+    def test_circle_over_limit(self, n, m):
+        outcome = run(["config", "circle", "--n", str(n), "--m", str(m)])
+        assert outcome.exit_code == 2
+        assert "above the limit" in outcome.stderr_lines[0]
 
 
 class TestConfigCommand:

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
+from dataclasses import FrozenInstanceError
 from math import comb, factorial
 
 import pytest
 
+import oracles
 from ordertop.homology import reduced_homology
 from ordertop.posets import BoundedPoset, boolean_lattice
 from ordertop import spheres
@@ -72,12 +75,34 @@ class TestCombine:
         assert suspend(POINT) == POINT
 
     def test_normal_form_validation(self):
-        with pytest.raises(SphereCalcError):
-            SphereWedge("wedge", ())
-        with pytest.raises(SphereCalcError):
-            SphereWedge("point", (1,))
-        with pytest.raises(SphereCalcError):
-            wedge_of([-2])
+        # dimension below -1, multiplicity below 1, S^{-1} not alone or twice
+        for dims in ({-2: 1}, {2: 0}, {2: -1}, {-1: 1, 0: 1}, {-1: 1, 3: 2}, {-1: 2}):
+            with pytest.raises(SphereCalcError):
+                SphereWedge(dims)
+        for dims in ([-1], [-2], [0, -1]):
+            with pytest.raises(SphereCalcError):
+                wedge_of(dims)
+
+    def test_empty_is_s_minus_one_and_point_the_empty_map(self):
+        assert EMPTY == sphere(-1) == SphereWedge({-1: 1})
+        assert POINT == wedge_of([]) == SphereWedge({})
+        assert combine("suspend", [EMPTY]) == sphere(0)
+        assert combine("smash", [EMPTY]) == EMPTY
+        assert combine("join", []) == EMPTY
+        assert EMPTY.sphere_count() == 0
+        assert POINT.sphere_count() == 0
+        assert (str(EMPTY), str(POINT)) == ("Empty", "Point")
+
+    def test_frozen_sorted_and_hashable(self):
+        a, b = wedge_of([3, 1, 3]), SphereWedge({3: 2, 1: 1})
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert list(a.dims.items()) == [(1, 1), (3, 2)]
+        assert str(a) == "S^1 v 2xS^3"
+        assert a.sphere_count() == 3
+        with pytest.raises(TypeError):
+            a.dims[1] = 5
+        with pytest.raises(FrozenInstanceError):
+            a.dims = {}
 
     @pytest.mark.parametrize("seed", range(15))
     def test_join_commutative_associative(self, seed):
@@ -92,6 +117,50 @@ class TestCombine:
     def test_suspend_is_join_with_s0(self, seed):
         x = random_form(random.Random(100 + seed))
         assert suspend(x) == combine("join", [sphere(0), x])
+
+
+def random_expanded(rng):
+    roll = rng.random()
+    if roll < 0.15:
+        return None
+    if roll < 0.3:
+        return []
+    return sorted(rng.randint(0, 4) for _ in range(rng.randint(1, 3)))
+
+
+def expand(x):
+    if x.is_empty:
+        return None
+    return sorted(d for d, c in x.dims.items() for _ in range(c))
+
+
+class TestAgainstMultisetModel:
+    """The dimension -> multiplicity forms against the fully expanded model."""
+
+    @pytest.mark.parametrize("operator", ["join", "smash", "wedge", "suspend", "unknown"])
+    def test_random_operand_lists(self, operator):
+        rng = random.Random(2024)
+        for _ in range(2000):
+            expanded = [random_expanded(rng) for _ in range(rng.randint(0, 4))]
+            forms = [EMPTY if e is None else wedge_of(e) for e in expanded]
+            try:
+                want = oracles.multiset_combine(operator, expanded)
+            except oracles.MultisetCalcError:
+                with pytest.raises(SphereCalcError):
+                    combine(operator, forms)
+                continue
+            except ValueError:
+                with pytest.raises(ValueError) as info:
+                    combine(operator, forms)
+                assert not isinstance(info.value, SphereCalcError)
+                continue
+            got = combine(operator, forms)
+            assert expand(got) == want
+            if want is None:
+                assert implied_betti(got) == {-1: 1} and got.sphere_count() == 0
+            else:
+                assert implied_betti(got) == Counter(want)
+                assert got.sphere_count() == len(want)
 
 
 class TestFamilies:
@@ -121,6 +190,18 @@ class TestFamilies:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
     def test_partition(self, n):
         assert partition_type(n) == wedge_of([n - 3] * factorial(n - 1))
+
+    def test_closed_forms_beyond_expanded_memory(self):
+        # expanded, these are 12! and 2^38 entries
+        assert partition_type(13) == SphereWedge({10: factorial(12)})
+        assert partition_type(13).sphere_count() == factorial(12)
+        assert oriented_grassmannian_type(40) == SphereWedge({comb(40, 2) + 38: 2**38})
+
+    @pytest.mark.parametrize("family", [oriented_grassmannian_type, grassmannian_type])
+    def test_grassmannian_closed_form_checks_raise(self, monkeypatch, family):
+        monkeypatch.setattr(spheres, "comb", lambda n, k: 0)
+        with pytest.raises(SphereCalcError, match="disagrees with closed form"):
+            family(4)
 
     def test_partition_closed_form_check_raises(self, monkeypatch):
         # the recurrence is checked against (n-1)! spheres with a raised error,
