@@ -12,7 +12,6 @@ integral torsion is reported as unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .complexes import cyclic_polytope_boundary, is_pseudomanifold
@@ -25,9 +24,9 @@ class ConfigError(ValueError):
 
 
 # Largest point count n for the power-of-two tables.  Their memoised
-# recursion runs up to n frames deep and its cache is never freed: n = 400
-# takes under a second and 65 MB, fuchs_table(495) overflows the default
-# recursion limit and predicted_betti_exp2(2000) holds 1.27 GB.
+# recursion runs up to n frames deep and its cache lives for one table:
+# n = 400 takes under a second, fuchs_table(495) overflows the default
+# recursion limit and predicted_betti_exp2(2000) would hold 1.27 GB.
 MAX_N = 400
 
 # Largest C(m, 2n) for the circle model, which cyclic_polytope_boundary
@@ -42,19 +41,29 @@ def _check_max_n(n: int) -> None:
         raise ConfigError(f"need n <= {MAX_N}, got {n}")
 
 
-@lru_cache(maxsize=None)
-def _power_sum_count(total: int, parts: int, max_exp: int) -> int:
+def _power_sum_count(total: int, parts: int, max_exp: int, memo: dict) -> int:
     """Multisets of exactly ``parts`` powers of two, each at most 2^max_exp,
-    summing to ``total``."""
+    summing to ``total``.  ``memo`` belongs to one top-level call, so the
+    cache is freed when that call returns."""
     if parts == 0:
         return 1 if total == 0 else 0
     if total <= 0:
         return 0
-    count = 0
-    exp = min(max_exp, total.bit_length() - 1)
-    for a in range(exp, -1, -1):
-        count += _power_sum_count(total - (1 << a), parts - 1, a)
+    key = (total, parts, max_exp)
+    count = memo.get(key)
+    if count is None:
+        count = 0
+        exp = min(max_exp, total.bit_length() - 1)
+        for a in range(exp, -1, -1):
+            count += _power_sum_count(total - (1 << a), parts - 1, a, memo)
+        memo[key] = count
     return count
+
+
+def _fuchs_dimension(n: int, k: int, memo: dict) -> int:
+    if k < 0 or k >= n:
+        return 0
+    return _power_sum_count(n, n - k, n.bit_length(), memo)
 
 
 def fuchs_dimension(n: int, k: int) -> int:
@@ -62,16 +71,15 @@ def fuchs_dimension(n: int, k: int) -> int:
     plane: the number of multisets of n-k powers of two summing to n."""
     if n < 1:
         raise ConfigError("need n >= 1")
-    if k < 0 or k >= n:
-        return 0
-    return _power_sum_count(n, n - k, n.bit_length())
+    return _fuchs_dimension(n, k, {})
 
 
 def binary_partition_count(n: int) -> int:
     """Number of multisets of powers of two summing to n (any part count)."""
     if n < 0:
         raise ConfigError("need n >= 0")
-    return sum(_power_sum_count(n, p, n.bit_length()) for p in range(n + 1))
+    memo: dict = {}
+    return sum(_power_sum_count(n, p, n.bit_length(), memo) for p in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,8 @@ class FuchsTable:
 
 def fuchs_table(n: int) -> FuchsTable:
     _check_max_n(n)
-    return FuchsTable(n, {k: fuchs_dimension(n, k) for k in range(n)})
+    memo: dict = {}
+    return FuchsTable(n, {k: _fuchs_dimension(n, k, memo) for k in range(n)})
 
 
 @dataclass(frozen=True)
@@ -114,8 +123,9 @@ def predicted_betti_exp2(n: int) -> PredictedBetti:
         raise ConfigError("need n >= 1")
     _check_max_n(n)
     betti = {}
+    memo: dict = {}
     for p in range(3 * n):
-        rank = fuchs_dimension(n, 3 * n - p - 1)
+        rank = _fuchs_dimension(n, 3 * n - p - 1, memo)
         if rank:
             betti[p] = rank
     return PredictedBetti(n, 2, betti)

@@ -5,6 +5,17 @@ in the join of the subspace strata: nested eigenvector spans weighted by
 normalized eigenvalue gaps.  The map is invariant under A -> alpha A + beta I
 (alpha > 0), and the trace-free unit-norm slice picks one representative per
 orbit; both facts are checked numerically on sampled inputs.
+
+Every computation runs on stacks of shape (k, n, n): one stacked ``eigh`` per
+stack for the flags, one stacked SVD per flag stage for the angles, and the
+slices of the whole stack at once.  The single-matrix functions (``phi``,
+``orbit_invariance_check``, ``slice_representative``, ``subspace_gap``) are
+stacks of one, and ``check_battery`` draws its samples in blocks of
+``max(1, BLOCK_ENTRIES // n^2)`` matrices, so its memory does not grow with
+the sample count.  The arithmetic per matrix is the same as a loop over
+single matrices would do, in the same order, so results are bit-identical to
+it: weights are normalised by a sequential sum and Frobenius norms are dot
+products.
 """
 
 from __future__ import annotations
@@ -17,21 +28,111 @@ SYM_TOL = 1e-12
 WEIGHT_DROP = 1e-10
 CHECK_TOL = 1e-8
 
+# Largest matrix order for check_battery: a sample costs n - 1 SVDs of up to
+# n x n, so time grows as n^4 (about 0.04 s per sample at n = 100, 4 s at
+# n = 400).
+MAX_N = 100
+
+# Matrix entries per block of battery samples (128 samples at n = 8).
+BLOCK_ENTRIES = 8192
+
 
 class GrassmannError(ValueError):
     """Invalid matrix input or undefined map value."""
 
 
-def _as_symmetric(A) -> np.ndarray:
+# -- the stack core ------------------------------------------------------------
+
+
+def _stack_of_one(A) -> np.ndarray:
     M = np.asarray(A, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
         raise GrassmannError(f"expected a square matrix, got shape {M.shape}")
+    return M[None]
+
+
+def _symmetric_stack(M: np.ndarray) -> np.ndarray:
+    """Check each matrix of a (k, n, n) stack for finite entries and for
+    symmetry within SYM_TOL times its own scale; return the symmetrised
+    stack."""
     if not np.all(np.isfinite(M)):
         raise GrassmannError("matrix entries must be finite")
-    scale = max(1.0, float(np.abs(M).max()))
-    if float(np.abs(M - M.T).max()) > SYM_TOL * scale:
+    Mt = M.swapaxes(1, 2)
+    scale = np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
+    if np.any(np.abs(M - Mt).max(axis=(1, 2)) > SYM_TOL * scale):
         raise GrassmannError("matrix is not symmetric within tolerance")
-    return (M + M.T) / 2.0
+    return (M + Mt) / 2.0
+
+
+def _flags(M: np.ndarray):
+    """Weighted eigenvector flags of a symmetric stack.
+
+    Returns ``(weights, keep, vecs)``: ``weights[j, i - 1]`` is the weight of
+    stage i of matrix j (0 where the stage is dropped), ``keep`` marks the
+    stages above WEIGHT_DROP, and stage i spans ``vecs[j, :, :i]``.
+    """
+    lam, vecs = np.linalg.eigh(M)
+    spread = lam[:, -1] - lam[:, 0]
+    scale = np.maximum(1.0, np.abs(lam).max(axis=1))
+    if np.any(spread <= SYM_TOL * scale):
+        raise GrassmannError("map undefined: matrix is a multiple of the identity")
+    weights = np.diff(lam, axis=1) / spread[:, None]
+    keep = weights > WEIGHT_DROP
+    weights = np.where(keep, weights, 0.0)
+    # a running sum adds left to right like a loop; .sum() would not
+    return weights / np.cumsum(weights, axis=1)[:, -1:], keep, vecs
+
+
+def _gaps(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Per-matrix 2-norm of the projection residual V - U (U^T V)."""
+    resid = V - U @ (U.swapaxes(1, 2) @ V)
+    return np.linalg.svd(resid, compute_uv=False).max(axis=1)
+
+
+def _orbit_stack(M: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
+    """Compare the flag of each M[j] with that of alpha[j] M[j] + beta[j] I.
+
+    Returns the shifted stack and, per matrix, the support match, the
+    weight and angle deviations (inf where the supports differ) and whether
+    the support of M[j] is reduced.
+    """
+    n = M.shape[1]
+    B = _symmetric_stack(alpha[:, None, None] * M + beta[:, None, None] * np.eye(n))
+    wa, ka, va = _flags(M)
+    wb, kb, vb = _flags(B)
+    match = (ka == kb).all(axis=1)
+    # dropped stages weigh 0 on both sides when the supports match
+    weight_dev = np.abs(wa - wb).max(axis=1)
+    angle_dev = np.zeros(len(M))
+    for i in range(1, n):
+        gap = _gaps(va[:, :, :i], vb[:, :, :i])
+        angle_dev = np.maximum(angle_dev, np.where(ka[:, i - 1], gap, 0.0))
+    weight_dev[~match] = np.inf
+    angle_dev[~match] = np.inf
+    return B, match, weight_dev, angle_dev, ~ka.all(axis=1)
+
+
+def _frobenius(M: np.ndarray) -> np.ndarray:
+    flat = M.reshape(len(M), -1)
+    return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
+
+
+def _slices(M: np.ndarray) -> np.ndarray:
+    """Trace-free, unit-Frobenius-norm representatives of a symmetric stack."""
+    n = M.shape[1]
+    trace = np.trace(M, axis1=1, axis2=2)
+    centered = M - (trace / n)[:, None, None] * np.eye(n)
+    norm = _frobenius(centered)
+    if np.any(norm <= SYM_TOL * np.maximum(1.0, _frobenius(M))):
+        raise GrassmannError("slice undefined: matrix is a multiple of the identity")
+    return centered / norm[:, None, None]
+
+
+def _orbit_passed(support_match, weight_dev, angle_dev):
+    return support_match & (weight_dev < CHECK_TOL) & (angle_dev < CHECK_TOL)
+
+
+# -- single matrices -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -82,21 +183,12 @@ def phi(A) -> FlagPoint:
     shrink the support.  Multiples of the identity are rejected: the flag is
     undefined there.
     """
-    M = _as_symmetric(A)
-    n = M.shape[0]
-    lam, vecs = np.linalg.eigh(M)
-    spread = float(lam[-1] - lam[0])
-    scale = max(1.0, float(np.abs(lam).max()))
-    if spread <= SYM_TOL * scale:
-        raise GrassmannError("map undefined: matrix is a multiple of the identity")
-    components = []
-    for i in range(1, n):
-        weight = float(lam[i] - lam[i - 1]) / spread
-        if weight > WEIGHT_DROP:
-            components.append(FlagComponent(weight, vecs[:, :i].copy()))
-    total = sum(c.weight for c in components)
-    components = [FlagComponent(c.weight / total, c.basis) for c in components]
-    return FlagPoint(tuple(components))
+    weights, keep, vecs = _flags(_symmetric_stack(_stack_of_one(A)))
+    return FlagPoint(tuple(
+        FlagComponent(float(weights[0, i - 1]), vecs[0, :, :i].copy())
+        for i in range(1, vecs.shape[1])
+        if keep[0, i - 1]
+    ))
 
 
 def subspace_gap(U: np.ndarray, V: np.ndarray) -> float:
@@ -107,8 +199,7 @@ def subspace_gap(U: np.ndarray, V: np.ndarray) -> float:
     """
     if U.shape != V.shape:
         raise GrassmannError("subspace bases have different shapes")
-    resid = V - U @ (U.T @ V)
-    return float(np.linalg.norm(resid, 2))
+    return float(_gaps(U[None], V[None])[0])
 
 
 @dataclass(frozen=True)
@@ -122,42 +213,28 @@ class OrbitReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.support_match
-            and self.weight_dev < CHECK_TOL
-            and self.angle_dev < CHECK_TOL
-        )
+        return bool(_orbit_passed(self.support_match, self.weight_dev, self.angle_dev))
 
 
 def orbit_invariance_check(A, alpha: float, beta: float) -> OrbitReport:
     """Check phi(A) == phi(alpha A + beta I) within tolerance; alpha > 0."""
     if alpha <= 0:
         raise GrassmannError("alpha must be positive")
-    M = _as_symmetric(A)
-    fa = phi(M)
-    fb = phi(alpha * M + beta * np.eye(M.shape[0]))
-    if fa.support != fb.support:
-        return OrbitReport(False, float("inf"), float("inf"), fa.reduced_support)
-    weight_dev = max(
-        (abs(ca.weight - cb.weight) for ca, cb in zip(fa.components, fb.components)),
-        default=0.0,
+    M = _symmetric_stack(_stack_of_one(A))
+    _, match, weight_dev, angle_dev, reduced = _orbit_stack(
+        M, np.array([alpha], dtype=float), np.array([beta], dtype=float)
     )
-    angle_dev = max(
-        (subspace_gap(ca.basis, cb.basis) for ca, cb in zip(fa.components, fb.components)),
-        default=0.0,
+    return OrbitReport(
+        bool(match[0]), float(weight_dev[0]), float(angle_dev[0]), bool(reduced[0])
     )
-    return OrbitReport(True, weight_dev, angle_dev, fa.reduced_support)
 
 
 def slice_representative(A) -> np.ndarray:
     """The unique trace-free, unit-Frobenius-norm point on the orbit of A."""
-    M = _as_symmetric(A)
-    n = M.shape[0]
-    centered = M - (np.trace(M) / n) * np.eye(n)
-    norm = float(np.linalg.norm(centered))
-    if norm <= SYM_TOL * max(1.0, float(np.linalg.norm(M))):
-        raise GrassmannError("slice undefined: matrix is a multiple of the identity")
-    return centered / norm
+    return _slices(_symmetric_stack(_stack_of_one(A)))[0]
+
+
+# -- the sampled battery -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -179,29 +256,39 @@ class BatteryReport:
 
 def check_battery(n: int, samples: int, seed: int) -> BatteryReport:
     """Run orbit-invariance and slice-agreement checks on seeded random
-    symmetric matrices; failures are deviations at or above 1e-8."""
+    symmetric matrices; failures are deviations at or above 1e-8.
+
+    Sample j draws its matrix, then alpha, then beta, from one generator, so
+    the samples do not depend on the block size.
+    """
     if n < 2:
         raise GrassmannError("need matrix order n >= 2")
+    if n > MAX_N:
+        raise GrassmannError(f"need n <= {MAX_N}, got {n}")
+    if samples < 1:
+        raise GrassmannError(f"need samples >= 1, got {samples}")
+    if seed < 0:
+        raise GrassmannError(f"need seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    failures = 0
+    per_block = max(1, BLOCK_ENTRIES // (n * n))
+    failures = reduced = 0
     max_weight = max_angle = max_slice = 0.0
-    reduced = 0
-    for _ in range(samples):
-        raw = rng.standard_normal((n, n))
-        A = (raw + raw.T) / 2.0
-        alpha = float(rng.uniform(0.1, 3.0))
-        beta = float(rng.uniform(-5.0, 5.0))
-        report = orbit_invariance_check(A, alpha, beta)
-        slice_dev = float(
-            np.abs(
-                slice_representative(A) - slice_representative(alpha * A + beta * np.eye(n))
-            ).max()
-        )
-        max_weight = max(max_weight, report.weight_dev)
-        max_angle = max(max_angle, report.angle_dev)
-        max_slice = max(max_slice, slice_dev)
-        if report.reduced_support:
-            reduced += 1
-        if not report.passed or slice_dev >= CHECK_TOL:
-            failures += 1
+    for start in range(0, samples, per_block):
+        k = min(per_block, samples - start)
+        raw = np.empty((k, n, n))
+        alpha = np.empty(k)
+        beta = np.empty(k)
+        for j in range(k):
+            raw[j] = rng.standard_normal((n, n))
+            alpha[j] = rng.uniform(0.1, 3.0)
+            beta[j] = rng.uniform(-5.0, 5.0)
+        M = _symmetric_stack((raw + raw.swapaxes(1, 2)) / 2.0)
+        B, match, weight_dev, angle_dev, reduced_support = _orbit_stack(M, alpha, beta)
+        slice_dev = np.abs(_slices(M) - _slices(B)).max(axis=(1, 2))
+        max_weight = max(max_weight, float(weight_dev.max()))
+        max_angle = max(max_angle, float(angle_dev.max()))
+        max_slice = max(max_slice, float(slice_dev.max()))
+        reduced += int(reduced_support.sum())
+        failed = ~_orbit_passed(match, weight_dev, angle_dev) | (slice_dev >= CHECK_TOL)
+        failures += int(failed.sum())
     return BatteryReport(n, samples, failures, max_weight, max_angle, max_slice, reduced)

@@ -122,8 +122,9 @@ def combine(operator: str, operands: Sequence[SphereWedge]) -> SphereWedge:
             out = _smash2(out, x)
         return out
     if operator == "suspend":
-        (x,) = ops
-        return suspend(x)
+        if len(ops) != 1:
+            raise SphereCalcError(f"suspend takes one operand, got {len(ops)}")
+        return suspend(ops[0])
     if operator == "wedge":
         counts: Counter[int] = Counter()
         for x in ops:

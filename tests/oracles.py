@@ -5,12 +5,14 @@ library under test: dense Gaussian elimination over exact fractions for
 Betti numbers, sympy for Smith normal forms, direct recursion for Mobius
 numbers, exhaustive enumeration for counting problems, pairwise inclusion and
 refinement tests for the generated orders, the quadratic maximal-face scan
-for facet normalization, and the sphere calculus on fully expanded multisets.
+for facet normalization, the sphere calculus on fully expanded multisets,
+and the flag-map battery one matrix at a time.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
 
@@ -243,8 +245,8 @@ class MultisetCalcError(ValueError):
 def multiset_combine(operator, operands):
     """The wedge-of-spheres calculus with each form fully expanded: None is
     Empty and a sorted list holds one dimension per sphere ([] is Point).
-    Raises MultisetCalcError where the calculus is undefined, and a plain
-    ValueError when suspend does not get exactly one operand."""
+    Raises MultisetCalcError where the calculus is undefined, suspend of
+    other than one operand included."""
 
     def join(a, b):
         if a is None:
@@ -272,10 +274,103 @@ def multiset_combine(operator, operands):
         return out
     if operator == "suspend":
         if len(operands) != 1:
-            raise ValueError("suspend takes one operand")
+            raise MultisetCalcError("suspend takes one operand")
         return join([0], operands[0])
     if operator == "wedge":
         if any(x is None for x in operands):
             raise MultisetCalcError("wedge with the empty space")
         return sorted(d for x in operands for d in x)
     raise MultisetCalcError(f"unknown operator {operator!r}")
+
+
+# -- the flag-map battery, one matrix at a time ------------------------------------
+#
+# The battery as a loop over single matrices, in plain numpy: the reference
+# for the stacked core of ordertop.grassmann.  The arithmetic per matrix is
+# the same, so reports must be equal, not only close.  Tuples stand in for the library's records:
+# flag_point gives (support, weights, bases), orbit_check gives
+# (support_match, weight_dev, angle_dev, reduced_support) and battery gives
+# the BatteryReport fields in order.
+
+FLAG_SYM_TOL = 1e-12
+FLAG_WEIGHT_DROP = 1e-10
+
+
+def _flag_symmetric(A):
+    M = np.asarray(A, dtype=float)
+    scale = max(1.0, float(np.abs(M).max()))
+    if float(np.abs(M - M.T).max()) > FLAG_SYM_TOL * scale:
+        raise ValueError("matrix is not symmetric within tolerance")
+    return (M + M.T) / 2.0
+
+
+def flag_point(A, weight_drop=FLAG_WEIGHT_DROP):
+    M = _flag_symmetric(A)
+    n = M.shape[0]
+    lam, vecs = np.linalg.eigh(M)
+    spread = float(lam[-1] - lam[0])
+    scale = max(1.0, float(np.abs(lam).max()))
+    if spread <= FLAG_SYM_TOL * scale:
+        raise ValueError("map undefined: matrix is a multiple of the identity")
+    stages = []
+    for i in range(1, n):
+        weight = float(lam[i] - lam[i - 1]) / spread
+        if weight > weight_drop:
+            stages.append((i, weight, vecs[:, :i].copy()))
+    total = sum(w for _, w, _ in stages)
+    return (
+        tuple(i for i, _, _ in stages),
+        [w / total for _, w, _ in stages],
+        [basis for _, _, basis in stages],
+    )
+
+
+def flag_subspace_gap(U, V):
+    resid = V - U @ (U.T @ V)
+    return float(np.linalg.norm(resid, 2))
+
+
+def orbit_check(A, alpha, beta, weight_drop=FLAG_WEIGHT_DROP):
+    M = _flag_symmetric(A)
+    n = M.shape[0]
+    sa, wa, ba = flag_point(M, weight_drop)
+    sb, wb, bb = flag_point(alpha * M + beta * np.eye(n), weight_drop)
+    reduced = len(sa) < n - 1
+    if sa != sb:
+        return (False, float("inf"), float("inf"), reduced)
+    weight_dev = max((abs(x - y) for x, y in zip(wa, wb)), default=0.0)
+    angle_dev = max((flag_subspace_gap(U, V) for U, V in zip(ba, bb)), default=0.0)
+    return (True, weight_dev, angle_dev, reduced)
+
+
+def flag_slice(A):
+    M = _flag_symmetric(A)
+    n = M.shape[0]
+    centered = M - (np.trace(M) / n) * np.eye(n)
+    norm = float(np.linalg.norm(centered))
+    if norm <= FLAG_SYM_TOL * max(1.0, float(np.linalg.norm(M))):
+        raise ValueError("slice undefined: matrix is a multiple of the identity")
+    return centered / norm
+
+
+def battery(n, samples, seed, check_tol=1e-8, weight_drop=FLAG_WEIGHT_DROP):
+    rng = np.random.default_rng(seed)
+    failures = reduced = 0
+    max_weight = max_angle = max_slice = 0.0
+    for _ in range(samples):
+        raw = rng.standard_normal((n, n))
+        A = (raw + raw.T) / 2.0
+        alpha = float(rng.uniform(0.1, 3.0))
+        beta = float(rng.uniform(-5.0, 5.0))
+        match, weight_dev, angle_dev, reduced_support = orbit_check(A, alpha, beta, weight_drop)
+        slice_dev = float(
+            np.abs(flag_slice(A) - flag_slice(alpha * A + beta * np.eye(n))).max()
+        )
+        max_weight = max(max_weight, weight_dev)
+        max_angle = max(max_angle, angle_dev)
+        max_slice = max(max_slice, slice_dev)
+        reduced += reduced_support
+        passed = match and weight_dev < check_tol and angle_dev < check_tol
+        if not passed or slice_dev >= check_tol:
+            failures += 1
+    return (n, samples, failures, max_weight, max_angle, max_slice, reduced)

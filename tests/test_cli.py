@@ -165,6 +165,36 @@ class TestInputBounds:
         assert outcome.exit_code == 2
         assert "above the limit" in outcome.stderr_lines[0]
 
+    @pytest.mark.parametrize(
+        "option,limit,past",
+        [
+            ("--n", grassmann.MAX_N, grassmann.MAX_N + 1),
+            ("--n", 2, 1),
+            ("--samples", 1, 0),
+            ("--seed", 0, -1),
+        ],
+    )
+    def test_grassmann_limits(self, option, limit, past):
+        argv = {"--n": "3", "--samples": "1", "--seed": "0"}
+        argv[option] = str(limit)
+        flat = ["grassmann", "check"] + [x for pair in argv.items() for x in pair]
+        assert run(flat).exit_code == 0
+        flat[flat.index(option) + 1] = str(past)
+        outcome = run(flat)
+        assert outcome.exit_code == 2
+        assert outcome.stdout_lines == ()
+        assert outcome.stderr_lines[0].startswith("error: need ")
+
+    def test_grassmann_limit_messages(self):
+        argv = ["grassmann", "check", "--n", "3"]
+        assert run(argv + ["--samples", "-3"]).stderr_lines == (
+            "error: need samples >= 1, got -3",
+        )
+        assert run(argv + ["--seed", "-1"]).stderr_lines == ("error: need seed >= 0, got -1",)
+        assert run(["grassmann", "check", "--n", "101"]).stderr_lines == (
+            "error: need n <= 100, got 101",
+        )
+
 
 class TestConfigCommand:
     def test_exp2_betti(self):
@@ -215,6 +245,14 @@ class TestGrassmannCommand:
     def test_deterministic(self):
         args = ["grassmann", "check", "--n", "4", "--samples", "10", "--seed", "3"]
         assert run(args) == run(args)
+
+    def test_failures_give_exit_1(self, monkeypatch):
+        monkeypatch.setattr(grassmann, "CHECK_TOL", 0.0)
+        outcome = run(["grassmann", "check", "--n", "4", "--samples", "12", "--seed", "3"])
+        assert outcome.exit_code == 1
+        assert outcome.stdout_lines[:2] == ("samples 12", "failures 12")
+        assert outcome.stdout_lines[-1] == "verdict fail"
+        assert outcome.stderr_lines == ("FAILED",)
 
 
 class TestDiagramCommand:

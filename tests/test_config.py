@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 import oracles
@@ -14,6 +17,21 @@ from ordertop.config import (
 
 
 class TestFuchsDimension:
+    def test_tables_keep_no_cache(self):
+        # each call memoises in its own dict; a process-wide cache held
+        # 7.8 MB after these calls
+        fuchs_table(5)
+        tracemalloc.start()
+        try:
+            fuchs_table(200)
+            predicted_betti_exp2(200)
+            binary_partition_count(100)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 100_000
+
     @pytest.mark.parametrize(
         "n,k,expected", [(3, 0, 1), (3, 2, 0), (4, 3, 1), (1, 0, 1), (2, 0, 1), (2, 1, 1)]
     )

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
+import oracles
 import pytest
 
+from ordertop import grassmann
 from ordertop.grassmann import (
     GrassmannError,
     check_battery,
@@ -126,6 +129,140 @@ class TestBattery:
         assert report.max_weight_dev < 1e-8
         assert report.max_angle_dev < 1e-8
         assert report.max_slice_dev < 1e-8
+
+
+def _per_block(n):
+    return max(1, grassmann.BLOCK_ENTRIES // (n * n))
+
+
+class TestAgainstLoopOracle:
+    """The stacked core against the loop over single matrices: the same
+    arithmetic per matrix, so equal results, not close ones."""
+
+    # n = 12 has more than 8 flag stages, where a pairwise sum of the weights
+    # would round differently from the loop's sequential one
+    @pytest.mark.parametrize("n", [2, 8, 12])
+    @pytest.mark.parametrize("extra", ["per-1", "per", "per+1", "2per+1"])
+    def test_battery_across_block_boundaries(self, n, extra):
+        per = _per_block(n)
+        samples = {"per-1": per - 1, "per": per, "per+1": per + 1, "2per+1": 2 * per + 1}[extra]
+        report = check_battery(n, samples, 31 + n)
+        assert dataclasses.astuple(report) == oracles.battery(n, samples, 31 + n)
+
+    @pytest.mark.parametrize("n", [3, 5, 9, 30])
+    def test_battery_other_orders(self, n):
+        for seed in range(2):
+            report = check_battery(n, 40, seed)
+            assert dataclasses.astuple(report) == oracles.battery(n, 40, seed)
+
+    def test_block_size_does_not_change_report(self, monkeypatch):
+        expected = oracles.battery(4, 10, 8)
+        assert dataclasses.astuple(check_battery(4, 10, 8)) == expected
+        monkeypatch.setattr(grassmann, "BLOCK_ENTRIES", 3 * 16)
+        assert _per_block(4) == 3
+        assert dataclasses.astuple(check_battery(4, 10, 8)) == expected
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.diag([1.0, 1.0, 2.0]),
+            np.diag([2.0, 2.0, 2.0, 5.0]),
+            np.diag([1.0, 3.0, 3.0, 3.0, 4.0]),
+            np.array([[1.0, 2.0], [2.0, -1.0]]),
+        ],
+    )
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (3.0, 1.0), (0.25, -7.5)])
+    def test_single_matrices(self, A, alpha, beta):
+        report = orbit_invariance_check(A, alpha, beta)
+        assert dataclasses.astuple(report) == oracles.orbit_check(A, alpha, beta)
+        flag = phi(A)
+        support, weights, bases = oracles.flag_point(A)
+        assert flag.support == support
+        assert [c.weight for c in flag.components] == weights
+        for c, basis in zip(flag.components, bases):
+            assert np.array_equal(c.basis, basis)
+            assert subspace_gap(c.basis, basis[::-1]) == oracles.flag_subspace_gap(
+                c.basis, basis[::-1]
+            )
+        assert np.array_equal(slice_representative(A), oracles.flag_slice(A))
+
+    def test_failures_are_counted(self, monkeypatch):
+        monkeypatch.setattr(grassmann, "CHECK_TOL", 0.0)
+        report = check_battery(5, 20, 4)
+        assert report.failures == report.samples == 20
+        assert not report.passed
+        assert dataclasses.astuple(report) == oracles.battery(5, 20, 4, check_tol=0.0)
+
+    # at n = 2 and these tolerances, some samples pass the orbit check and
+    # fail only on the slice, others fail on the angle
+    @pytest.mark.parametrize("tol", [1e-16, 1e-15])
+    def test_failure_criteria(self, monkeypatch, tol):
+        monkeypatch.setattr(grassmann, "CHECK_TOL", tol)
+        report = check_battery(2, 200, 1)
+        assert 0 < report.failures < 200
+        assert dataclasses.astuple(report) == oracles.battery(2, 200, 1, check_tol=tol)
+
+    def test_reduced_supports_are_counted(self, monkeypatch):
+        monkeypatch.setattr(grassmann, "WEIGHT_DROP", 0.15)
+        report = check_battery(4, 300, 6)
+        assert 0 < report.reduced_support_count < 300
+        assert dataclasses.astuple(report) == oracles.battery(4, 300, 6, weight_drop=0.15)
+
+    def test_support_mismatch_gives_inf(self):
+        # the shift by 1e7 rounds the 1.2e-10 gap away, so stage 1 drops on
+        # one side only
+        A = np.diag([0.0, 1.2e-10, 1.0])
+        report = orbit_invariance_check(A, 1.0, 1e7)
+        assert not report.support_match and not report.passed
+        assert report.weight_dev == report.angle_dev == math.inf
+        assert dataclasses.astuple(report) == oracles.orbit_check(A, 1.0, 1e7)
+
+    def test_stack_rows_are_independent(self):
+        """Each row of one stack gives what the matrix gives alone: scales,
+        tolerances, dropped stages and support mismatches are per matrix."""
+        rng = np.random.default_rng(21)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        raw = rng.standard_normal((3, 3))
+        mats = [
+            np.diag([0.0, 1.2e-10, 1.0]),  # support mismatch under the shift
+            Q @ np.diag([1.0, 1.0, 2.0]) @ Q.T,  # stage 1 dropped, its span arbitrary
+            np.diag([1.0, 1.0 + 1e-11, 1.0 + 2e-11]),  # small spread, accepted alone
+            1e3 * (raw + raw.T),
+        ]
+        alpha = np.array([1.0, 2.5, 0.5, 1.5])
+        beta = np.array([1e7, -3.0, 0.0, 4.0])
+        M = grassmann._symmetric_stack(np.stack(mats))
+        B, *rows = grassmann._orbit_stack(M, alpha, beta)
+        slices = grassmann._slices(M)
+        for j, A in enumerate(mats):
+            want = oracles.orbit_check(A, float(alpha[j]), float(beta[j]))
+            assert tuple(r[j] for r in rows) == want
+            assert np.array_equal(slices[j], oracles.flag_slice(A))
+            assert np.array_equal(B[j], alpha[j] * M[j] + beta[j] * np.eye(3))
+
+
+class TestInputValidation:
+    def test_non_square_rejected(self):
+        with pytest.raises(GrassmannError, match="square"):
+            phi(np.ones((2, 3)))
+        with pytest.raises(GrassmannError, match="square"):
+            slice_representative(np.ones(4))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(GrassmannError, match="finite"):
+            orbit_invariance_check(np.diag([1.0, np.nan]), 1.0, 0.0)
+
+    def test_symmetry_tolerance_scales_per_matrix(self):
+        # an asymmetry of 1e-9 is within tolerance for entries of size 1e6
+        big = np.diag([1e6, 2e6])
+        big[0, 1] += 1e-9
+        assert phi(big).support == (1,)
+        small = np.diag([1.0, 2.0])
+        small[0, 1] += 1e-9
+        with pytest.raises(GrassmannError, match="symmetric"):
+            phi(small)
+        with pytest.raises(GrassmannError, match="symmetric"):
+            grassmann._symmetric_stack(np.stack([big, small]))
 
 
 class TestDimensionConsistency:
