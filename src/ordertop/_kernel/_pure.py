@@ -10,18 +10,19 @@ cleared column never has to be reduced: over Z/2 it is a combination of the
 other columns, and over Z it is an integer one because only +-1 lows become
 pivots.  When ``pivot_rows`` is a list, the pivot rows found are appended.
 
+A matrix arrives in compressed columns (``homology.SparseMatrix``); each of
+its arrays is read once into a Python list, and a column becomes a dict (over
+Z) or a bitset (over Z/2) only when its turn comes.
+
 The names ``eliminate_unit_pivots`` and ``rank_mod2`` are the kernel entry
 points the benchmark tracer wraps.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable
+from typing import Collection
 
-
-def _check(r: int, c: int, n_rows: int, n_cols: int) -> None:
-    if not 0 <= r < n_rows or not 0 <= c < n_cols:
-        raise ValueError(f"entry ({r}, {c}) outside a {n_rows} x {n_cols} matrix")
+import numpy as np
 
 
 def _subtract(col: dict[int, int], q: int, piv: dict[int, int]) -> None:
@@ -35,36 +36,27 @@ def _subtract(col: dict[int, int], q: int, piv: dict[int, int]) -> None:
 
 
 def eliminate_unit_pivots(
-    n_rows: int,
-    n_cols: int,
-    entries: Iterable[tuple[int, int, int]],
-    cleared: Collection[int] = (),
-    pivot_rows: list[int] | None = None,
+    m, cleared: Collection[int] = (), pivot_rows: list[int] | None = None
 ) -> tuple[int, list[tuple[int, int, int]]]:
     """Split a sparse integer matrix into unit pivots and a small residual.
 
-    Duplicate (row, col) entries are summed.  Only column operations are
-    used, and a column becomes a pivot only when its low entry is +-1.  A
-    column whose low is not a unit is set aside; once every pivot is known it
-    is reduced against them until it is zero on all pivot rows.  Returns
+    ``m`` is a ``homology.SparseMatrix``.  Only column operations are used,
+    and a column becomes a pivot only when its low entry is +-1.  A column
+    whose low is not a unit is set aside; once every pivot is known it is
+    reduced against them until it is zero on all pivot rows.  Returns
     ``(unit_count, residual)``: the invariant factors of the matrix (without
-    the ``cleared`` columns) are ``[1] * unit_count`` followed by those of the
-    ``residual`` entries, because the pivot block is unimodular and the
-    residual columns vanish on its rows.
+    the ``cleared`` columns) are ``[1] * unit_count`` followed by those of
+    the ``residual`` (row, col, value) triples, because the pivot block is
+    unimodular and the residual columns vanish on its rows.
     """
-    cols: dict[int, dict[int, int]] = {}
-    for r, c, v in entries:
-        _check(r, c, n_rows, n_cols)
-        if v and c not in cleared:
-            col = cols.setdefault(c, {})
-            col[r] = col.get(r, 0) + v
-
+    ptr, rows, vals = m.ptr.tolist(), m.rows.tolist(), m.vals.tolist()
     pivots: dict[int, dict[int, int]] = {}  # low row -> pivot column, +-1 there
     set_aside: list[tuple[int, dict[int, int]]] = []
-    for c in sorted(cols):
-        col = cols.pop(c)
-        if 0 in col.values():
-            col = {r: v for r, v in col.items() if v}
+    for c in range(m.n_cols):
+        a, b = ptr[c], ptr[c + 1]
+        if a == b or c in cleared:
+            continue
+        col = dict(zip(rows[a:b], vals[a:b]))
         while col:
             low = max(col)
             piv = pivots.get(low)
@@ -88,26 +80,21 @@ def eliminate_unit_pivots(
     return len(pivots), sorted(residual)
 
 
-def rank_mod2(
-    n_rows: int,
-    n_cols: int,
-    entries: Iterable[tuple[int, int, int]],
-    cleared: Collection[int] = (),
-    pivot_rows: list[int] | None = None,
-) -> int:
-    """Rank over Z/2 of a sparse integer matrix (without the ``cleared``
-    columns).  Each column is packed into a Python integer, bit r for row r,
-    only when its turn comes, so at most the pivots are held as bitsets."""
-    col_rows: dict[int, list[int]] = {}
-    for r, c, v in entries:
-        _check(r, c, n_rows, n_cols)
-        if v & 1 and c not in cleared:
-            col_rows.setdefault(c, []).append(r)
-
+def rank_mod2(m, cleared: Collection[int] = (), pivot_rows: list[int] | None = None) -> int:
+    """Rank over Z/2 of a ``homology.SparseMatrix`` (without the ``cleared``
+    columns).  The odd entries are picked by one mask, and each column is
+    packed into a Python integer, bit r for row r, only when its turn comes,
+    so at most the pivots are held as bitsets."""
+    odd = (m.vals % 2).astype(bool)
+    ptr = np.concatenate(([0], np.cumsum(odd)))[m.ptr].tolist()
+    rows = m.rows[odd].tolist()
     pivots: dict[int, int] = {}  # low row -> pivot column
-    for c in sorted(col_rows):
+    for c in range(m.n_cols):
+        a, b = ptr[c], ptr[c + 1]
+        if a == b or c in cleared:
+            continue
         col = 0
-        for r in col_rows.pop(c):
+        for r in rows[a:b]:
             col ^= 1 << r
         while col:
             low = col.bit_length() - 1

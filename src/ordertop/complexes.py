@@ -3,13 +3,24 @@
 Conventions: the empty complex (no vertices at all) is a legal value, distinct
 from the one-point complex; it plays the role of S^{-1}, is the identity for
 the join, and has reduced Euler characteristic -1.
+
+Faces are computed once per complex as integer arrays (``FaceTable``):
+vertices are numbered in sorted label order, each k-face is a row of k+1
+ascending vertex ids, and the rows of each dimension are in lexicographic
+order, which is also the lexicographic order of the label tuples.  The table
+is built top down from the facets with one ``np.unique`` per dimension, and
+it records for every face the positions of its codimension-one faces, which
+are the row indices of the boundary matrix (``homology.ChainComplex``).
+Label tuples are made only by ``faces_by_dim``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 
 class ComplexError(ValueError):
@@ -25,6 +36,70 @@ def _check_label(label: str) -> str:
 
 
 _NO_FACETS: frozenset[int] = frozenset()
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class FaceTable(NamedTuple):
+    """All nonempty faces of a complex as arrays of vertex ids, by dimension.
+
+    ``faces[k]`` has shape (f_k, k+1): one row per k-face, its ids ascending
+    (an id is a position in ``SimplicialComplex.vertices``), the rows in
+    lexicographic order.  ``boundary_rows[k]``, for k >= 1, has the same
+    shape: entry [j, p] is the position in ``faces[k-1]`` of face j with its
+    vertex in column k-p removed, so each row ascends.
+    """
+
+    faces: dict[int, np.ndarray]
+    boundary_rows: dict[int, np.ndarray]
+
+
+def _lex_codes(rows: np.ndarray, base: int) -> np.ndarray:
+    """int64 codes, one per row, ordered as the rows are lexicographically.
+
+    Entries lie in [0, base).  A row is read as a number in base ``base``,
+    one column at a time; before a step that could pass the int64 range the
+    codes are replaced by their ranks, so a code stays below len(rows) * base
+    and never wraps, whatever the row width.
+    """
+    codes = np.zeros(len(rows), dtype=np.int64)
+    bound = 0  # an upper bound of the codes
+    for column in rows.T:
+        if bound * base + base - 1 > _INT64_MAX:
+            codes = np.unique(codes, return_inverse=True)[1].reshape(-1)
+            bound = len(rows)
+        codes = codes * base + column
+        bound = bound * base + base - 1
+    return codes
+
+
+def _face_table(vertices: tuple[str, ...], facets: Iterable[frozenset[str]]) -> FaceTable:
+    id_of = {v: i for i, v in enumerate(vertices)}.__getitem__
+    by_size: dict[int, list[str]] = {}  # size -> the labels of its facets, one after another
+    for f in facets:
+        by_size.setdefault(len(f), []).extend(f)
+    faces: dict[int, np.ndarray] = {}
+    boundary_rows: dict[int, np.ndarray] = {}
+    top = max(by_size, default=0)
+    for size in range(top, 0, -1):
+        labels = by_size.get(size, ())
+        own = np.fromiter(map(id_of, labels), dtype=np.int64, count=len(labels))
+        own = np.sort(own.reshape(-1, size), axis=1, kind="stable")
+        upper = faces.get(size)  # faces with one vertex more, or None at the top
+        if upper is None:
+            stacked = own
+        else:
+            # Copy p of the upper faces drops column size-p, so the copies
+            # come out in ascending order of the face they give.
+            keep = [[c for c in range(size + 1) if c != size - p] for p in range(size + 1)]
+            dropped = upper[:, keep].transpose(1, 0, 2).reshape(-1, size)
+            stacked = np.concatenate((dropped, own))
+        _, first, inverse = np.unique(
+            _lex_codes(stacked, len(vertices)), return_index=True, return_inverse=True
+        )
+        faces[size - 1] = stacked[first]
+        if upper is not None:
+            boundary_rows[size] = inverse.reshape(-1)[: len(dropped)].reshape(size + 1, -1).T
+    return FaceTable(dict(sorted(faces.items())), dict(sorted(boundary_rows.items())))
 
 
 class SimplicialComplex:
@@ -37,7 +112,7 @@ class SimplicialComplex:
     of the larger classes; pure input never builds the index.
     """
 
-    __slots__ = ("vertices", "facets", "_faces")
+    __slots__ = ("vertices", "facets", "_table")
 
     def __init__(self, facets: Iterable[Iterable[str]] = (), vertices: Iterable[str] = ()):
         raw = [frozenset(_check_label(v) for v in f) for f in facets]
@@ -66,7 +141,7 @@ class SimplicialComplex:
                         index.setdefault(v, set()).add(pos)
         self.facets: frozenset[frozenset[str]] = frozenset(maximal)
         self.vertices: tuple[str, ...] = tuple(sorted(set().union(*maximal) if maximal else ()))
-        self._faces: dict[int, tuple[tuple[str, ...], ...]] | None = None
+        self._table: FaceTable | None = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -88,25 +163,26 @@ class SimplicialComplex:
         """Dimension of the complex; -1 for the empty complex."""
         return max((len(f) for f in self.facets), default=0) - 1
 
+    def face_table(self) -> FaceTable:
+        """The faces as integer arrays (see ``FaceTable``), computed once."""
+        if self._table is None:
+            self._table = _face_table(self.vertices, self.facets)
+        return self._table
+
     def faces_by_dim(self) -> dict[int, tuple[tuple[str, ...], ...]]:
-        """All faces grouped by dimension, each a sorted vertex tuple.
+        """All faces grouped by dimension, each a sorted vertex tuple, in
+        lexicographic order.
 
         The empty face is not listed; homology handles degree -1 separately.
         """
-        if self._faces is None:
-            seen: set[tuple[str, ...]] = set()
-            for facet in self.facets:
-                fs = tuple(sorted(facet))
-                for k in range(1, len(fs) + 1):
-                    seen.update(combinations(fs, k))
-            grouped: dict[int, list[tuple[str, ...]]] = {}
-            for face in seen:
-                grouped.setdefault(len(face) - 1, []).append(face)
-            self._faces = {d: tuple(sorted(fs)) for d, fs in sorted(grouped.items())}
-        return self._faces
+        labels = np.array(self.vertices, dtype=object)
+        return {
+            d: tuple(map(tuple, labels[ids].tolist()))
+            for d, ids in self.face_table().faces.items()
+        }
 
     def face_counts(self) -> dict[int, int]:
-        return {d: len(fs) for d, fs in self.faces_by_dim().items()}
+        return {d: len(ids) for d, ids in self.face_table().faces.items()}
 
     def euler_reduced(self) -> int:
         """Reduced Euler characteristic: alternating face count minus 1."""
@@ -239,31 +315,33 @@ def sphere_complex(d: int) -> SimplicialComplex:
     return SimplicialComplex(combinations(verts, d + 1))
 
 
+def _adjacent_pairs(lo: int, hi: int, count: int) -> Iterable[list[int]]:
+    """Every union of ``count`` disjoint pairs {s, s+1} inside lo..hi.
+
+    Pair starts s_0 < s_1 < ... with gaps of at least 2 correspond to the
+    subsets t of lo..hi-count through s_j = t_j + j.
+    """
+    for t in combinations(range(lo, hi - count + 1), count):
+        yield [v for j, s in enumerate(t) for v in (s + j, s + j + 1)]
+
+
 def cyclic_polytope_boundary(m: int, d: int) -> SimplicialComplex:
     """Boundary complex of the cyclic polytope with m vertices in even dimension d.
 
-    Facets are the d-subsets S of {1..m} passing the evenness test: any two
-    vertices outside S must be separated by an even number of members of S.
-    The result is a simplicial (d-1)-sphere.
+    By Gale's evenness condition the facets are the disjoint unions of d/2
+    cyclically adjacent pairs {i, i+1} of 1..m, {m, 1} counted as adjacent
+    (Ziegler, *Lectures on Polytopes*, ch. 0): the pairs inside the path
+    1..m, and {m, 1} with d/2 - 1 pairs inside 2..m-1.  The result is a
+    simplicial (d-1)-sphere.
     """
     if d < 2 or d % 2:
         raise ComplexError(f"dimension must be even and >= 2, got {d}")
     if m < d + 1:
         raise ComplexError(f"need at least d+1 = {d + 1} vertices, got {m}")
-    facets = []
-    for S in combinations(range(1, m + 1), d):
-        inside = set(S)
-        outside = [x for x in range(1, m + 1) if x not in inside]
-        # Between consecutive outsiders: count of members of S must be even;
-        # evenness for arbitrary outsider pairs follows by summing segments.
-        ok = True
-        for a, b in zip(outside, outside[1:]):
-            if sum(1 for s in S if a < s < b) % 2:
-                ok = False
-                break
-        if ok:
-            facets.append(frozenset(str(x) for x in S))
-    return SimplicialComplex(facets)
+    half = d // 2
+    facets = list(_adjacent_pairs(1, m, half))
+    facets += [[m, 1, *rest] for rest in _adjacent_pairs(2, m - 1, half - 1)]
+    return SimplicialComplex([str(x) for x in f] for f in facets)
 
 
 def is_pseudomanifold(K: SimplicialComplex) -> bool:

@@ -29,10 +29,11 @@ class ConfigError(ValueError):
 # recursion limit and predicted_betti_exp2(2000) would hold 1.27 GB.
 MAX_N = 400
 
-# Largest C(m, 2n) for the circle model, which cyclic_polytope_boundary
-# enumerates one vertex subset at a time: C(18, 8) = 43,758 (n = 4, m = 18)
-# runs in under a second, and the slowest input within the limit, n = 1 and
-# m = 296, in about 3 s.
+# Largest C(m, 2n) for the circle model.  cyclic_polytope_boundary lists the
+# facets directly, so the number of vertex subsets no longer measures the
+# work: at the largest m for each n, n = 1 (m = 296) takes 25 ms, n = 4
+# (m = 18) 0.35 s, n = 7 (m = 20) about 9 s and n = 8 (m = 21) about 22 s,
+# most of it homology.
 MAX_CIRCLE_SUBSETS = comb(18, 8)
 
 

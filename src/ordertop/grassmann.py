@@ -33,6 +33,13 @@ CHECK_TOL = 1e-8
 # n = 400).
 MAX_N = 100
 
+# Largest samples * n^2 for check_battery, which bounds its total work.  A
+# sample costs about 1.2-3.7 us per matrix entry (one BLAS thread, 2-CPU x86
+# VM): 12 us at n = 2, 77 us at n = 8 and 37 ms at n = 100, so the slowest
+# input within the limit, n = 100 with 1,600 samples, runs in about 65 s
+# (n = 2 with 4,000,000 samples in 48 s, n = 8 with 250,000 in 20 s).
+MAX_SAMPLE_ENTRIES = 16_000_000
+
 # Matrix entries per block of battery samples (128 samples at n = 8).
 BLOCK_ENTRIES = 8192
 
@@ -267,6 +274,10 @@ def check_battery(n: int, samples: int, seed: int) -> BatteryReport:
         raise GrassmannError(f"need n <= {MAX_N}, got {n}")
     if samples < 1:
         raise GrassmannError(f"need samples >= 1, got {samples}")
+    if samples * n * n > MAX_SAMPLE_ENTRIES:
+        raise GrassmannError(
+            f"need samples * n^2 <= {MAX_SAMPLE_ENTRIES}, got {samples} * {n}^2 = {samples * n * n}"
+        )
     if seed < 0:
         raise GrassmannError(f"need seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -4,6 +4,13 @@ Chain complexes are augmented: degree -1 carries the empty simplex, so the
 empty complex reports one unit of homology in degree -1 and all conventions
 for joins and suspensions of the empty complex compose correctly.
 
+Every matrix is a ``SparseMatrix`` in compressed columns (``ptr``, ``rows``,
+``vals``), the layout of PHAT (Bauer-Kerber-Reininghaus-Wagner, J. Symb.
+Comput. 2017).  ``ChainComplex.from_complex`` builds d_k from the face table
+of ``ordertop.complexes`` with array operations only, and the constructor
+checks d_k o d_{k+1} = 0 for every consecutive pair on the same arrays,
+exactly.
+
 ``reduced_homology`` reduces the boundary matrices top dimension down with
 the column reducer in ``ordertop._kernel._pure``, clearing from d_k the pivot
 rows of d_{k+1}.  Over Z only +-1 lows become pivots, which keeps clearing
@@ -14,8 +21,10 @@ matrix, without clearing.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Collection, Sequence
+
+import numpy as np
 
 from ._kernel import _pure
 from .complexes import SimplicialComplex
@@ -24,6 +33,7 @@ from .posets import BoundedPoset, PosetError
 Z = "Z"
 Z2 = "Z/2"
 _COEFF_ALIASES = {"z": Z, "Z": Z, "z2": Z2, "Z2": Z2, "Z/2": Z2, "z/2": Z2}
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class HomologyError(ValueError):
@@ -37,13 +47,71 @@ def normalize_coeff(coeff: str) -> str:
         raise HomologyError(f"unknown coefficient ring {coeff!r}; use Z or Z/2") from None
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Integer matrix as sorted (row, col, value) triples."""
+def _int_array(values: Sequence[int]) -> np.ndarray:
+    """int64 when every value fits, else an object array of Python ints."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
-    n_rows: int
-    n_cols: int
-    entries: tuple[tuple[int, int, int], ...]
+
+def _max_abs(vals: np.ndarray) -> int:
+    return max(int(vals.max()), -int(vals.min())) if len(vals) else 0
+
+
+class SparseMatrix:
+    """Integer matrix in compressed columns.
+
+    The entries of column c are ``rows[ptr[c]:ptr[c+1]]`` (strictly
+    ascending) with values ``vals[ptr[c]:ptr[c+1]]`` (nonzero).  ``vals`` is
+    int64 when every value fits and an object array of Python ints
+    otherwise.  The constructor checks the layout, so a matrix is always
+    duplicate-free, zero-free and inside its shape.  Triples and dense lists
+    enter through ``from_entries`` and ``from_dense``.
+    """
+
+    __slots__ = ("n_rows", "n_cols", "ptr", "rows", "vals")
+
+    def __init__(
+        self, n_rows: int, n_cols: int, ptr: np.ndarray, rows: np.ndarray, vals: np.ndarray
+    ):
+        nnz = len(rows)
+        if n_rows < 0 or n_cols < 0:
+            raise HomologyError(f"negative matrix shape {n_rows}x{n_cols}")
+        if len(ptr) != n_cols + 1 or ptr[0] != 0 or ptr[-1] != nnz or len(vals) != nnz:
+            raise HomologyError("column pointers do not match the entries")
+        if nnz:
+            if (np.diff(ptr) < 0).any():
+                raise HomologyError("column pointers are not ascending")
+            low, high = int(rows.min()), int(rows.max())
+            if low < 0 or high >= n_rows:
+                bad = low if low < 0 else high
+                raise HomologyError(f"row {bad} lies outside a {n_rows}x{n_cols} matrix")
+            column_start = np.zeros(nnz, dtype=bool)
+            column_start[ptr[:-1][ptr[:-1] < nnz]] = True
+            if not ((np.diff(rows) > 0) | column_start[1:]).all():
+                raise HomologyError("rows are not strictly ascending within a column")
+            if np.count_nonzero(vals) != nnz:
+                raise HomologyError("stored entries must be nonzero")
+        self.n_rows, self.n_cols = n_rows, n_cols
+        self.ptr, self.rows, self.vals = ptr, rows, vals
+
+    @classmethod
+    def from_entries(
+        cls, n_rows: int, n_cols: int, entries: Iterable[tuple[int, int, int]]
+    ) -> "SparseMatrix":
+        """Matrix from (row, col, value) triples; duplicates are summed."""
+        acc: dict[tuple[int, int], int] = {}
+        for r, c, v in entries:
+            if not (0 <= r < n_rows and 0 <= c < n_cols):
+                raise HomologyError(f"entry ({r}, {c}) lies outside a {n_rows}x{n_cols} matrix")
+            acc[c, r] = acc.get((c, r), 0) + int(v)
+        cells = sorted(cell for cell, v in acc.items() if v)
+        ptr = np.zeros(n_cols + 1, dtype=np.int64)
+        cols = np.array([c for c, _ in cells], dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=n_cols), out=ptr[1:])
+        rows = np.array([r for _, r in cells], dtype=np.int64)
+        return cls(n_rows, n_cols, ptr, rows, _int_array([acc[cell] for cell in cells]))
 
     @classmethod
     def from_dense(cls, data: Sequence[Sequence[int]]) -> "SparseMatrix":
@@ -51,13 +119,34 @@ class SparseMatrix:
         n_cols = len(rows[0]) if rows else 0
         if any(len(row) != n_cols for row in rows):
             raise HomologyError("ragged matrix input")
-        entries = tuple(
-            (r, c, int(v))
-            for r, row in enumerate(rows)
-            for c, v in enumerate(row)
-            if v
-        )
-        return cls(len(rows), n_cols, entries)
+        entries = ((r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v)
+        return cls.from_entries(len(rows), n_cols, entries)
+
+    @property
+    def entries(self) -> "Entries":
+        """Read-only view of the (row, col, value) triples, column by column."""
+        return Entries(self)
+
+
+class Entries(Sequence):
+    """The (row, col, value) triples of a ``SparseMatrix``.  The length is
+    the stored entry count; the triples are made only when read."""
+
+    __slots__ = ("_m",)
+
+    def __init__(self, m: SparseMatrix):
+        self._m = m
+
+    def __len__(self) -> int:
+        return len(self._m.rows)
+
+    def __iter__(self):
+        m = self._m
+        cols = np.repeat(np.arange(m.n_cols), np.diff(m.ptr))
+        return zip(m.rows.tolist(), cols.tolist(), m.vals.tolist())
+
+    def __getitem__(self, i):
+        return tuple(self)[i]
 
 
 def _dense_snf(entries: Sequence[tuple[int, int, int]]) -> list[int]:
@@ -138,9 +227,7 @@ def invariant_factors(
     The columns in ``cleared`` are left out, and the pivot rows are appended
     to ``pivot_rows`` when it is a list (see ``reduced_homology``).
     """
-    units, residual = _pure.eliminate_unit_pivots(
-        m.n_rows, m.n_cols, m.entries, cleared, pivot_rows
-    )
+    units, residual = _pure.eliminate_unit_pivots(m, cleared, pivot_rows)
     return (1,) * units + tuple(_dense_snf(residual))
 
 
@@ -166,65 +253,67 @@ class ChainComplex:
         for k, mat in self.boundary.items():
             if mat.n_cols != self.counts.get(k, 0) or mat.n_rows != self.counts.get(k - 1, 0):
                 raise HomologyError(f"boundary {k} has inconsistent shape")
-        # Each matrix is grouped by column once: d_{k+1} is the inner matrix
-        # of one pair and the outer matrix of the next.
-        outer_cols = None
         for k in sorted(self.boundary):
             if k + 1 not in self.boundary:
-                outer_cols = None
                 continue
-            if outer_cols is None:
-                outer_cols = _columns(self.boundary[k])
-            inner_cols = _columns(self.boundary[k + 1])
-            if not _composes_to_zero(outer_cols, inner_cols):
+            if not _product_is_zero(self.boundary[k], self.boundary[k + 1]):
                 raise HomologyError(f"boundary composition {k} o {k + 1} is nonzero")
-            outer_cols = inner_cols
 
     @classmethod
     def from_complex(cls, K: SimplicialComplex) -> "ChainComplex":
-        faces = K.faces_by_dim()
+        """Boundary matrices straight from the face table: column j of d_k
+        holds the k+1 codimension-one faces of face j, ascending, with the
+        sign (-1)^i of the removed vertex position i."""
+        table = K.face_table()
         counts = {-1: 1}
-        counts.update({d: len(fs) for d, fs in faces.items()})
+        counts.update({d: len(ids) for d, ids in table.faces.items()})
         boundary: dict[int, SparseMatrix] = {}
-        if 0 in faces:
+        if 0 in counts:
+            n = counts[0]
             boundary[0] = SparseMatrix(
-                1, len(faces[0]), tuple((0, j, 1) for j in range(len(faces[0])))
+                1, n, np.arange(n + 1), np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
             )
-        for k in sorted(faces):
-            if k == 0:
-                continue
-            index = {f: i for i, f in enumerate(faces[k - 1])}
-            entries = []
-            for j, face in enumerate(faces[k]):
-                for i in range(len(face)):
-                    sub = face[:i] + face[i + 1:]
-                    entries.append((index[sub], j, -1 if i % 2 else 1))
-            boundary[k] = SparseMatrix(len(faces[k - 1]), len(faces[k]), tuple(sorted(entries)))
+        for k, rows in table.boundary_rows.items():
+            n = len(rows)
+            signs = np.array([-1 if (k - p) % 2 else 1 for p in range(k + 1)], dtype=np.int64)
+            boundary[k] = SparseMatrix(
+                counts[k - 1], n, np.arange(n + 1) * (k + 1), rows.ravel(), np.tile(signs, n)
+            )
         return cls(counts, boundary)
 
 
-def _columns(m: SparseMatrix) -> list[list[tuple[int, int]]]:
-    """The (row, value) entries of each column, in a list indexed by column."""
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(m.n_cols)]
-    for r, c, v in m.entries:
-        if not (0 <= r < m.n_rows and 0 <= c < m.n_cols):
-            raise HomologyError(f"entry ({r}, {c}) lies outside a {m.n_rows}x{m.n_cols} matrix")
-        cols[c].append((r, v))
-    return cols
+def _product_is_zero(outer: SparseMatrix, inner: SparseMatrix) -> bool:
+    """True when outer @ inner == 0, computed exactly on the column arrays.
 
-
-def _composes_to_zero(
-    outer_cols: list[list[tuple[int, int]]], inner_cols: list[list[tuple[int, int]]]
-) -> bool:
-    """True when outer @ inner == 0, for matrices grouped by ``_columns``."""
-    for cells in inner_cols:
-        acc: dict[int, int] = {}
-        for mid, v in cells:
-            for out_row, w in outer_cols[mid]:
-                acc[out_row] = acc.get(out_row, 0) + v * w
-        if any(acc.values()):
-            return False
-    return True
+    Each entry (r, c, v) of ``inner`` contributes v * outer[:, r] to column c
+    of the product.  The contributions are keyed by (c, row), sorted once and
+    summed by ``np.add.reduceat``.  A sum has at most the length of the
+    longest column of ``inner`` terms, so int64 is used only when that many
+    products of the largest values fit; otherwise the values are Python
+    integers.
+    """
+    lengths = np.diff(outer.ptr)[inner.rows]
+    total = int(lengths.sum())
+    if not total:
+        return True
+    if inner.n_cols * outer.n_rows > _INT64_MAX:
+        raise HomologyError("boundary product too large to key in int64")
+    a, b = inner.vals, outer.vals
+    if int(np.diff(inner.ptr).max()) * _max_abs(a) * _max_abs(b) > _INT64_MAX:
+        a, b = a.astype(object), b.astype(object)
+    # position in ``outer`` of each term: the start of outer column r plus
+    # the term's offset within that column
+    offsets = outer.ptr[inner.rows] - (np.cumsum(lengths) - lengths)
+    pos = np.arange(total) + np.repeat(offsets, lengths)
+    col_keys = np.repeat(np.arange(inner.n_cols) * outer.n_rows, np.diff(inner.ptr))
+    keys = np.repeat(col_keys, lengths) + outer.rows[pos]
+    terms = np.repeat(a, lengths) * b[pos]
+    del pos, offsets, col_keys  # fewer arrays alive at once: the peak memory of the check
+    order = np.argsort(keys, kind="stable")
+    keys, terms = keys[order], terms[order]
+    del order
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return not np.add.reduceat(terms, starts).any()
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,7 +376,7 @@ def reduced_homology(K: SimplicialComplex, coeff: str = Z) -> HomologyProfile:
             factors[k] = invariant_factors(mat, cleared, pivot_rows)
             ranks[k] = len(factors[k])
         else:
-            ranks[k] = _pure.rank_mod2(mat.n_rows, mat.n_cols, mat.entries, cleared, pivot_rows)
+            ranks[k] = _pure.rank_mod2(mat, cleared, pivot_rows)
         cleared = frozenset(pivot_rows)
 
     betti: dict[int, int] = {}

@@ -1,8 +1,10 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes expected values by a route different from the
-library under test: dense Gaussian elimination over exact fractions for
-Betti numbers, sympy for Smith normal forms, direct recursion for Mobius
+library under test: chain complexes assembled from label tuples with a
+dict-based boundary-of-boundary check, dense Gaussian elimination over exact
+fractions for Betti numbers, sympy for Smith normal forms, the evenness
+filter over all subsets for cyclic polytopes, direct recursion for Mobius
 numbers, exhaustive enumeration for counting problems, pairwise inclusion and
 refinement tests for the generated orders, the quadratic maximal-face scan
 for facet normalization, the sphere calculus on fully expanded multisets,
@@ -30,23 +32,63 @@ def faces_of(facets):
     return {d: sorted(fs) for d, fs in grouped.items()}
 
 
-def dense_boundaries(facets):
-    """Augmented boundary matrices as dense lists, keyed by degree."""
+def boundary_triples(facets):
+    """The augmented chain complex assembled from label tuples: faces by
+    ``faces_of`` and, per degree k, d_k as (n_rows, n_cols, triples) with
+    sorted (row, col, value) triples, value (-1)^i for the face without
+    vertex i."""
     faces = faces_of(facets)
     mats = {}
     if 0 in faces:
-        mats[0] = [[1] * len(faces[0])]
+        mats[0] = (1, len(faces[0]), [(0, j, 1) for j in range(len(faces[0]))])
     for k in sorted(faces):
         if k == 0:
             continue
-        rows = {f: i for i, f in enumerate(faces[k - 1])}
-        mat = [[0] * len(faces[k]) for _ in range(len(faces[k - 1]))]
+        index = {f: i for i, f in enumerate(faces[k - 1])}
+        entries = []
         for j, face in enumerate(faces[k]):
             for i in range(len(face)):
-                sub = face[:i] + face[i + 1:]
-                mat[rows[sub]][j] = -1 if i % 2 else 1
+                entries.append((index[face[:i] + face[i + 1:]], j, -1 if i % 2 else 1))
+        mats[k] = (len(faces[k - 1]), len(faces[k]), sorted(entries))
+    return faces, mats
+
+
+def composes_to_zero(outer, inner):
+    """True when outer @ inner == 0 for two triple lists, summed per cell of
+    the product in a dict of Python integers."""
+    outer_cols = {}
+    for r, c, v in outer:
+        outer_cols.setdefault(c, []).append((r, v))
+    acc = {}
+    for mid, c, v in inner:
+        for r, w in outer_cols.get(mid, ()):
+            acc[c, r] = acc.get((c, r), 0) + v * w
+    return not any(acc.values())
+
+
+def dense_boundaries(facets):
+    """Augmented boundary matrices as dense lists, keyed by degree."""
+    faces, triples = boundary_triples(facets)
+    mats = {}
+    for k, (n_rows, n_cols, entries) in triples.items():
+        mat = [[0] * n_cols for _ in range(n_rows)]
+        for r, c, v in entries:
+            mat[r][c] = v
         mats[k] = mat
     return faces, mats
+
+
+def cyclic_facets_by_evenness(m, d):
+    """Facets of the boundary of the cyclic d-polytope on 1..m, as sets of
+    ints, by testing Gale's evenness condition on every d-subset: any two
+    vertices outside the subset are separated by an even number of its
+    members."""
+    facets = set()
+    for S in combinations(range(1, m + 1), d):
+        outside = [x for x in range(1, m + 1) if x not in S]
+        if all(sum(1 for s in S if a < s < b) % 2 == 0 for a, b in zip(outside, outside[1:])):
+            facets.add(frozenset(S))
+    return facets
 
 
 def rank_fraction(mat):

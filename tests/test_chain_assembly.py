@@ -1,0 +1,191 @@
+"""The chain complex built from face arrays against the tuple-and-triple
+assembly of ``oracles.boundary_triples``: the same faces in the same order,
+the same boundary matrices and the same homology, and an exact
+boundary-of-boundary check."""
+
+import random
+
+import numpy as np
+import pytest
+
+import oracles
+import randgen
+from ordertop._kernel import _pure
+from ordertop.complexes import SimplicialComplex
+from ordertop.homology import (
+    ChainComplex,
+    HomologyError,
+    SparseMatrix,
+    invariant_factors,
+    reduced_homology,
+)
+
+
+def non_pure(seed):
+    """Non-pure input with duplicate, permuted, nested and empty faces and
+    extra vertices."""
+    rng = random.Random(1300 + seed)
+    verts = [f"v{i}" for i in range(rng.randint(1, 9))]
+    faces = [rng.sample(verts, rng.randint(0, len(verts))) for _ in range(rng.randint(0, 8))]
+    for f in list(faces)[:3]:
+        faces.append(rng.sample(f, len(f)))
+        faces.append(rng.sample(f, rng.randint(0, len(f))))
+    faces.append([])
+    rng.shuffle(faces)
+    return SimplicialComplex(faces, vertices=rng.sample(verts + ["w0", "w1"], rng.randint(0, 3)))
+
+
+def wide():
+    """5,000 vertices and faces of up to 7 vertices: 5000^6 > 2^63, so the
+    lexicographic codes of the faces must be re-ranked on the way."""
+    rng = random.Random(1400)
+    verts = [str(i) for i in range(5000)]  # string order differs from numeric order
+    facets = [rng.sample(verts, 6) for _ in range(12)] + [rng.sample(verts, 7) for _ in range(3)]
+    return SimplicialComplex(facets, vertices=verts)
+
+
+CASES = [randgen.random_complex(random.Random(seed), 8, 7, 5) for seed in range(200)]
+CASES += [randgen.torsion_cases()[name] for name in sorted(randgen.torsion_cases())]
+CASES += [randgen.planted_torsion_complex(random.Random(1200 + seed))[0] for seed in range(4)]
+CASES += [non_pure(seed) for seed in range(12)]
+CASES += [SimplicialComplex(), SimplicialComplex([["a"]]), wide()]
+
+
+def triples_profile(mats, counts, ring):
+    """Betti numbers and torsion from the oracle's matrices, every degree
+    reduced on its own (no clearing)."""
+    ranks, factors = {}, {}
+    for k, (n_rows, n_cols, entries) in mats.items():
+        m = SparseMatrix.from_entries(n_rows, n_cols, entries)
+        if ring == "Z":
+            factors[k] = invariant_factors(m)
+            ranks[k] = len(factors[k])
+        else:
+            ranks[k] = _pure.rank_mod2(m)
+    betti, torsion = {}, {}
+    for k in range(-1, max(counts) + 1):
+        b = counts.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        if b:
+            betti[k] = b
+        tors = tuple(f for f in factors.get(k + 1, ()) if f > 1)
+        if tors:
+            torsion[k] = tors
+    return betti, torsion
+
+
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_faces_boundaries_and_profiles_match_tuple_assembly(index):
+    K = CASES[index]
+    faces, mats = oracles.boundary_triples(K.facets)
+    assert K.faces_by_dim() == {d: tuple(fs) for d, fs in sorted(faces.items())}
+    cc = ChainComplex.from_complex(K)
+    assert cc.counts == {-1: 1, **{d: len(fs) for d, fs in faces.items()}}
+    assert sorted(cc.boundary) == sorted(mats)
+    for k, (n_rows, n_cols, entries) in mats.items():
+        mat = cc.boundary[k]
+        assert (mat.n_rows, mat.n_cols) == (n_rows, n_cols)
+        assert len(mat.entries) == len(entries)
+        assert sorted(mat.entries) == entries
+    for ring in ("Z", "Z/2"):
+        profile = reduced_homology(K, ring)
+        assert (profile.betti, profile.torsion) == triples_profile(mats, cc.counts, ring)
+
+
+def test_wide_complex_homology():
+    # a forest of simplices with isolated vertices: reduced H_0 only, one
+    # generator per connected component but one
+    K = wide()
+    parent = {v: v for v in K.vertices}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for f in K.facets:
+        first, *rest = f
+        for v in rest:
+            parent[root(v)] = root(first)
+    components = len({root(v) for v in K.vertices})
+    assert reduced_homology(K).betti == {0: components - 1}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_boundary_check_agrees_with_dict_check(seed):
+    # a random complex's d_k, d_{k+1}: as built, scaled by a large factor, or
+    # with one entry of d_{k+1} changed; the array check must accept exactly
+    # when the dict-based check of the oracle does
+    rng = random.Random(1500 + seed)
+    K = randgen.random_complex(rng, 7, 6, 5)
+    _, mats = oracles.boundary_triples(K.facets)
+    pairs = [k for k in mats if k + 1 in mats]
+    if not pairs:
+        return
+    k = rng.choice(pairs)
+    outer, inner = mats[k][2], list(mats[k + 1][2])
+    scale = rng.choice([1, 2**40, 2**70])
+    outer = [(r, c, v * scale) for r, c, v in outer]
+    if rng.random() < 0.5:
+        i = rng.randrange(len(inner))
+        r, c, v = inner[i]
+        inner[i] = (r, c, rng.choice([-v, 2 * v, v * scale]))
+    counts = {-1: 1, k - 1: mats[k][0], k: mats[k][1], k + 1: mats[k + 1][1]}
+    boundary = {
+        k: SparseMatrix.from_entries(*mats[k][:2], outer),
+        k + 1: SparseMatrix.from_entries(*mats[k + 1][:2], inner),
+    }
+    if oracles.composes_to_zero(outer, inner):
+        ChainComplex(counts, boundary)
+    else:
+        with pytest.raises(HomologyError, match="composition"):
+            ChainComplex(counts, boundary)
+
+
+def composed(outer_column, inner_column):
+    """d0 = one row, d1 = one column: d0 @ d1 is their dot product."""
+    n = len(outer_column)
+    d0 = SparseMatrix.from_dense([outer_column])
+    d1 = SparseMatrix.from_dense([[v] for v in inner_column])
+    return ChainComplex({-1: 1, 0: n, 1: 1}, {0: d0, 1: d1})
+
+
+@pytest.mark.parametrize("big", [2**40, 2**70])
+def test_boundary_check_exact_on_large_products(big):
+    # each product is 2^80 or 2^140: it wraps to 0 in int64
+    assert composed([big, big], [big, -big]).dim == 1
+    with pytest.raises(HomologyError, match="composition 0 o 1"):
+        composed([big, big], [big, big])
+
+
+def test_boundary_check_exact_on_large_sums():
+    # four products of 2^62 each: their sum 2^64 wraps to 0 in int64
+    big = 2**31
+    assert composed([big] * 4, [big, big, -big, -big]).dim == 1
+    with pytest.raises(HomologyError, match="composition 0 o 1"):
+        composed([big] * 4, [big] * 4)
+
+
+def test_boundary_check_keys_stay_in_int64():
+    # (c, row) keys of d_1 @ d_2 would pass 2^63: 4 columns times 2^61 rows
+    d1 = SparseMatrix.from_entries(2**61, 1, [(0, 0, 1)])
+    d2 = SparseMatrix.from_entries(1, 4, [(0, 3, 1)])
+    with pytest.raises(HomologyError, match="too large"):
+        ChainComplex({-1: 1, 0: 2**61, 1: 1, 2: 4}, {1: d1, 2: d2})
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, 1, [0, 1], [2], [1]), "outside"),
+        ((2, 1, [0, 1], [-1], [1]), "outside"),
+        ((2, 1, [0, 2], [1, 0], [1, 1]), "ascending"),
+        ((2, 1, [0, 2], [1, 1], [1, 1]), "ascending"),
+        ((2, 1, [0, 1], [0], [0]), "nonzero"),
+        ((2, 2, [0, 1], [0], [1]), "pointers"),
+        ((2, 2, [0, 2, 1], [0], [1]), "pointers"),
+    ],
+)
+def test_column_layout_validated(args, message):
+    n_rows, n_cols, *arrays = args
+    with pytest.raises(HomologyError, match=message):
+        SparseMatrix(n_rows, n_cols, *(np.array(a) for a in arrays))

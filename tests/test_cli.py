@@ -185,6 +185,24 @@ class TestInputBounds:
         assert outcome.stdout_lines == ()
         assert outcome.stderr_lines[0].startswith("error: need ")
 
+    def test_grassmann_work_limit(self, monkeypatch):
+        argv = ["grassmann", "check", "--n", "3", "--seed", "0", "--samples"]
+        monkeypatch.setattr(grassmann, "MAX_SAMPLE_ENTRIES", 5 * 3**2)
+        assert run(argv + ["5"]).exit_code == 0
+        over = run(argv + ["6"])
+        assert over.exit_code == 2
+        assert over.stdout_lines == ()
+        assert over.stderr_lines == ("error: need samples * n^2 <= 45, got 6 * 3^2 = 54",)
+
+    def test_grassmann_work_limit_value(self):
+        # the benchmark's battery (n = 8, 2000 samples) stays far inside the limit
+        assert 100 * 2000 * 8**2 < grassmann.MAX_SAMPLE_ENTRIES
+        at_limit = grassmann.MAX_SAMPLE_ENTRIES // 100**2
+        for samples in (at_limit + 1, 1_000_000):
+            outcome = run(["grassmann", "check", "--n", "100", "--samples", str(samples)])
+            assert outcome.exit_code == 2
+            assert outcome.stderr_lines[0].startswith("error: need samples * n^2 <= ")
+
     def test_grassmann_limit_messages(self):
         argv = ["grassmann", "check", "--n", "3"]
         assert run(argv + ["--samples", "-3"]).stderr_lines == (

@@ -225,6 +225,13 @@ class TestCyclicPolytope:
         with pytest.raises(ComplexError, match="vertices"):
             cyclic_polytope_boundary(4, 4)
 
+    @pytest.mark.parametrize("d", range(2, 13, 2))
+    def test_facets_match_evenness_filter(self, d):
+        for m in range(d + 1, 15):
+            K = cyclic_polytope_boundary(m, d)
+            facets = {frozenset(int(x) for x in f) for f in K.facets}
+            assert facets == oracles.cyclic_facets_by_evenness(m, d), m
+
     @pytest.mark.parametrize("m,d", [(4, 2), (6, 2), (6, 4), (8, 4), (8, 6)])
     def test_pseudomanifold_and_euler(self, m, d):
         K = cyclic_polytope_boundary(m, d)

@@ -124,7 +124,7 @@ class TestChainComplex:
     def test_boundary_squared_zero_checked(self):
         # a corrupted boundary pair must be rejected
         good = ChainComplex.from_complex(HOLLOW_TRIANGLE)
-        bad_d1 = SparseMatrix(
+        bad_d1 = SparseMatrix.from_entries(
             good.boundary[1].n_rows,
             good.boundary[1].n_cols,
             tuple((r, c, 1) for r, c, _ in good.boundary[1].entries),
@@ -135,7 +135,7 @@ class TestChainComplex:
     def test_triangle_with_one_sign_flipped_rejected(self):
         good = ChainComplex.from_complex(SimplicialComplex([["a", "b", "c"]]))
         (r, c, v), *rest = good.boundary[2].entries
-        bad_d2 = SparseMatrix(good.boundary[2].n_rows, 1, ((r, c, -v), *rest))
+        bad_d2 = SparseMatrix.from_entries(good.boundary[2].n_rows, 1, ((r, c, -v), *rest))
         with pytest.raises(HomologyError, match="composition 1 o 2"):
             ChainComplex(good.counts, {**good.boundary, 2: bad_d2})
 
@@ -158,8 +158,8 @@ class TestChainComplex:
         good = ChainComplex.from_complex(HOLLOW_TRIANGLE)
         d1 = good.boundary[1]
         for bad in (
-            SparseMatrix(d1.n_rows + 1, d1.n_cols, d1.entries),
-            SparseMatrix(d1.n_rows, d1.n_cols - 1, ()),
+            SparseMatrix.from_entries(d1.n_rows + 1, d1.n_cols, d1.entries),
+            SparseMatrix.from_entries(d1.n_rows, d1.n_cols - 1, ()),
         ):
             with pytest.raises(HomologyError, match="inconsistent shape"):
                 ChainComplex(good.counts, {**good.boundary, 1: bad})
@@ -168,8 +168,8 @@ class TestChainComplex:
     def test_entry_outside_shape_rejected(self, entry):
         good = ChainComplex.from_complex(HOLLOW_TRIANGLE)
         d1 = good.boundary[1]
-        bad = SparseMatrix(d1.n_rows, d1.n_cols, d1.entries + (entry,))
         with pytest.raises(HomologyError, match="outside"):
+            bad = SparseMatrix.from_entries(d1.n_rows, d1.n_cols, (*d1.entries, entry))
             ChainComplex(good.counts, {**good.boundary, 1: bad})
 
     @pytest.mark.parametrize("seed", range(10))

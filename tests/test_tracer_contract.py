@@ -1,0 +1,73 @@
+"""The benchmark tracer (``perfbench/spans.py``) wraps ordertop functions by
+name and reads counts from their arguments and results.  Installing it fails
+when a wrapped name is gone; on small complexes the counts it reads must
+equal ones computed independently."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import oracles
+from randgen import projective_plane
+from ordertop._kernel import _pure
+from ordertop.complexes import SimplicialComplex
+from ordertop.homology import SparseMatrix, reduced_homology
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    """Import spans.py without writing a bytecode cache next to it."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+COMPLEXES = {
+    "hollow_triangle": SimplicialComplex([["a", "b"], ["b", "c"], ["a", "c"]]),
+    "rp2": projective_plane(),
+}
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    t = load_spans().Tracer()
+    t.install()
+    try:
+        yield t
+    finally:
+        t.uninstall()
+
+
+@pytest.mark.parametrize("coeff", ["z", "z2"])
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_counts_match_independent_ones(tracer, name, coeff):
+    K = COMPLEXES[name]
+    tracer.reset()
+    reduced_homology(K, coeff)
+    counts = tracer.counts
+    faces, mats = oracles.boundary_triples(K.facets)
+    assert counts["complexes.faces"] == sum(len(fs) for fs in faces.values())
+    assert counts["homology.boundary_nnz"] == sum(len(m[2]) for m in mats.values())
+    if coeff == "z2":
+        assert counts["kernel.unit_pivots"] == counts["homology.residual_entries"] == 0
+        return
+    # Every invariant factor above 1 is a torsion factor here, and only
+    # those are left to the residual: the units are the rank less the torsion.
+    _, dense = oracles.dense_boundaries(K.facets)
+    rank = sum(oracles.rank_fraction(m) for m in dense.values())
+    _, torsion = oracles.sympy_homology(K.facets)
+    assert counts["kernel.unit_pivots"] == rank - sum(len(t) for t in torsion.values())
+    # The top boundary is reduced without clearing, and the lower ones of
+    # these complexes leave no residual.
+    top = max(mats)
+    _, residual = _pure.eliminate_unit_pivots(SparseMatrix.from_entries(*mats[top]))
+    assert counts["homology.residual_entries"] == len(residual)
+
