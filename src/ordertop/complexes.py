@@ -16,6 +16,7 @@ Label tuples are made only by ``faces_by_dim``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
@@ -109,18 +110,25 @@ class SimplicialComplex:
     dropped, so ``facets`` always holds exactly the maximal faces.  Vertices
     not covered by any larger face appear as singleton facets.  Faces are
     tested by size class, largest first, against a vertex -> kept-facet index
-    of the larger classes; pure input never builds the index.
+    of the larger classes; pure input never builds the index.  Each distinct
+    label is checked once (a nonempty string without whitespace), however
+    many faces it appears in.
     """
 
     __slots__ = ("vertices", "facets", "_table")
 
     def __init__(self, facets: Iterable[Iterable[str]] = (), vertices: Iterable[str] = ()):
-        raw = [frozenset(_check_label(v) for v in f) for f in facets]
-        raw = [f for f in raw if f]
-        for v in vertices:
-            raw.append(frozenset((_check_label(v),)))
+        try:
+            raw = {frozenset(f) for f in facets}
+            raw.update(frozenset((v,)) for v in vertices)
+        except TypeError as err:  # an unhashable label, or a facet that is no collection
+            raise ComplexError(f"facets must hold nonempty string labels: {err}") from None
+        raw.discard(frozenset())
+        labels = set().union(*raw)
+        for v in labels:
+            _check_label(v)
         by_size: dict[int, list[frozenset[str]]] = {}
-        for f in set(raw):
+        for f in raw:
             by_size.setdefault(len(f), []).append(f)
         # A face can only lie in a strictly larger one, so each size class is
         # tested against an index of the faces kept from the larger classes.
@@ -140,7 +148,7 @@ class SimplicialComplex:
                     for v in maximal[pos]:
                         index.setdefault(v, set()).add(pos)
         self.facets: frozenset[frozenset[str]] = frozenset(maximal)
-        self.vertices: tuple[str, ...] = tuple(sorted(set().union(*maximal) if maximal else ()))
+        self.vertices: tuple[str, ...] = tuple(sorted(labels))
         self._table: FaceTable | None = None
 
     def __eq__(self, other) -> bool:
@@ -193,11 +201,8 @@ class SimplicialComplex:
         return any(f <= g for g in self.facets) if f else True
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return all(other.has_face(f) for f in self.facets)
-
-    def relabel(self, fn) -> "SimplicialComplex":
-        """New complex with every vertex label replaced by ``fn(label)``."""
-        return SimplicialComplex({frozenset(fn(v) for v in f) for f in self.facets})
+        # Adding self's facets leaves other unchanged exactly when each lies in one of its facets.
+        return SimplicialComplex([*other.facets, *self.facets]) == other
 
 
 @dataclass(frozen=True)
@@ -243,9 +248,11 @@ def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
         return L
     if L.is_empty:
         return K
-    left = K.relabel(lambda v: "l." + v)
-    right = L.relabel(lambda v: "r." + v)
-    return SimplicialComplex(f | g for f in left.facets for g in right.facets)
+    left = {v: "l." + v for v in K.vertices}
+    right = {v: "r." + v for v in L.vertices}
+    left_facets = [frozenset(map(left.__getitem__, f)) for f in K.facets]
+    right_facets = [frozenset(map(right.__getitem__, g)) for g in L.facets]
+    return SimplicialComplex(f | g for f in left_facets for g in right_facets)
 
 
 def cone(K: SimplicialComplex, apex: str = "apex") -> SimplicialComplex:
@@ -279,15 +286,11 @@ def wedge(parts: Sequence[PointedComplex], basepoint: str = "*") -> PointedCompl
             raise ComplexError("cannot wedge an empty complex: it has no basepoint")
     if len(parts) == 1:
         return parts[0]
-    if not parts:
-        return PointedComplex(point_complex(basepoint), basepoint)
     facets = []
     for i, part in enumerate(parts):
-        prefix = f"w{i}."
-        relabeled = part.complex.relabel(
-            lambda v, bp=part.basepoint, p=prefix: basepoint if v == bp else p + v
-        )
-        facets.extend(relabeled.facets)
+        name = {v: f"w{i}.{v}" for v in part.complex.vertices}
+        name[part.basepoint] = basepoint
+        facets.extend(frozenset(map(name.__getitem__, f)) for f in part.complex.facets)
     return PointedComplex(SimplicialComplex(facets, vertices=[basepoint]), basepoint)
 
 
@@ -299,10 +302,7 @@ def quotient_model(K: SimplicialComplex, A: SimplicialComplex) -> SimplicialComp
     if not A.is_subcomplex_of(K):
         raise ComplexError("A is not a subcomplex of K")
     apex = fresh_label("q*", K.vertices)
-    if A.is_empty:
-        return SimplicialComplex(K.facets, vertices=[apex])
-    coned = [f | {apex} for f in A.facets]
-    return SimplicialComplex(list(K.facets) + coned)
+    return SimplicialComplex([*K.facets, *(f | {apex} for f in A.facets)], vertices=[apex])
 
 
 def sphere_complex(d: int) -> SimplicialComplex:
@@ -346,20 +346,11 @@ def cyclic_polytope_boundary(m: int, d: int) -> SimplicialComplex:
 
 def is_pseudomanifold(K: SimplicialComplex) -> bool:
     """True when K is pure and every ridge lies in exactly two facets."""
-    if K.is_empty:
+    sizes = {len(f) for f in K.facets}
+    if len(sizes) != 1 or sizes.pop() < 2:
         return False
-    dims = {len(f) for f in K.facets}
-    if len(dims) != 1:
-        return False
-    size = dims.pop()
-    if size < 2:
-        return False
-    ridge_count: dict[frozenset[str], int] = {}
-    for facet in K.facets:
-        for ridge in combinations(sorted(facet), size - 1):
-            key = frozenset(ridge)
-            ridge_count[key] = ridge_count.get(key, 0) + 1
-    return all(c == 2 for c in ridge_count.values())
+    ridges = Counter(f - {v} for f in K.facets for v in f)
+    return all(c == 2 for c in ridges.values())
 
 
 def parse_cplx(text: str) -> SimplicialComplex:

@@ -29,12 +29,12 @@ class ConfigError(ValueError):
 # recursion limit and predicted_betti_exp2(2000) would hold 1.27 GB.
 MAX_N = 400
 
-# Largest C(m, 2n) for the circle model.  cyclic_polytope_boundary lists the
-# facets directly, so the number of vertex subsets no longer measures the
-# work: at the largest m for each n, n = 1 (m = 296) takes 25 ms, n = 4
-# (m = 18) 0.35 s, n = 7 (m = 20) about 9 s and n = 8 (m = 21) about 22 s,
-# most of it homology.
-MAX_CIRCLE_SUBSETS = comb(18, 8)
+# Largest face count of the circle model's sphere (``circle_face_count``).
+# At the largest m admitted for each n, in a fresh process on a 2-CPU x86
+# VM: n = 1 (m = 100000) takes 2.2 s and 127 MB, n = 3 (m = 55) 2.5 s and
+# 169 MB, n = 6 (m = 18) 1.3 s and 186 MB, n = 7 (m = 17) 0.9 s; n >= 8
+# is never admitted.
+MAX_CIRCLE_FACES = 200_000
 
 
 def _check_max_n(n: int) -> None:
@@ -162,6 +162,17 @@ class CircleModelReport:
         )
 
 
+def circle_face_count(n: int, m: int) -> int:
+    """Nonempty faces of the boundary of the cyclic polytope with m vertices
+    in dimension d = 2n, from its h-vector: h_i = C(m-d-1+i, i) for i <= n,
+    h_{d-i} = h_i, and f_{j-1} = sum_i C(d-i, j-i) h_i (Ziegler, *Lectures
+    on Polytopes*, ch. 8)."""
+    d = 2 * n
+    h = [comb(m - d - 1 + i, i) for i in range(n + 1)]
+    h += h[-2::-1]
+    return sum(comb(d - i, j - i) * h[i] for j in range(1, d + 1) for i in range(j + 1))
+
+
 def circle_model_check(n: int, m: int, coeff: str = "Z") -> CircleModelReport:
     """Build the boundary of the cyclic polytope with m vertices in dimension
     2n and check it has exactly the homology of S^{2n-1} plus the
@@ -170,11 +181,14 @@ def circle_model_check(n: int, m: int, coeff: str = "Z") -> CircleModelReport:
         raise ConfigError("need n >= 1")
     if m < 2 * n + 2:
         raise ConfigError(f"need m >= 2n + 2 = {2 * n + 2}, got {m}")
-    subsets = comb(m, 2 * n)
-    if subsets > MAX_CIRCLE_SUBSETS:
+    # A facet alone has 4^n - 1 nonempty faces, so large n is refused uncounted.
+    if 2 * n > MAX_CIRCLE_FACES.bit_length():
         raise ConfigError(
-            f"C(m, 2n) = {subsets} vertex subsets, above the limit {MAX_CIRCLE_SUBSETS}"
+            f"the sphere has at least 4^{n} - 1 faces, above the limit {MAX_CIRCLE_FACES}"
         )
+    faces = circle_face_count(n, m)
+    if faces > MAX_CIRCLE_FACES:
+        raise ConfigError(f"the sphere has {faces} faces, above the limit {MAX_CIRCLE_FACES}")
     K = cyclic_polytope_boundary(m, 2 * n)
     return CircleModelReport(
         n=n,

@@ -9,7 +9,7 @@ relations only and leave the transitive closure to ``FinitePoset``.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .complexes import SimplicialComplex
 
@@ -394,20 +394,16 @@ def exp_discrete_poset(m: int, n: int) -> FinitePoset:
     return _subset_poset(subsets, _subset_label)
 
 
-def set_partitions(n: int) -> list[tuple[frozenset[int], ...]]:
-    """All set partitions of {1..n}, blocks sorted by least element."""
-    parts: list[tuple[frozenset[int], ...]] = [()]
+def set_partitions(n: int) -> list[frozenset[frozenset[int]]]:
+    """All set partitions of {1..n}, each a set of blocks."""
+    parts: list[frozenset[frozenset[int]]] = [frozenset()]
     for item in range(1, n + 1):
-        nxt = []
-        for p in parts:
-            for i in range(len(p)):
-                nxt.append(p[:i] + (p[i] | {item},) + p[i + 1:])
-            nxt.append(p + (frozenset((item,)),))
-        parts = nxt
-    return [tuple(sorted(p, key=min)) for p in parts]
+        alone = frozenset((item,))
+        parts = [p - {b} | {b | alone} for p in parts for b in p] + [p | {alone} for p in parts]
+    return parts
 
 
-def partition_label(blocks: Sequence[frozenset[int]]) -> str:
+def partition_label(blocks: Iterable[frozenset[int]]) -> str:
     if any(i > len(_ELEMENT_CHARS) for b in blocks for i in b):
         raise PosetError("partition labels support ground sets up to 35 elements")
     return "".join(
@@ -423,15 +419,13 @@ def partition_lattice(n: int) -> FinitePoset:
     """
     if n < 1:
         raise PosetError("partition lattice needs n >= 1")
-    parts = set_partitions(n)
-    labels = [partition_label(p) for p in parts]
-    covers = []
-    for p, lab in zip(parts, labels):
-        for i, j in combinations(range(len(p)), 2):
-            merged = [b for k, b in enumerate(p) if k != i and k != j]
-            merged.append(p[i] | p[j])
-            covers.append((lab, partition_label(merged)))
-    return FinitePoset(labels, covers)
+    label = {p: partition_label(p) for p in set_partitions(n)}
+    covers = [
+        (lab, label[p - {a, b} | {a | b}])
+        for p, lab in label.items()
+        for a, b in combinations(p, 2)
+    ]
+    return FinitePoset(label.values(), covers)
 
 
 def face_poset(K: SimplicialComplex) -> FinitePoset:

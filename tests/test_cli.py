@@ -1,4 +1,4 @@
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
@@ -152,18 +152,31 @@ class TestInputBounds:
             f"wedge {factorial(n - 1)} x S^{n - 3}",
         )
 
-    def test_circle_subset_limit(self, monkeypatch):
+    def test_circle_face_limit(self, monkeypatch):
         argv = ["config", "circle", "--n", "4", "--m", "18"]
-        assert config.MAX_CIRCLE_SUBSETS == comb(18, 8)
+        assert config.circle_face_count(4, 18) == 25536
         assert run(argv).exit_code == 0
-        monkeypatch.setattr(config, "MAX_CIRCLE_SUBSETS", comb(18, 8) - 1)
-        assert run(argv).exit_code == 2
+        monkeypatch.setattr(config, "MAX_CIRCLE_FACES", 25535)
+        outcome = run(argv)
+        assert outcome.exit_code == 2
+        assert outcome.stderr_lines == (
+            "error: the sphere has 25536 faces, above the limit 25535",
+        )
 
-    @pytest.mark.parametrize("n,m", [(1, 297), (4, 19), (6, 40)])
+    @pytest.mark.parametrize("n,m", [(1, 100_001), (4, 28), (6, 40), (8, 18), (11, 26)])
     def test_circle_over_limit(self, n, m):
         outcome = run(["config", "circle", "--n", str(n), "--m", str(m)])
         assert outcome.exit_code == 2
         assert "above the limit" in outcome.stderr_lines[0]
+
+    @pytest.mark.parametrize("n", [10, 10**9])
+    def test_circle_large_n_refused_before_counting(self, monkeypatch, n):
+        monkeypatch.setattr(config, "circle_face_count", None)
+        outcome = run(["config", "circle", "--n", str(n), "--m", str(3 * n)])
+        assert outcome.exit_code == 2
+        assert outcome.stderr_lines == (
+            f"error: the sphere has at least 4^{n} - 1 faces, above the limit 200000",
+        )
 
     @pytest.mark.parametrize(
         "option,limit,past",

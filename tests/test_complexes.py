@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 import oracles
 from randgen import random_complex, random_subcomplex
+from ordertop import complexes
 from ordertop.complexes import (
     ComplexError,
     PointedComplex,
@@ -68,6 +70,77 @@ class TestValues:
         assert point_complex().euler_reduced() == 0
         assert sphere_complex(1).euler_reduced() == -1
         assert sphere_complex(2).euler_reduced() == 1
+
+
+BAD_LABELS = {"int": 5, "none": None, "list": ["a"], "empty": "", "space": "a b", "tab": "a\tb"}
+
+
+class TestLabels:
+    @pytest.mark.parametrize("bad", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+    @pytest.mark.parametrize("place", ["first_facet", "later_facet", "vertices"])
+    def test_bad_label_rejected(self, place, bad):
+        facets = [["a", "b"], ["b", "c"], ["c", "d"]]
+        vertices = ["e"]
+        if place == "first_facet":
+            facets[0] = [bad, "b"]
+        elif place == "later_facet":
+            facets[2] = ["c", bad]
+        else:
+            vertices.append(bad)
+        with pytest.raises(ComplexError):
+            SimplicialComplex(facets, vertices=vertices)
+
+    def test_each_distinct_label_checked_once(self, monkeypatch):
+        seen = []
+        check = complexes._check_label
+        monkeypatch.setattr(complexes, "_check_label", lambda v: seen.append(v) or check(v))
+        facets = [["a", "b", "c"], ["b", "c", "d"], ["a", "d"], ["c"]]
+        SimplicialComplex(facets, vertices=["a", "e"])
+        assert sorted(seen) == ["a", "b", "c", "d", "e"]
+
+
+class TestSubcomplex:
+    @staticmethod
+    def oracle(A, K):
+        faces = lambda X: {f for fs in oracles.faces_of(X.facets).values() for f in fs}
+        return faces(A) <= faces(K)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_true_cases(self, seed):
+        rng = random.Random(700 + seed)
+        K = random_complex(rng)
+        facets = sorted(map(sorted, K.facets))
+        dropped = SimplicialComplex(rng.sample(facets, rng.randint(0, len(facets))))
+        for A in (dropped, random_subcomplex(rng, K), K, empty_complex()):
+            assert self.oracle(A, K)
+            assert A.is_subcomplex_of(K)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_vertex_swapped_for_fresh_label(self, seed):
+        rng = random.Random(710 + seed)
+        K = random_complex(rng)
+        facet = sorted(rng.choice(sorted(map(sorted, K.facets))))
+        facet[rng.randrange(len(facet))] = "fresh"
+        A = SimplicialComplex([facet])
+        assert not self.oracle(A, K)
+        assert not A.is_subcomplex_of(K)
+
+    def test_non_face_spanned_by_vertices(self):
+        tested = 0
+        for seed in range(40):
+            K = random_complex(random.Random(720 + seed))
+            faces = {f for fs in oracles.faces_of(K.facets).values() for f in fs}
+            non_faces = [
+                c for k in range(2, len(K.vertices) + 1)
+                for c in combinations(K.vertices, k) if c not in faces
+            ]
+            if not non_faces:
+                continue
+            A = SimplicialComplex([non_faces[0]])
+            assert not self.oracle(A, K)
+            assert not A.is_subcomplex_of(K)
+            tested += 1
+        assert tested >= 10
 
 
 class TestJoin:
@@ -191,6 +264,11 @@ class TestQuotientModel:
     def test_not_subcomplex_rejected(self):
         with pytest.raises(ComplexError, match="subcomplex"):
             quotient_model(sphere_complex(1), point_complex("zzz"))
+
+    def test_non_face_rejected_with_message(self):
+        hollow = SimplicialComplex([["a", "b"], ["b", "c"], ["a", "c"]])
+        with pytest.raises(ComplexError, match="^A is not a subcomplex of K$"):
+            quotient_model(hollow, SimplicialComplex([["a", "b", "c"]]))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_euler_difference(self, seed):

@@ -4,9 +4,12 @@ import tracemalloc
 import pytest
 
 import oracles
+from ordertop.complexes import cyclic_polytope_boundary
 from ordertop.config import (
+    MAX_CIRCLE_FACES,
     ConfigError,
     binary_partition_count,
+    circle_face_count,
     circle_model_check,
     exp_discrete_check,
     fuchs_dimension,
@@ -121,6 +124,23 @@ class TestCircleModel:
     def test_parameter_range(self):
         with pytest.raises(ConfigError):
             circle_model_check(2, 5)
+
+    @pytest.mark.parametrize("n,m", [(1, 4), (1, 9), (2, 8), (3, 10), (3, 12), (4, 11), (5, 13)])
+    def test_face_count_matches_sphere(self, n, m):
+        faces = cyclic_polytope_boundary(m, 2 * n).face_counts()
+        assert circle_face_count(n, m) == sum(faces.values())
+
+    @pytest.mark.parametrize(
+        "n,m", [(1, 100_000), (2, 317), (3, 55), (4, 27), (5, 20), (6, 18), (7, 17)]
+    )
+    def test_largest_admitted_m(self, n, m):
+        # The inputs whose times and peaks config.py records.
+        assert circle_face_count(n, m) <= MAX_CIRCLE_FACES < circle_face_count(n, m + 1)
+
+    def test_no_admitted_input_past_n_7(self):
+        # The face count grows with m, so the smallest m decides.
+        assert circle_face_count(8, 18) > MAX_CIRCLE_FACES
+        assert circle_face_count(11, 26) == 66_400_256
 
 
 class TestExpDiscrete:

@@ -5,6 +5,7 @@ equal ones computed independently."""
 
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from randgen import projective_plane
 from ordertop._kernel import _pure
 from ordertop.complexes import SimplicialComplex
 from ordertop.homology import SparseMatrix, reduced_homology
+from ordertop.posets import BoundedPoset, partition_lattice
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -71,3 +73,15 @@ def test_counts_match_independent_ones(tracer, name, coeff):
     _, residual = _pure.eliminate_unit_pivots(SparseMatrix.from_entries(*mats[top]))
     assert counts["homology.residual_entries"] == len(residual)
 
+
+def test_order_complex_counts_facets(tracer):
+    # structure-z2 builds its complexes only through order_complex, and its
+    # traced metrics divide by the facets the constructor saw.
+    tracer.reset()
+    start = time.perf_counter()
+    proper = BoundedPoset.from_poset(partition_lattice(4)).truncate()
+    reduced_homology(proper.order_complex(), "z2")
+    wall = time.perf_counter() - start
+    assert tracer.counts["complexes.facet_filter.passed"] > 0
+    metrics = tracer.layer_metrics(wall)
+    assert metrics["complexes.facet_filter.kept_ratio"] == 1.0
