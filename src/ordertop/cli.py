@@ -16,7 +16,7 @@ from pathlib import Path
 from . import complementation, config, diagrams, grassmann, spheres
 from .complexes import ComplexError, format_cplx, parse_cplx
 from .homology import HomologyError, HomologyProfile, reduced_homology
-from .posets import BoundedPoset, FinitePoset, PosetError, format_poset, parse_poset
+from .posets import BoundedPoset, PosetError, format_poset, parse_poset
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,6 @@ def _read(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _bounded(P: FinitePoset) -> BoundedPoset:
-    return BoundedPoset.from_poset(P)
-
-
 def _profile_lines(profile: HomologyProfile, nonzero_only: bool = False) -> list[str]:
     lines = []
     for k in range(-1, profile.dim + 1):
@@ -140,7 +136,7 @@ def _cmd_homology(args) -> tuple[list[str], bool]:
 
 
 def _cmd_mobius(args) -> tuple[list[str], bool]:
-    P = _bounded(parse_poset(_read(args.file)))
+    P = BoundedPoset.from_poset(parse_poset(_read(args.file)))
     return [f"mobius {P.mobius()}"], True
 
 
@@ -150,7 +146,7 @@ def _cmd_ordercomplex(args) -> tuple[list[str], bool]:
 
 
 def _cmd_complementation(args) -> tuple[list[str], bool]:
-    L = _bounded(parse_poset(_read(args.file)))
+    L = BoundedPoset.from_poset(parse_poset(_read(args.file)))
     report = complementation.verify(L, args.z, args.coeff)
     lines = [f"z {report.z}"]
     lines += [f"complement {c}" for c in sorted(report.complements)]

@@ -7,8 +7,9 @@ of z, two finite, checkable statements are exercised:
 * when Co(z) is an antichain, the order complex of L~ has the homology of
   the wedge over y in Co(z) of suspensions of Delta(L~_{<y}) * Delta(L~_{>y}).
 
-Acyclicity is certified at the homology level only; contractibility itself
-has no algorithmic certificate here.
+``verify`` checks both statements on one Co(z) and one proper part, each
+computed once per call.  Acyclicity is certified at the homology level only;
+contractibility itself has no algorithmic certificate here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .posets import BoundedPoset, FinitePoset, PosetError
 
 
 class AntichainError(PosetError):
-    """The wedge decomposition requires an antichain of complements."""
+    """The quotient wedge check requires an antichain."""
 
 
 @dataclass(frozen=True)
@@ -47,22 +48,6 @@ class ComplementationReport:
         return True
 
 
-def complements_removed_acyclic(L: BoundedPoset, z: str, coeff: str = "Z") -> ComplementationReport:
-    """Remove Co(z) from the proper part and test that what remains is acyclic."""
-    co = L.complements(z)
-    trunc = L.truncate()
-    remaining = trunc.remove(co)
-    profile = reduced_homology(remaining.order_complex(), coeff)
-    return ComplementationReport(
-        z=z,
-        complements=co,
-        antichain=trunc.is_antichain(co),
-        coeff=profile.coeff,
-        removed_acyclic=profile.is_acyclic,
-        removed_profile=profile,
-    )
-
-
 def wedge_side(trunc: FinitePoset, antichain: frozenset[str]) -> SimplicialComplex:
     """The explicit wedge over the antichain of suspended joins of open cones.
 
@@ -76,49 +61,26 @@ def wedge_side(trunc: FinitePoset, antichain: frozenset[str]) -> SimplicialCompl
     return wedge(parts).complex
 
 
-def wedge_decomposition(
-    L: BoundedPoset, z: str, coeff: str = "Z"
-) -> tuple[SimplicialComplex, ComplementationReport]:
-    """Build the wedge side for Co(z) and compare its homology with the
-    order complex of the proper part; Co(z) must be an antichain."""
-    co = L.complements(z)
-    trunc = L.truncate()
-    if not trunc.is_antichain(co):
-        raise AntichainError(
-            f"Co({z}) = {sorted(co)} is not an antichain; the decomposition does not apply"
-        )
-    right = wedge_side(trunc, co)
-    left_profile = reduced_homology(trunc.order_complex(), coeff)
-    right_profile = reduced_homology(right, coeff)
-    report = ComplementationReport(
-        z=z,
-        complements=co,
-        antichain=True,
-        coeff=left_profile.coeff,
-        left_profile=left_profile,
-        right_profile=right_profile,
-        wedge_match=left_profile == right_profile,
-    )
-    return right, report
-
-
 def verify(L: BoundedPoset, z: str, coeff: str = "Z") -> ComplementationReport:
     """Full report for one z: acyclicity always, wedge comparison when Co(z)
     is an antichain."""
-    base = complements_removed_acyclic(L, z, coeff)
-    if not base.antichain:
-        return base
-    _, wreport = wedge_decomposition(L, z, coeff)
+    co = L.complements(z)
+    trunc = L.truncate()
+    removed = reduced_homology(trunc.remove(co).order_complex(), coeff)
+    antichain = trunc.is_antichain(co)
+    wedge_fields = {}
+    if antichain:
+        left = reduced_homology(trunc.order_complex(), coeff)
+        right = reduced_homology(wedge_side(trunc, co), coeff)
+        wedge_fields = dict(left_profile=left, right_profile=right, wedge_match=left == right)
     return ComplementationReport(
         z=z,
-        complements=base.complements,
-        antichain=True,
-        coeff=base.coeff,
-        removed_acyclic=base.removed_acyclic,
-        removed_profile=base.removed_profile,
-        left_profile=wreport.left_profile,
-        right_profile=wreport.right_profile,
-        wedge_match=wreport.wedge_match,
+        complements=co,
+        antichain=antichain,
+        coeff=removed.coeff,
+        removed_acyclic=removed.is_acyclic,
+        removed_profile=removed,
+        **wedge_fields,
     )
 
 

@@ -49,30 +49,6 @@ class PosetDiagram:
             if (a, b) not in self.maps:
                 raise DiagramError(f"missing connecting map for base cover {a!r} < {b!r}")
 
-    def full_maps(self) -> dict[tuple[str, str], dict[str, str]]:
-        """Connecting maps for every strict base relation, built from covers.
-
-        When several cover paths exist the composite along the first one is
-        used; ``validate`` is responsible for checking they all agree.
-        """
-        full = {}
-        pairs = sorted(
-            ((a, b) for a in self.base for b in self.base.upset(a)),
-            key=lambda p: (len(self.base.upset(p[0]) & self.base.downset(p[1])), p),
-        )
-        for a, b in pairs:
-            if (a, b) in self.maps:
-                full[(a, b)] = self.maps[(a, b)]
-                continue
-            via = sorted(self.base.upset(a) & self.base.downset(b))
-            w = via[0]
-            lower, upper = full[(a, w)], full[(w, b)]
-            full[(a, b)] = {x: lower[upper[x]] for x in upper}
-        return full
-
-    def fiber(self, q: str) -> FinitePoset:
-        return self.fibers[q]
-
 
 @dataclass(frozen=True)
 class DiagramReport:
@@ -85,9 +61,14 @@ class DiagramReport:
         return not self.failures
 
 
-def validate(D: PosetDiagram) -> DiagramReport:
-    """Check identities, totality, codomains, monotonicity, and that all
-    cover-path composites agree (plus any supplied long maps)."""
+def _check(D: PosetDiagram) -> tuple[list[str], dict[tuple[str, str], dict[str, str]]]:
+    """One pass over the maps: the failures, and a connecting map for every
+    strict base relation.
+
+    Each relation gets its supplied map, or else the composite through its
+    smallest intermediate element; every other composite must agree with
+    the chosen map.
+    """
     failures: list[str] = []
     base = D.base
     for (q, q2), mapping in sorted(D.maps.items()):
@@ -101,7 +82,7 @@ def validate(D: PosetDiagram) -> DiagramReport:
             if x not in upper:
                 failures.append(f"map {q}<{q2}: domain element {x!r} not in fiber {q2!r}")
     if failures:
-        return DiagramReport(tuple(failures))
+        return failures, {}
 
     for (q, q2), mapping in sorted(D.maps.items()):
         upper = D.fibers[q2]
@@ -138,13 +119,22 @@ def validate(D: PosetDiagram) -> DiagramReport:
                     f"composition mismatch for {a!r} < {b!r}: path via {name!r} disagrees"
                 )
         composite[(a, b)] = first
+    return failures, composite
+
+
+def validate(D: PosetDiagram) -> DiagramReport:
+    """Check identities, totality, codomains, monotonicity, and that all
+    cover-path composites agree (plus any supplied long maps)."""
+    failures, _ = _check(D)
     return DiagramReport(tuple(failures))
 
 
-def _require_valid(D: PosetDiagram) -> None:
-    report = validate(D)
-    if not report.passed:
-        raise DiagramError("invalid diagram: " + "; ".join(report.failures[:3]))
+def _require_valid(D: PosetDiagram) -> dict[tuple[str, str], dict[str, str]]:
+    """The connecting map of every strict base relation of a valid diagram."""
+    failures, maps = _check(D)
+    if failures:
+        raise DiagramError("invalid diagram: " + "; ".join(failures[:3]))
+    return maps
 
 
 def _pair_label(x: str, q: str) -> str:
@@ -154,8 +144,7 @@ def _pair_label(x: str, q: str) -> str:
 def grothendieck(D: PosetDiagram) -> FinitePoset:
     """Poset on fiber-element/base-element pairs: (x, q) <= (y, q') when
     q <= q' and x lies below the image of y in the fiber over q."""
-    _require_valid(D)
-    full = D.full_maps()
+    full = _require_valid(D)
     elements = [_pair_label(x, q) for q in D.base for x in D.fibers[q]]
     rels = []
     for q in D.base:
@@ -176,8 +165,7 @@ def grothendieck(D: PosetDiagram) -> FinitePoset:
 def diagram_flatten(D: PosetDiagram) -> FinitePoset:
     """Strict-equality flattening: fibers count as antichains and x < y holds
     exactly when the connecting map sends y to x."""
-    _require_valid(D)
-    full = D.full_maps()
+    full = _require_valid(D)
     elements = [_pair_label(x, q) for q in D.base for x in D.fibers[q]]
     rels = []
     for (q, q2), mapping in full.items():

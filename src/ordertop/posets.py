@@ -245,9 +245,12 @@ class BoundedPoset:
     def __init__(self, poset: FinitePoset, bottom: str, top: str):
         if bottom == top:
             raise PosetError("bottom and top must be distinct")
-        for e in poset:
-            if not (poset.leq(bottom, e) and poset.leq(e, top)):
-                raise PosetError(f"element {e!r} is not between the given bounds")
+        b, t = poset._idx(bottom), poset._idx(top)
+        between = (poset._up[b] | 1 << b) & (poset._down[t] | 1 << t)
+        outside = ~between & ((1 << len(poset)) - 1)
+        if outside:
+            e = poset.elements[next(_bits(outside))]
+            raise PosetError(f"element {e!r} is not between the given bounds")
         self.poset = poset
         self.bottom = bottom
         self.top = top
@@ -303,7 +306,9 @@ class BoundedPoset:
             raise PosetError("z must lie strictly between the bounds")
         self.poset._idx(z)
         out = []
-        for x in self.truncate():
+        for x in self.poset.elements:
+            if x in (self.bottom, self.top):
+                continue
             m, j = self.meet(x, z), self.join(x, z)
             if m is None:
                 raise MeetJoinError(f"meet of {x!r} and {z!r} does not exist")

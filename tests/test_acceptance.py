@@ -72,12 +72,11 @@ def test_criterion_3_complementation_formula():
     for _, _, L in lattices:
         trunc = L.truncate()
         for z in trunc:
-            base = complementation.complements_removed_acyclic(L, z)
-            assert base.removed_acyclic, (L, z)
+            result = complementation.verify(L, z)
+            assert result.removed_acyclic, (L, z)
             acyclic_checked += 1
-            if trunc.is_antichain(base.complements):
-                _, wreport = complementation.wedge_decomposition(L, z)
-                assert wreport.wedge_match, (L, z)
+            if trunc.is_antichain(result.complements):
+                assert result.wedge_match, (L, z)
                 wedge_checked += 1
     assert wedge_checked > 0
     report(

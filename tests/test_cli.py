@@ -6,7 +6,13 @@ from ordertop import complementation, config, grassmann, spheres
 from ordertop.cli import CommandOutcome, run
 from ordertop.complexes import format_cplx, parse_cplx
 from ordertop.homology import reduced_homology
-from ordertop.posets import BoundedPoset, boolean_lattice, format_poset, parse_poset
+from ordertop.posets import (
+    BoundedPoset,
+    boolean_lattice,
+    format_poset,
+    parse_poset,
+    partition_lattice,
+)
 
 B3_POSET = format_poset(boolean_lattice(3))
 TRIANGLE_CPLX = "a b\nb c\na c\n"
@@ -93,6 +99,24 @@ class TestComplementationCommand:
             f"antichain {'true' if report.antichain else 'false'}",
             "removed_acyclic true",
             "wedge_match true",
+            "verdict pass",
+        )
+
+    def test_verify_record_non_antichain(self, tmp_path):
+        path = tmp_path / "pi4.poset"
+        path.write_text(format_poset(partition_lattice(4)))
+        outcome = run(["complementation", "verify", str(path), "--z", "(12)(34)"])
+        assert outcome.exit_code == 0
+        assert outcome.stdout_lines == (
+            "z (12)(34)",
+            "complement (1)(23)(4)",
+            "complement (1)(24)(3)",
+            "complement (13)(2)(4)",
+            "complement (13)(24)",
+            "complement (14)(2)(3)",
+            "complement (14)(23)",
+            "antichain false",
+            "removed_acyclic true",
             "verdict pass",
         )
 

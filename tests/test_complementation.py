@@ -3,13 +3,8 @@ import random
 import pytest
 
 from randgen import random_antichain, random_poset
-from ordertop.complementation import (
-    AntichainError,
-    complements_removed_acyclic,
-    quotient_wedge_check,
-    verify,
-    wedge_decomposition,
-)
+from ordertop import complementation
+from ordertop.complementation import AntichainError, quotient_wedge_check, verify, wedge_side
 from ordertop.complexes import SimplicialComplex
 from ordertop.homology import reduced_homology
 from ordertop.posets import (
@@ -41,18 +36,18 @@ def polygon_face_lattice(n):
 
 class TestRemovedAcyclic:
     def test_boolean_3(self):
-        report = complements_removed_acyclic(bounded(boolean_lattice(3)), "{1}")
+        report = verify(bounded(boolean_lattice(3)), "{1}")
         assert report.complements == {"{2,3}"}
         assert report.removed_acyclic
         # five elements survive the removal
         assert len(report.removed_profile.betti) == 0
 
     def test_partition_4_coatom(self):
-        report = complements_removed_acyclic(bounded(partition_lattice(4)), "(123)(4)")
+        report = verify(bounded(partition_lattice(4)), "(123)(4)")
         assert report.removed_acyclic
 
     def test_chain_3_middle(self):
-        report = complements_removed_acyclic(bounded(chain_poset(3)), "2")
+        report = verify(bounded(chain_poset(3)), "2")
         assert report.complements == frozenset()
         assert report.removed_acyclic
 
@@ -60,57 +55,59 @@ class TestRemovedAcyclic:
     def test_every_z_in_boolean(self, n):
         B = bounded(boolean_lattice(n))
         for z in B.truncate():
-            assert complements_removed_acyclic(B, z).removed_acyclic
+            assert verify(B, z).removed_acyclic
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_every_z_in_partition(self, n):
         B = bounded(partition_lattice(n))
         for z in B.truncate():
-            assert complements_removed_acyclic(B, z).removed_acyclic
+            assert verify(B, z).removed_acyclic
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_every_z_in_polygon_face_lattice(self, n):
         B = polygon_face_lattice(n)
         for z in B.truncate():
-            assert complements_removed_acyclic(B, z).removed_acyclic
+            assert verify(B, z).removed_acyclic
 
 
 class TestWedgeDecomposition:
     def test_boolean_3(self):
         B = bounded(boolean_lattice(3))
-        right, report = wedge_decomposition(B, "{1}")
+        report = verify(B, "{1}")
+        right = wedge_side(B.truncate(), report.complements)
         assert report.wedge_match
         assert reduced_homology(right).betti == {1: 1}  # one suspended S^0
 
     def test_partition_4_coatom(self):
         B = bounded(partition_lattice(4))
-        right, report = wedge_decomposition(B, "(123)(4)")
+        report = verify(B, "(123)(4)")
+        right = wedge_side(B.truncate(), report.complements)
         assert len(report.complements) == 3
         assert reduced_homology(right).betti == {1: 6}
         assert report.wedge_match
 
     def test_boolean_2_smallest(self):
         B = bounded(boolean_lattice(2))
-        right, report = wedge_decomposition(B, "{1}")
+        report = verify(B, "{1}")
+        right = wedge_side(B.truncate(), report.complements)
         assert reduced_homology(right).betti == {0: 1}  # suspension of empty
         assert report.wedge_match
 
     def test_empty_antichain_means_contractible(self):
         B = bounded(chain_poset(3))
-        right, report = wedge_decomposition(B, "2")
+        report = verify(B, "2")
+        right = wedge_side(B.truncate(), report.complements)
         assert report.complements == frozenset()
         assert reduced_homology(right).is_acyclic
         assert report.wedge_match
 
     def test_non_antichain_rejected(self):
         # find a z in the partition lattice whose complement set is not an
-        # antichain; the decomposition must refuse it
+        # antichain; verify must skip the wedge comparison for it
         B = bounded(partition_lattice(4))
         trunc = B.truncate()
         offenders = [z for z in trunc if not trunc.is_antichain(B.complements(z))]
         assert offenders
-        with pytest.raises(AntichainError):
-            wedge_decomposition(B, offenders[0])
         report = verify(B, offenders[0])
         assert report.antichain is False
         assert report.wedge_match is None
@@ -132,6 +129,38 @@ class TestVerify:
         report = verify(bounded(boolean_lattice(3)), "{1}", coeff="z2")
         assert report.coeff == "Z/2"
         assert report.passed
+
+    def test_wedge_mismatch_fails(self, monkeypatch):
+        # the formula holds on every lattice, so only a wrong wedge side
+        # can make the two profiles differ
+        monkeypatch.setattr(
+            complementation, "wedge_side", lambda trunc, co: SimplicialComplex([["a"], ["b"]])
+        )
+        report = verify(bounded(boolean_lattice(3)), "{1}")
+        assert report.antichain and report.removed_acyclic
+        assert report.left_profile.betti == {1: 1}
+        assert report.right_profile.betti == {0: 1}
+        assert report.wedge_match is False
+        assert not report.passed
+
+    @pytest.mark.parametrize(
+        "lattice, z, antichain",
+        [(boolean_lattice(3), "{1}", True), (partition_lattice(4), "(12)(34)", False)],
+    )
+    def test_one_proper_part_and_one_complement_set(self, monkeypatch, lattice, z, antichain):
+        calls = {"truncate": 0, "complements": 0}
+        for name in calls:
+            original = getattr(BoundedPoset, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(BoundedPoset, name, counted)
+        report = verify(bounded(lattice), z)
+        assert report.antichain is antichain
+        assert report.passed
+        assert calls == {"truncate": 1, "complements": 1}
 
 
 class TestQuotientWedge:

@@ -12,7 +12,7 @@ from ordertop.diagrams import (
     parse_pdiag,
     validate,
 )
-from ordertop.posets import FinitePoset, chain_poset
+from ordertop.posets import FinitePoset, boolean_lattice, chain_poset
 
 TWO_CHAIN = FinitePoset(["0", "1"], [("0", "1")])
 
@@ -121,6 +121,98 @@ class TestFlatten:
         mapping = {u: rng.choice(lower.elements) for u in upper.elements}
         D = two_chain_diagram(lower, upper, mapping)
         assert diagram_flatten(D) == grothendieck(D)
+
+
+def chain_base_diagram(long_map):
+    """Over the 3-chain 1 < 2 < 3; the composite 1 < 3 sends e to b and f to a."""
+    fibers = {
+        "1": FinitePoset(["a", "b"], [("a", "b")]),
+        "2": FinitePoset(["c", "d"]),
+        "3": FinitePoset(["e", "f"]),
+    }
+    maps = {("1", "2"): {"c": "a", "d": "b"}, ("2", "3"): {"e": "d", "f": "c"}}
+    if long_map:
+        maps[("1", "3")] = {"e": "b", "f": "a"}
+    return PosetDiagram(chain_poset(3), fibers, maps)
+
+
+def square_base_diagram(long_map):
+    """Over the Boolean square; both cover paths from {} to {1,2} send t to q."""
+    fibers = {
+        "{}": FinitePoset(["p", "q"], [("p", "q")]),
+        "{1}": FinitePoset(["r"]),
+        "{2}": FinitePoset(["s"]),
+        "{1,2}": FinitePoset(["t"]),
+    }
+    maps = {
+        ("{}", "{1}"): {"r": "q"},
+        ("{}", "{2}"): {"s": "q"},
+        ("{1}", "{1,2}"): {"t": "r"},
+        ("{2}", "{1,2}"): {"t": "s"},
+    }
+    if long_map:
+        maps[("{}", "{1,2}")] = {"t": "q"}
+    return PosetDiagram(boolean_lattice(2), fibers, maps)
+
+
+def poset_from(elements, relations):
+    return FinitePoset(elements, [tuple(r.split("<")) for r in relations])
+
+
+class TestLongRelations:
+    """Bases with relations that are not covers, so connecting maps compose."""
+
+    CHAIN_ELEMENTS = ["a@1", "b@1", "c@2", "d@2", "e@3", "f@3"]
+    SQUARE_ELEMENTS = ["p@{}", "q@{}", "r@{1}", "s@{2}", "t@{1,2}"]
+
+    @pytest.mark.parametrize("long_map", [False, True])
+    def test_chain_base_grothendieck(self, long_map):
+        D = chain_base_diagram(long_map)
+        assert validate(D).passed
+        expected = poset_from(
+            self.CHAIN_ELEMENTS,
+            ["a@1<b@1", "a@1<c@2", "b@1<d@2", "d@2<e@3", "c@2<f@3",
+             "a@1<d@2", "a@1<e@3", "b@1<e@3", "a@1<f@3"],
+        )
+        assert grothendieck(D) == expected
+
+    @pytest.mark.parametrize("long_map", [False, True])
+    def test_chain_base_flatten(self, long_map):
+        D = chain_base_diagram(long_map)
+        expected = poset_from(
+            self.CHAIN_ELEMENTS,
+            ["a@1<c@2", "b@1<d@2", "d@2<e@3", "c@2<f@3", "b@1<e@3", "a@1<f@3"],
+        )
+        assert diagram_flatten(D) == expected
+
+    @pytest.mark.parametrize("long_map", [False, True])
+    def test_square_base_grothendieck(self, long_map):
+        D = square_base_diagram(long_map)
+        assert validate(D).passed
+        expected = poset_from(
+            self.SQUARE_ELEMENTS,
+            ["p@{}<q@{}", "p@{}<r@{1}", "q@{}<r@{1}", "p@{}<s@{2}", "q@{}<s@{2}",
+             "r@{1}<t@{1,2}", "s@{2}<t@{1,2}", "p@{}<t@{1,2}", "q@{}<t@{1,2}"],
+        )
+        assert grothendieck(D) == expected
+
+    @pytest.mark.parametrize("long_map", [False, True])
+    def test_square_base_flatten(self, long_map):
+        D = square_base_diagram(long_map)
+        expected = poset_from(
+            self.SQUARE_ELEMENTS,
+            ["q@{}<r@{1}", "q@{}<s@{2}", "r@{1}<t@{1,2}", "s@{2}<t@{1,2}", "q@{}<t@{1,2}"],
+        )
+        assert diagram_flatten(D) == expected
+
+    def test_paths_disagree_on_square(self):
+        D = square_base_diagram(False)
+        D.fibers["{2}"] = FinitePoset(["s", "s'"])
+        D.maps[("{}", "{2}")] = {"s": "q", "s'": "p"}
+        D.maps[("{2}", "{1,2}")] = {"t": "s'"}
+        assert any("mismatch" in f for f in validate(D).failures)
+        with pytest.raises(DiagramError, match="mismatch"):
+            diagram_flatten(D)
 
 
 class TestCylinder:

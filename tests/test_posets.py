@@ -174,6 +174,26 @@ class TestTruncate:
         assert T.order_complex().is_empty
 
 
+class TestBounds:
+    def test_bounds_must_be_elements(self):
+        with pytest.raises(PosetError, match="unknown element"):
+            BoundedPoset(FinitePoset([]), "a", "b")
+        with pytest.raises(PosetError, match="unknown element"):
+            BoundedPoset(chain_poset(3), "1", "4")
+
+    def test_element_outside_bounds_named(self):
+        # "a" and "c" both lie outside [1, 3]; the lowest label is named
+        P = FinitePoset(["1", "2", "3", "a", "c"], [("1", "2"), ("2", "3"), ("a", "2")])
+        with pytest.raises(PosetError, match="element 'a' is not between the given bounds"):
+            BoundedPoset(P, "1", "3")
+        with pytest.raises(PosetError, match="element '3' is not between the given bounds"):
+            BoundedPoset(chain_poset(3), "1", "2")
+
+    def test_distinct_bounds(self):
+        with pytest.raises(PosetError, match="distinct"):
+            BoundedPoset(chain_poset(1), "1", "1")
+
+
 class TestMobius:
     def test_boolean_3(self):
         B = bounded(boolean_lattice(3))
