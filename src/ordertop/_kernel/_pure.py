@@ -1,18 +1,26 @@
-"""Exact column reduction over Z and Z/2, with clearing.
+"""Exact column reduction over Z and Z/2, with clearing and apparent pivots.
 
 Both entry points reduce the columns of a sparse matrix left to right: each
-column is reduced against the earlier pivot columns until its lowest nonzero
-row (its "low") is a row no earlier pivot owns.  ``reduced_homology`` calls
-them once per degree, top dimension down, and passes the pivot rows found in
-degree k+1 as ``cleared`` columns of degree k (the clearing or "twist" trick
-of Chen-Kerber, *Persistent homology computation with a twist*, 2011).  A
-cleared column never has to be reduced: over Z/2 it is a combination of the
+column is reduced against the pivot columns until its lowest nonzero row (its
+"low") is a row no pivot owns.  ``reduced_homology`` calls them once per
+degree on the coboundaries, degree 0 upward, and passes the pivot rows found
+in one degree as ``cleared`` columns of the next (the clearing or "twist"
+trick of Chen-Kerber, *Persistent homology computation with a twist*, 2011).
+A cleared column never has to be reduced: over Z/2 it is a combination of the
 other columns, and over Z it is an integer one because only +-1 lows become
 pivots.  When ``pivot_rows`` is a list, the pivot rows found are appended.
 
+Before any reduction, one array pass finds the apparent pivots (Bauer,
+*Ripser*, J. Appl. Comput. Topol. 2021): the first active column with a given
+initial low owns that row, over Z only when its low entry is +-1.  No column
+has to be reduced to find them, so only the other columns run the Python
+loop.  Taking pivots out of left-to-right order is still a sequence of
+unimodular column operations, since a pivot column is never changed.
+
 A matrix arrives in compressed columns (``homology.SparseMatrix``); each of
 its arrays is read once into a Python list, and a column becomes a dict (over
-Z) or a bitset (over Z/2) only when its turn comes.
+Z) or a bitset (over Z/2) only when its turn comes, or for a pivot when some
+column is first reduced against it.
 
 The names ``eliminate_unit_pivots`` and ``rank_mod2`` are the kernel entry
 points the benchmark tracer wraps.
@@ -23,6 +31,31 @@ from __future__ import annotations
 from typing import Collection
 
 import numpy as np
+
+
+def _apparent_pivots(
+    ptr: np.ndarray, rows: np.ndarray, vals: np.ndarray | None, cleared: Collection[int]
+) -> tuple[dict[int, int], list[int]]:
+    """Split the nonempty columns that are not ``cleared`` into apparent
+    pivots and the rest.
+
+    Returns ``({low row: column}, other columns ascending)``.  A column is an
+    apparent pivot when no earlier one of these columns has the same initial
+    low and, unless ``vals`` is None (over Z/2), that low entry is +-1.
+    """
+    ends = ptr[1:]
+    active = ends > ptr[:-1]
+    if cleared:
+        active[np.fromiter(cleared, np.int64, len(cleared))] = False
+    cols = np.flatnonzero(active)
+    last = ends[cols] - 1
+    lows, first = np.unique(rows[last], return_index=True)
+    if vals is not None:
+        unit = np.abs(vals[last[first]]) == 1
+        lows, first = lows[unit], first[unit]
+    rest = np.ones(len(cols), dtype=bool)
+    rest[first] = False
+    return dict(zip(lows.tolist(), cols[first].tolist())), cols[rest].tolist()
 
 
 def _subtract(col: dict[int, int], q: int, piv: dict[int, int]) -> None:
@@ -50,13 +83,17 @@ def eliminate_unit_pivots(
     unimodular and the residual columns vanish on its rows.
     """
     ptr, rows, vals = m.ptr.tolist(), m.rows.tolist(), m.vals.tolist()
-    pivots: dict[int, dict[int, int]] = {}  # low row -> pivot column, +-1 there
+
+    def column(c: int) -> dict[int, int]:
+        return dict(zip(rows[ptr[c] : ptr[c + 1]], vals[ptr[c] : ptr[c + 1]]))
+
+    # low row -> pivot column, +-1 there; an apparent pivot is held as its
+    # column index until a column is first reduced against it
+    pivots: dict[int, dict[int, int] | int]
+    pivots, rest = _apparent_pivots(m.ptr, m.rows, m.vals, cleared)
     set_aside: list[tuple[int, dict[int, int]]] = []
-    for c in range(m.n_cols):
-        a, b = ptr[c], ptr[c + 1]
-        if a == b or c in cleared:
-            continue
-        col = dict(zip(rows[a:b], vals[a:b]))
+    for c in rest:
+        col = column(c)
         while col:
             low = max(col)
             piv = pivots.get(low)
@@ -66,6 +103,8 @@ def eliminate_unit_pivots(
                 else:
                     set_aside.append((c, col))
                 break
+            if piv.__class__ is int:
+                piv = pivots[low] = column(piv)
             _subtract(col, col[low] * piv[low], piv)
 
     residual = []
@@ -73,6 +112,8 @@ def eliminate_unit_pivots(
         while hits := [r for r in col if r in pivots]:
             low = max(hits)
             piv = pivots[low]
+            if piv.__class__ is int:
+                piv = pivots[low] = column(piv)
             _subtract(col, col[low] * piv[low], piv)
         residual += [(r, c, v) for r, v in col.items()]
     if pivot_rows is not None:
@@ -86,22 +127,31 @@ def rank_mod2(m, cleared: Collection[int] = (), pivot_rows: list[int] | None = N
     packed into a Python integer, bit r for row r, only when its turn comes,
     so at most the pivots are held as bitsets."""
     odd = (m.vals % 2).astype(bool)
-    ptr = np.concatenate(([0], np.cumsum(odd)))[m.ptr].tolist()
-    rows = m.rows[odd].tolist()
-    pivots: dict[int, int] = {}  # low row -> pivot column
-    for c in range(m.n_cols):
-        a, b = ptr[c], ptr[c + 1]
-        if a == b or c in cleared:
-            continue
+    odd_ptr = np.concatenate(([0], np.cumsum(odd)))[m.ptr]
+    odd_rows = m.rows[odd]
+    ptr, rows = odd_ptr.tolist(), odd_rows.tolist()
+
+    def bitset(c: int) -> int:
         col = 0
-        for r in rows[a:b]:
+        for r in rows[ptr[c] : ptr[c + 1]]:
             col ^= 1 << r
+        return col
+
+    # low row -> pivot column as a bitset; an apparent pivot is held as the
+    # complement ~c of its column index (negative, so never a bitset) until
+    # a column is first reduced against it
+    apparent, rest = _apparent_pivots(odd_ptr, odd_rows, None, cleared)
+    pivots = {low: ~c for low, c in apparent.items()}
+    for c in rest:
+        col = bitset(c)
         while col:
             low = col.bit_length() - 1
             piv = pivots.get(low)
             if piv is None:
                 pivots[low] = col
                 break
+            if piv < 0:
+                piv = pivots[low] = bitset(~piv)
             col ^= piv
     if pivot_rows is not None:
         pivot_rows += pivots

@@ -11,12 +11,15 @@ of ``ordertop.complexes`` with array operations only, and the constructor
 checks d_k o d_{k+1} = 0 for every consecutive pair on the same arrays,
 exactly.
 
-``reduced_homology`` reduces the boundary matrices top dimension down with
-the column reducer in ``ordertop._kernel._pure``, clearing from d_k the pivot
-rows of d_{k+1}.  Over Z only +-1 lows become pivots, which keeps clearing
-exact; the few columns left over go to the classical Smith normal form
-``_dense_snf``.  ``smith_normal_form`` runs the same reduction on a single
-matrix, without clearing.
+``reduced_homology`` reduces the coboundaries d_k^T, degree 0 upward, with
+the column reducer in ``ordertop._kernel._pure``.  Each coboundary has its
+rows and columns numbered backwards (``_coboundary``), so the low of a column
+is its lexicographically first coface, and the pivot rows of one degree are
+cleared from the columns of the next.  Over Z only +-1 lows become pivots,
+which keeps clearing exact; the few columns left over go to the classical
+Smith normal form ``_dense_snf``.  ``smith_normal_form`` and
+``invariant_factors`` run the same reducer on a single matrix, untransposed
+and without clearing.
 """
 
 from __future__ import annotations
@@ -225,7 +228,7 @@ def invariant_factors(
     """Invariant factors d1 | d2 | ... of an integer matrix (d_i > 0).
 
     The columns in ``cleared`` are left out, and the pivot rows are appended
-    to ``pivot_rows`` when it is a list (see ``reduced_homology``).
+    to ``pivot_rows`` when it is a list (see ``_factors_by_degree``).
     """
     units, residual = _pure.eliminate_unit_pivots(m, cleared, pivot_rows)
     return (1,) * units + tuple(_dense_snf(residual))
@@ -358,37 +361,61 @@ class HomologyProfile:
         return f"HomologyProfile[{self.coeff}]({inner})"
 
 
-def reduced_homology(K: SimplicialComplex, coeff: str = Z) -> HomologyProfile:
-    """Reduced simplicial homology of K over Z or Z/2.
+def _coboundary(d: SparseMatrix) -> SparseMatrix:
+    """The transpose of ``d`` with its rows and its columns both numbered
+    backwards: entry (r, c, v) goes to (n_cols-1-c, n_rows-1-r, v).
 
-    Degrees are reduced top down, and the pivot rows of d_{k+1} are cleared
-    from the columns of d_k (see ``ordertop._kernel._pure``).
+    One stable argsort by row, read backwards, orders the entries by their
+    new column and, within one, by ascending new row.  For d_k the low of a
+    column is then the lexicographically first coface of a (k-1)-face, and
+    the row numbering is the column numbering of the coboundary of d_{k+1}.
     """
-    ring = normalize_coeff(coeff)
-    cc = ChainComplex.from_complex(K)
-    ranks: dict[int, int] = {}
+    order = np.argsort(d.rows, kind="stable")[::-1]
+    cols = np.repeat(np.arange(d.n_cols), np.diff(d.ptr))
+    ptr = np.zeros(d.n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(d.rows, minlength=d.n_rows)[::-1], out=ptr[1:])
+    return SparseMatrix(d.n_cols, d.n_rows, ptr, d.n_cols - 1 - cols[order], d.vals[order])
+
+
+def _factors_by_degree(cc: ChainComplex, ring: str) -> dict[int, tuple[int, ...]]:
+    """The invariant factors of every d_k over ``ring`` (over Z/2, one 1 per
+    unit of rank), from the coboundaries reduced degree 0 upward.
+
+    The pivot rows of the coboundary of d_k are cleared from the columns of
+    the coboundary of d_{k+1} (see ``ordertop._kernel._pure``).
+    """
     factors: dict[int, tuple[int, ...]] = {}
-    cleared: frozenset[int] = frozenset()
-    for k in sorted(cc.boundary, reverse=True):
-        mat = cc.boundary[k]
+    cleared: list[int] = []
+    for k in sorted(cc.boundary):
+        mat = _coboundary(cc.boundary[k])
         pivot_rows: list[int] = []
         if ring == Z:
             factors[k] = invariant_factors(mat, cleared, pivot_rows)
-            ranks[k] = len(factors[k])
         else:
-            ranks[k] = _pure.rank_mod2(mat, cleared, pivot_rows)
-        cleared = frozenset(pivot_rows)
+            factors[k] = (1,) * _pure.rank_mod2(mat, cleared, pivot_rows)
+        cleared = pivot_rows
+    return factors
+
+
+def reduced_homology(K: SimplicialComplex, coeff: str = Z) -> HomologyProfile:
+    """Reduced simplicial homology of K over Z or Z/2.
+
+    Every rank and invariant factor comes from the coboundaries, reduced
+    degree 0 upward with clearing (``_factors_by_degree``).
+    """
+    ring = normalize_coeff(coeff)
+    cc = ChainComplex.from_complex(K)
+    factors = _factors_by_degree(cc, ring)
 
     betti: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
     for k in range(-1, cc.dim + 1):
-        b = cc.counts.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        b = cc.counts.get(k, 0) - len(factors.get(k, ())) - len(factors.get(k + 1, ()))
         if b:
             betti[k] = b
-        if ring == Z:
-            tors = tuple(f for f in factors.get(k + 1, ()) if f > 1)
-            if tors:
-                torsion[k] = tors
+        tors = tuple(f for f in factors.get(k + 1, ()) if f > 1)
+        if tors:
+            torsion[k] = tors
     profile = HomologyProfile(ring, betti, torsion, cc.dim)
 
     expected = sum((-1 if k % 2 else 1) * n for k, n in cc.counts.items())

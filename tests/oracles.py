@@ -117,7 +117,21 @@ def rank_fraction(mat):
 
 
 def rank_gf2(mat):
-    rows = [sum((x & 1) << j for j, x in enumerate(row)) for row in mat]
+    return _rank_gf2_rows(sum((x & 1) << j for j, x in enumerate(row)) for row in mat)
+
+
+def rank_gf2_entries(entries):
+    """Rank over GF(2) of a matrix given as (row, col, value) triples, with
+    duplicates summed."""
+    rows = {}
+    for r, c, v in entries:
+        if v & 1:
+            rows[r] = rows.get(r, 0) ^ (1 << c)
+    return _rank_gf2_rows(rows.values())
+
+
+def _rank_gf2_rows(rows):
+    """Row elimination by lowest set bit over rows packed as integers."""
     pivots = {}
     rank = 0
     for vec in rows:

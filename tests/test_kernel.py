@@ -1,18 +1,24 @@
 import random
 
+import numpy as np
 import pytest
 
 import oracles
 from randgen import moore_space, projective_plane, random_complex, torsion_cases
 from ordertop._kernel import _pure
-from ordertop.complexes import join
+from ordertop.complexes import cyclic_polytope_boundary, join
 from ordertop.homology import (
+    Z,
+    Z2,
     ChainComplex,
     SparseMatrix,
+    _coboundary,
     _dense_snf,
+    _factors_by_degree,
     invariant_factors,
     smith_normal_form,
 )
+from ordertop.posets import BoundedPoset, exp_discrete_poset, partition_lattice
 
 
 def random_entries(rng, n_rows, n_cols, nnz, lo=-6, hi=6):
@@ -112,3 +118,41 @@ def test_clearing_keeps_factors_and_ranks(index):
         _pure.rank_mod2(upper, pivot_rows=rows_2)
         assert invariant_factors(lower, frozenset(rows_z)) == invariant_factors(lower)
         assert _pure.rank_mod2(lower, frozenset(rows_2)) == _pure.rank_mod2(lower)
+
+
+def dense_array(m):
+    a = np.zeros((m.n_rows, m.n_cols), dtype=np.int64)
+    for r, c, v in m.entries:
+        a[r, c] = v
+    return a
+
+
+@pytest.mark.parametrize("index", range(len(COMPLEXES)))
+def test_coboundary_is_the_backward_transpose(index):
+    for d in ChainComplex.from_complex(COMPLEXES[index]).boundary.values():
+        cob = _coboundary(d)
+        assert (cob.n_rows, cob.n_cols) == (d.n_cols, d.n_rows)
+        assert (dense_array(cob) == dense_array(d).T[::-1, ::-1]).all()
+
+
+def proper_part(P):
+    return BoundedPoset.from_poset(P).truncate().order_complex()
+
+
+FACTOR_CASES = {name: lambda K=K: K for name, K in torsion_cases().items()}
+FACTOR_CASES.update({f"pi{n}": lambda n=n: proper_part(partition_lattice(n)) for n in (4, 5, 6)})
+FACTOR_CASES["exp8_4"] = lambda: exp_discrete_poset(8, 4).order_complex()
+FACTOR_CASES["cyclic11_8"] = lambda: cyclic_polytope_boundary(11, 8)
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_CASES))
+def test_coboundary_factors_per_degree(name):
+    # Reduced as coboundaries with clearing, every d_k keeps the invariant
+    # factors it has when reduced by itself, untransposed and uncleared, and
+    # its rank over GF(2).
+    cc = ChainComplex.from_complex(FACTOR_CASES[name]())
+    over_z, over_2 = _factors_by_degree(cc, Z), _factors_by_degree(cc, Z2)
+    assert set(over_z) == set(over_2) == set(cc.boundary)
+    for k, d in cc.boundary.items():
+        assert over_z[k] == invariant_factors(d)
+        assert over_2[k] == (1,) * oracles.rank_gf2_entries(d.entries)

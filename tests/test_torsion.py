@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 import randgen
+from ordertop import homology
 from ordertop.complexes import join
 from ordertop.homology import reduced_homology
 from ordertop.posets import face_poset
@@ -80,3 +81,20 @@ def test_coprime_torsion_join_is_acyclic():
     K = join(NAMED["rp2"], NAMED["moore3"])
     assert reduced_homology(K).is_acyclic
     assert reduced_homology(K, "z2").is_acyclic
+
+
+def test_triple_join_leaves_a_small_residual(monkeypatch):
+    # The torsion follows from Kunneth for joins.  The residual sent to the
+    # dense Smith normal form stays at most the 1,521 entries that reducing
+    # the boundaries top down left; taking the last coface as the low of a
+    # coboundary column left about 25,000.
+    sizes = []
+    dense_snf = homology._dense_snf
+    monkeypatch.setattr(
+        homology, "_dense_snf", lambda entries: sizes.append(len(entries)) or dense_snf(entries)
+    )
+    rp2 = NAMED["rp2"]
+    profile = reduced_homology(join(join(rp2, rp2), rp2))
+    assert profile.betti == {}
+    assert profile.torsion == {5: (2,), 6: (2, 2), 7: (2,)}
+    assert sum(sizes) <= 1521

@@ -12,9 +12,8 @@ import pytest
 
 import oracles
 from randgen import projective_plane
-from ordertop._kernel import _pure
 from ordertop.complexes import SimplicialComplex
-from ordertop.homology import SparseMatrix, reduced_homology
+from ordertop.homology import reduced_homology
 from ordertop.posets import BoundedPoset, partition_lattice
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -67,11 +66,9 @@ def test_counts_match_independent_ones(tracer, name, coeff):
     rank = sum(oracles.rank_fraction(m) for m in dense.values())
     _, torsion = oracles.sympy_homology(K.facets)
     assert counts["kernel.unit_pivots"] == rank - sum(len(t) for t in torsion.values())
-    # The top boundary is reduced without clearing, and the lower ones of
-    # these complexes leave no residual.
-    top = max(mats)
-    _, residual = _pure.eliminate_unit_pivots(SparseMatrix.from_entries(*mats[top]))
-    assert counts["homology.residual_entries"] == len(residual)
+    # Each torsion factor of these complexes is left to the residual as one
+    # entry, and nothing else is.
+    assert counts["homology.residual_entries"] == sum(len(t) for t in torsion.values())
 
 
 def test_order_complex_counts_facets(tracer):
