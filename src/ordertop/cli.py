@@ -209,14 +209,18 @@ def _cmd_diagram(args) -> tuple[list[str], bool]:
     D = diagrams.parse_pdiag(_read(args.file))
     if args.subcommand == "grothendieck":
         return format_poset(diagrams.grothendieck(D)).splitlines(), True
-    report = diagrams.validate(D)
-    lines = [f"valid {_bool(report.passed)}"]
-    passed = report.passed
-    base = D.base
-    if passed and len(base) == 2 and len(base.covers) == 1:
-        cyl = diagrams.cylinder_check(D)
-        lines.append(f"cylinder_match {_bool(cyl.passed)}")
+    if len(D.base) == 2 and len(D.base.covers) == 1:
+        # The cylinder check validates the diagram itself; on this base its
+        # only DiagramError is a failed validation.
+        try:
+            cyl = diagrams.cylinder_check(D)
+        except diagrams.DiagramError:
+            return ["valid false", "verdict fail"], False
+        lines = ["valid true", f"cylinder_match {_bool(cyl.passed)}"]
         passed = cyl.passed
+    else:
+        passed = diagrams.validate(D).passed
+        lines = [f"valid {_bool(passed)}"]
     lines.append(f"verdict {'pass' if passed else 'fail'}")
     return lines, passed
 

@@ -39,6 +39,16 @@ def _check_label(label: str) -> str:
 _NO_FACETS: frozenset[int] = frozenset()
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+# Largest array of vertex ids that ``_face_table`` stacks for one dimension:
+# each face one dimension up once per dropped vertex, plus the facets of
+# that size.  The peak memory of ``ordertop homology`` grows with the
+# largest stack (one fresh process each, 2-CPU x86 VM): the order complex of
+# the full partition lattice Pi_7 stacks 7.19 M ids and peaks at about
+# 600 MB; the 18-vertex simplex stacks 3.94 M and peaks at 265 MB; the
+# 19-vertex simplex would stack 8.31 M (not measured) and the 20-vertex
+# simplex 18.5 M, which peaked at 1.1 GB and took 8.9 s without this limit.
+MAX_STACK_ENTRIES = 8_000_000
+
 
 class FaceTable(NamedTuple):
     """All nonempty faces of a complex as arrays of vertex ids, by dimension.
@@ -83,9 +93,15 @@ def _face_table(vertices: tuple[str, ...], facets: Iterable[frozenset[str]]) -> 
     top = max(by_size, default=0)
     for size in range(top, 0, -1):
         labels = by_size.get(size, ())
+        upper = faces.get(size)  # faces with one vertex more, or None at the top
+        entries = len(labels) + (0 if upper is None else upper.size * size)
+        if entries > MAX_STACK_ENTRIES:
+            raise ComplexError(
+                f"the {size - 1}-faces need a table of {entries} vertex ids, "
+                f"above the limit {MAX_STACK_ENTRIES}"
+            )
         own = np.fromiter(map(id_of, labels), dtype=np.int64, count=len(labels))
         own = np.sort(own.reshape(-1, size), axis=1, kind="stable")
-        upper = faces.get(size)  # faces with one vertex more, or None at the top
         if upper is None:
             stacked = own
         else:

@@ -1,9 +1,11 @@
 """Finite posets: parsing, generators, Mobius function, complements, order complexes.
 
-Order data is kept as reachability bitmasks over the canonical (lexicographic)
-element ordering, which makes comparability queries, cone extraction and
-brute-force meets/joins cheap at desk scale.  The generators emit cover
-relations only and leave the transitive closure to ``FinitePoset``.
+Order data is kept as index bitmasks over the canonical (lexicographic)
+element ordering: per element its strict up-set, down-set and covers, all
+computed in one topological pass over the given relations.  Comparability
+queries, cone extraction, derived posets, maximal chains and brute-force
+meets/joins read those masks.  The generators emit cover relations only and
+leave the transitive closure to ``FinitePoset``.
 """
 
 from __future__ import annotations
@@ -33,12 +35,15 @@ def _check_label(label: str) -> str:
 class FinitePoset:
     """Immutable finite poset on string labels.
 
-    Built from an element list and arbitrary strict relations; the stored
-    order is their transitive closure and ``covers`` is the transitive
-    reduction.  Cycles (including a < a) are rejected.
+    Built from an element list and arbitrary strict relations.  One
+    topological pass (Kahn's order) computes the order: from the top of that
+    order down, each element's up-set is its successors together with their
+    up-sets, and its covers are the successors that no other successor lies
+    below (the transitive reduction); the down-sets then follow the covers
+    upward.  Cycles (including a < a) are rejected, naming an element on one.
     """
 
-    __slots__ = ("elements", "_index", "_up", "_down", "_covers")
+    __slots__ = ("elements", "_index", "_up", "_down", "_cover")
 
     def __init__(self, elements: Iterable[str], relations: Iterable[tuple[str, str]] = ()):
         labels = [_check_label(e) for e in elements]
@@ -49,49 +54,47 @@ class FinitePoset:
         self._index = {lab: i for i, lab in enumerate(self.elements)}
         n = len(self.elements)
         succ = [0] * n
+        indeg = [0] * n  # distinct predecessors not yet placed in the order
         for a, b in relations:
             ia, ib = self._idx(a), self._idx(b)
             if ia == ib:
                 raise PosetError(f"cycle in relations: {a!r} < {a!r}")
-            succ[ia] |= 1 << ib
+            if not succ[ia] >> ib & 1:
+                succ[ia] |= 1 << ib
+                indeg[ib] += 1
 
-        # Strict reachability by iterative DFS; gray nodes detect cycles.
-        up = [-1] * n
-        state = [0] * n  # 0 new, 1 on stack, 2 done
-        finished = []  # every element after all of its successors
-        for root in range(n):
-            if state[root] == 2:
-                continue
-            stack = [root]
-            while stack:
-                i = stack[-1]
-                if state[i] == 0:
-                    state[i] = 1
-                    for j in _bits(succ[i]):
-                        if state[j] == 1:
-                            raise PosetError(
-                                f"cycle in relations through {self.elements[j]!r}"
-                            )
-                        if state[j] == 0:
-                            stack.append(j)
-                else:
-                    stack.pop()
-                    if state[i] == 2:
-                        continue
-                    mask = succ[i]
-                    for j in _bits(succ[i]):
-                        mask |= up[j]
-                    up[i] = mask
-                    state[i] = 2
-                    finished.append(i)
-        self._up = tuple(0 if m < 0 else m for m in up)
-        down = [0] * n
-        for i in reversed(finished):
-            below = down[i] | 1 << i
+        # Kahn's order; the loop also visits the elements it appends.
+        order = [i for i in range(n) if not indeg[i]]
+        for i in order:
             for j in _bits(succ[i]):
+                indeg[j] -= 1
+                if not indeg[j]:
+                    order.append(j)
+        if len(order) < n:
+            # Every unplaced element has an unplaced predecessor, so n steps
+            # back from any of them end on a cycle.
+            pred = {j: i for i in range(n) if indeg[i] for j in _bits(succ[i])}
+            j = next(i for i in range(n) if indeg[i])
+            for _ in range(n):
+                j = pred[j]
+            raise PosetError(f"cycle in relations through {self.elements[j]!r}")
+
+        up = [0] * n
+        cover = [0] * n
+        for i in reversed(order):
+            above = 0
+            for j in _bits(succ[i]):
+                above |= up[j]
+            up[i] = succ[i] | above
+            cover[i] = succ[i] & ~above
+        down = [0] * n
+        for i in order:
+            below = down[i] | 1 << i
+            for j in _bits(cover[i]):
                 down[j] |= below
+        self._up = tuple(up)
         self._down = tuple(down)
-        self._covers: frozenset[tuple[str, str]] | None = None
+        self._cover = tuple(cover)
 
     # -- basic queries ------------------------------------------------------
 
@@ -119,7 +122,8 @@ class FinitePoset:
         return hash((self.elements, self._up))
 
     def __repr__(self) -> str:
-        return f"FinitePoset({len(self)} elements, {len(self.covers)} covers)"
+        covers = sum(c.bit_count() for c in self._cover)
+        return f"FinitePoset({len(self)} elements, {covers} covers)"
 
     def lt(self, a: str, b: str) -> bool:
         return bool(self._up[self._idx(a)] >> self._idx(b) & 1)
@@ -133,14 +137,8 @@ class FinitePoset:
     @property
     def covers(self) -> frozenset[tuple[str, str]]:
         """Irredundant cover pairs (a, b): a < b with nothing in between."""
-        if self._covers is None:
-            found = []
-            for i, lab in enumerate(self.elements):
-                for j in _bits(self._up[i]):
-                    if not self._up[i] & self._down[j]:
-                        found.append((lab, self.elements[j]))
-            self._covers = frozenset(found)
-        return self._covers
+        E = self.elements
+        return frozenset((E[i], E[j]) for i in range(len(E)) for j in _bits(self._cover[i]))
 
     def upset(self, a: str, strict: bool = True) -> frozenset[str]:
         mask = self._up[self._idx(a)]
@@ -162,67 +160,55 @@ class FinitePoset:
 
     def is_antichain(self, labels: Iterable[str]) -> bool:
         """True iff no two distinct members of the set are comparable."""
-        idx = [self._idx(lab) for lab in set(labels)]
-        return all(
-            not (self._up[i] >> j & 1 or self._up[j] >> i & 1)
-            for i, j in combinations(idx, 2)
-        )
+        idx = {self._idx(lab) for lab in labels}
+        mask = sum(1 << i for i in idx)
+        return not any(self._up[i] & mask for i in idx)
 
     # -- derived posets -----------------------------------------------------
 
+    def _induced(self, keep: int) -> "FinitePoset":
+        """Induced subposet on the elements whose index bits are set in keep."""
+        E = self.elements
+        idx = list(_bits(keep))
+        rels = [(E[i], E[j]) for i in idx for j in _bits(self._up[i] & keep)]
+        return FinitePoset([E[i] for i in idx], rels)
+
     def subposet(self, labels: Iterable[str]) -> "FinitePoset":
         """Induced subposet on the given elements."""
-        keep = sorted(set(labels), key=self._idx)
-        keepset = set(keep)
-        rels = [
-            (a, b)
-            for a in keep
-            for b in self.upset(a)
-            if b in keepset
-        ]
-        return FinitePoset(keep, rels)
+        return self._induced(sum(1 << i for i in {self._idx(lab) for lab in labels}))
 
     def below(self, y: str) -> "FinitePoset":
-        return self.subposet(self.downset(y))
+        return self._induced(self._down[self._idx(y)])
 
     def above(self, y: str) -> "FinitePoset":
-        return self.subposet(self.upset(y))
+        return self._induced(self._up[self._idx(y)])
 
     def cones(self, y: str) -> tuple["FinitePoset", "FinitePoset"]:
         """The open lower and upper cones at y, with the restricted order."""
         return self.below(y), self.above(y)
 
     def dual(self) -> "FinitePoset":
-        rels = [(b, a) for a in self.elements for b in self.upset(a)]
-        return FinitePoset(self.elements, rels)
+        E = self.elements
+        rels = [(E[j], E[i]) for i in range(len(E)) for j in _bits(self._cover[i])]
+        return FinitePoset(E, rels)
 
     def remove(self, labels: Iterable[str]) -> "FinitePoset":
         drop = set(labels)
-        return self.subposet(e for e in self.elements if e not in drop)
+        return self._induced(sum(1 << i for i, e in enumerate(self.elements) if e not in drop))
 
     # -- chains and the order complex --------------------------------------
 
     def maximal_chains(self) -> list[tuple[str, ...]]:
         """All maximal chains, as ascending label tuples."""
-        n = len(self.elements)
-        covers_up: list[list[int]] = [[] for _ in range(n)]
-        for a, b in self.covers:
-            covers_up[self._idx(a)].append(self._idx(b))
-        for lst in covers_up:
-            lst.sort()
+        E, cover = self.elements, self._cover
         out = []
-        stack = [
-            ([i], covers_up[i])
-            for i, e in enumerate(self.elements)
-            if not self._down[i]
-        ]
+        stack = [((e,), i) for i, e in enumerate(E) if not self._down[i]]
         while stack:
-            chain, nxt = stack.pop()
-            if not nxt:
-                out.append(tuple(self.elements[i] for i in chain))
+            chain, i = stack.pop()
+            if not cover[i]:
+                out.append(chain)
             else:
-                for j in nxt:
-                    stack.append((chain + [j], covers_up[j]))
+                stack.extend((chain + (E[j],), j) for j in _bits(cover[i]))
         return out
 
     def order_complex(self) -> SimplicialComplex:
@@ -450,7 +436,7 @@ def poset_product(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
 
     labels = [lab(p, q) for p in P for q in Q]
     covers = [(lab(a, q), lab(b, q)) for a, b in P.covers for q in Q]
-    covers += [(lab(p, a), lab(p, b)) for p in P for a, b in Q.covers]
+    covers += [(lab(p, a), lab(p, b)) for a, b in Q.covers for p in P]
     return FinitePoset(labels, covers)
 
 

@@ -5,10 +5,11 @@ library under test: chain complexes assembled from label tuples with a
 dict-based boundary-of-boundary check, dense Gaussian elimination over exact
 fractions for Betti numbers, sympy for Smith normal forms, the evenness
 filter over all subsets for cyclic polytopes, direct recursion for Mobius
-numbers, exhaustive enumeration for counting problems, pairwise inclusion and
-refinement tests for the generated orders, the quadratic maximal-face scan
-for facet normalization, the sphere calculus on fully expanded multisets,
-and the flag-map battery one matrix at a time.
+numbers, Warshall's closure and chain enumeration for orders, exhaustive
+enumeration for counting problems, pairwise inclusion and refinement tests
+for the generated orders, the quadratic maximal-face scan for facet
+normalization, the sphere calculus on fully expanded multisets, and the
+flag-map battery one matrix at a time.
 """
 
 from fractions import Fraction
@@ -245,6 +246,36 @@ def set_partitions_by_label(n):
 def strictly_refines(p, q):
     """p < q in the refinement order: p != q and each block of p lies in a block of q."""
     return p != q and all(any(b <= c for c in q) for b in p)
+
+
+def strict_closure(elements, relations):
+    """The strict order generated by a relation list, as a set of pairs, by
+    Warshall's triple loop."""
+    less = set(relations)
+    for k in elements:
+        for i in elements:
+            for j in elements:
+                if (i, k) in less and (k, j) in less:
+                    less.add((i, j))
+    return less
+
+
+def brute_maximal_chains(elements, lt):
+    """The maximal chains of a strict order given as a predicate, each an
+    ascending tuple: every chain is grown one element at a time, and those to
+    which no element can be added are kept."""
+
+    def comparable(a, b):
+        return lt(a, b) or lt(b, a)
+
+    chains = [()]
+    for e in elements:
+        chains += [c + (e,) for c in chains if all(comparable(e, x) for x in c)]
+    return sorted(
+        tuple(sorted(c, key=lambda x: sum(lt(y, x) for y in c)))
+        for c in chains
+        if c and not any(e not in c and all(comparable(e, x) for x in c) for e in elements)
+    )
 
 
 def brute_mobius(elements, leq):

@@ -2,7 +2,7 @@ from math import factorial
 
 import pytest
 
-from ordertop import complementation, config, grassmann, spheres
+from ordertop import complementation, config, diagrams, grassmann, spheres
 from ordertop.cli import CommandOutcome, run
 from ordertop.complexes import format_cplx, parse_cplx
 from ordertop.homology import reduced_homology
@@ -62,6 +62,15 @@ class TestHomologyCommand:
         outcome = run(["homology", "missing.cplx"])
         assert outcome.exit_code == 2
         assert any("missing.cplx" in line for line in outcome.stderr_lines)
+
+    def test_face_table_over_the_limit_exits_2(self, tmp_path):
+        path = tmp_path / "simplex20.cplx"
+        path.write_text(" ".join(f"v{i}" for i in range(20)) + "\n")
+        outcome = run(["homology", str(path)])
+        assert outcome.exit_code == 2 and not outcome.stdout_lines
+        assert outcome.stderr_lines == (
+            "error: the 11-faces need a table of 12093120 vertex ids, above the limit 8000000",
+        )
 
 
 class TestPosetCommands:
@@ -331,6 +340,35 @@ class TestDiagramCommand:
         outcome = run(["diagram", "check", str(path)])
         assert outcome.exit_code == 1
         assert outcome.stdout_lines[0] == "valid false"
+
+    @pytest.mark.parametrize(
+        "text, stdout, code",
+        [
+            (
+                "base:\nelements: 0 1\n0 < 1\nfiber 0:\nelements: x y\n"
+                "fiber 1:\nelements: p\nmap 0 1: p->x\n",
+                ("valid true", "cylinder_match true", "verdict pass"),
+                0,
+            ),
+            (
+                "base:\nelements: 0 1\n0 < 1\nfiber 0:\nelements: x y\nx < y\n"
+                "fiber 1:\nelements: p q\np < q\nmap 0 1: p->y, q->x\n",
+                ("valid false", "verdict fail"),
+                1,
+            ),
+            ("base:\nelements: 0\nfiber 0:\nelements: x\n", ("valid true", "verdict pass"), 0),
+        ],
+        ids=["cylinder", "invalid-cylinder", "one-point-base"],
+    )
+    def test_check_validates_once(self, tmp_path, monkeypatch, text, stdout, code):
+        calls = []
+        check = diagrams._check
+        monkeypatch.setattr(diagrams, "_check", lambda D: calls.append(D) or check(D))
+        path = tmp_path / "d.pdiag"
+        path.write_text(text)
+        outcome = run(["diagram", "check", str(path)])
+        assert len(calls) == 1
+        assert (outcome.stdout_lines, outcome.exit_code) == (stdout, code)
 
     def test_grothendieck_emits_poset(self, cylinder_file):
         outcome = run(["diagram", "grothendieck", cylinder_file])

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -342,3 +343,22 @@ class TestCplxFormat:
         for seed in range(5):
             K = random_complex(random.Random(seed))
             assert parse_cplx(format_cplx(K)) == K
+
+
+class TestFaceTableBound:
+    # Each k-face of the 6-simplex is stacked once per vertex, with that
+    # vertex dropped (k ids a row), to make the (k-1)-faces; the largest
+    # stack is at k = 3.
+    N = 6
+    LARGEST = max(comb(6, k + 1) * (k + 1) * k for k in range(1, 6))
+
+    def test_stack_at_the_limit_is_built(self, monkeypatch):
+        monkeypatch.setattr(complexes, "MAX_STACK_ENTRIES", self.LARGEST)
+        K = SimplicialComplex([[f"v{i}" for i in range(self.N)]])
+        assert K.face_counts() == {k: comb(self.N, k + 1) for k in range(self.N)}
+
+    def test_stack_past_the_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(complexes, "MAX_STACK_ENTRIES", self.LARGEST - 1)
+        K = SimplicialComplex([[f"v{i}" for i in range(self.N)]])
+        with pytest.raises(ComplexError, match=f"{self.LARGEST} vertex ids, above the limit"):
+            K.face_table()

@@ -55,6 +55,11 @@ class TestParse:
         with pytest.raises(PosetError, match="cycle"):
             parse_poset("elements: a b c; a < b; b < c; c < a")
 
+    def test_cycle_message_names_an_element_on_the_cycle(self):
+        # a is only reachable from the cycle b < c < b, so it lies on none
+        with pytest.raises(PosetError, match=r"cycle in relations through '[bc]'"):
+            parse_poset("elements: a b c; b < c; c < b; c < a")
+
     def test_duplicate_label(self):
         with pytest.raises(PosetError, match="duplicate"):
             FinitePoset(["a", "a"])
@@ -354,3 +359,69 @@ class TestInvariants:
                     reach.add(b)
                     frontier += [c for (x, c) in P.covers if x == b]
             assert reach == set(P.upset(a))
+
+
+def shuffled_order(seed):
+    """Labels and random relations going up a hidden linear order of shuffled
+    labels, so the label order is not a linear extension: the lowest element
+    of the hidden order is below the highest and sorts after it."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 11)
+    labels = [f"x{i}" for i in range(n)]
+    rng.shuffle(labels)
+    if labels[0] < labels[-1]:
+        labels[0], labels[-1] = labels[-1], labels[0]
+    density = rng.choice((0.2, 0.4, 0.7))
+    rels = [(labels[0], labels[-1])]
+    rels += [
+        (labels[i], labels[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    rng.shuffle(rels)
+    return labels, rels
+
+
+class TestAgainstOracles:
+    """Each order query against Warshall's closure of the same relations."""
+
+    @pytest.fixture(params=range(40))
+    def case(self, request):
+        labels, rels = shuffled_order(1000 + request.param)
+        less = oracles.strict_closure(labels, rels)
+        return FinitePoset(labels, rels), sorted(labels), less
+
+    def test_maximal_chains(self, case):
+        P, labels, less = case
+        chains = P.maximal_chains()
+        assert len(set(chains)) == len(chains)
+        assert sorted(chains) == oracles.brute_maximal_chains(labels, lambda a, b: (a, b) in less)
+
+    def test_covers(self, case):
+        P, labels, less = case
+        expected = {
+            (a, b) for a, b in less if not any((a, c) in less and (c, b) in less for c in labels)
+        }
+        assert P.covers == expected
+
+    def test_upset_and_downset(self, case):
+        P, labels, less = case
+        for a in labels:
+            assert P.upset(a) == {b for b in labels if (a, b) in less}
+            assert P.downset(a) == {b for b in labels if (b, a) in less}
+            assert P.upset(a, strict=False) == P.upset(a) | {a}
+            assert P.downset(a, strict=False) == P.downset(a) | {a}
+
+    def test_dual(self, case):
+        P, labels, less = case
+        assert P.dual() == FinitePoset(labels, [(b, a) for a, b in less])
+
+    def test_subposet(self, case):
+        P, labels, less = case
+        rng = random.Random(len(less))
+        for _ in range(5):
+            keep = [a for a in labels if rng.random() < 0.6]
+            kept = set(keep)
+            induced = [(a, b) for a, b in less if a in kept and b in kept]
+            assert P.subposet(keep) == FinitePoset(keep, induced)
