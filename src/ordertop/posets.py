@@ -226,7 +226,7 @@ def _bits(mask: int) -> Iterator[int]:
 class BoundedPoset:
     """A finite poset with distinguished bottom and top elements."""
 
-    __slots__ = ("poset", "bottom", "top", "_mobius")
+    __slots__ = ("poset", "bottom", "top")
 
     def __init__(self, poset: FinitePoset, bottom: str, top: str):
         if bottom == top:
@@ -240,7 +240,6 @@ class BoundedPoset:
         self.poset = poset
         self.bottom = bottom
         self.top = top
-        self._mobius: dict[tuple[str, str], int] = {}
 
     @classmethod
     def from_poset(cls, poset: FinitePoset) -> "BoundedPoset":
@@ -307,7 +306,7 @@ class BoundedPoset:
     # -- Mobius function -----------------------------------------------------
 
     def mobius_pair(self, x: str, y: str) -> int:
-        """mu(x, y), memoized per element pair.
+        """mu(x, y).
 
         mu(x, z) = -sum(mu(x, w) for x <= w < z) is evaluated for every z of
         the interval [x, y] in a linear extension (by down-set size), without
@@ -318,20 +317,15 @@ class BoundedPoset:
         P = self.poset
         if not P.lt(x, y):
             return 0
-        key = (x, y)
-        cached = self._mobius.get(key)
-        if cached is None:
-            ix, iy = P._idx(x), P._idx(y)
-            interval = P._up[ix] & (P._down[iy] | 1 << iy)
-            mu = {ix: 1}
-            nonzero = 1 << ix  # the z in [x, y] with mu(x, z) != 0 so far
-            for z in sorted(_bits(interval), key=lambda j: P._down[j].bit_count()):
-                mu[z] = -sum(mu[w] for w in _bits(P._down[z] & nonzero))
-                if mu[z]:
-                    nonzero |= 1 << z
-                self._mobius[(x, P.elements[z])] = mu[z]
-            cached = mu[iy]
-        return cached
+        ix, iy = P._idx(x), P._idx(y)
+        interval = P._up[ix] & (P._down[iy] | 1 << iy)
+        mu = {ix: 1}
+        nonzero = 1 << ix  # the z in [x, y] with mu(x, z) != 0 so far
+        for z in sorted(_bits(interval), key=lambda j: P._down[j].bit_count()):
+            mu[z] = -sum(mu[w] for w in _bits(P._down[z] & nonzero))
+            if mu[z]:
+                nonzero |= 1 << z
+        return mu[iy]
 
     def mobius(self) -> int:
         """The Mobius number mu(bottom, top)."""

@@ -314,6 +314,22 @@ def power_of_two_multisets(n, parts):
     return found[0]
 
 
+def power_of_two_multiset_table(n_max):
+    """``table[t][p]``: multisets of exactly p powers of two summing to t, for
+    every t <= n_max, by the coin-by-coin knapsack count.  Each power c is
+    added in turn, totals ascending so that c may repeat; a total t has at
+    most t parts, which caps each row."""
+    table = [[1]] + [[0] * (t + 1) for t in range(1, n_max + 1)]
+    c = 1
+    while c <= n_max:
+        for t in range(c, n_max + 1):
+            row, fewer = table[t], table[t - c]
+            for p, count in enumerate(fewer, start=1):
+                row[p] += count
+        c *= 2
+    return table
+
+
 def bell_number(n):
     """Bell numbers by the triangle recurrence."""
     row = [1]

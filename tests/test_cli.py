@@ -179,6 +179,14 @@ class TestInputBounds:
         assert over.stdout_lines == ()
         assert over.stderr_lines == (f"error: need n <= {limit}, got {limit + 1}",)
 
+    @pytest.mark.parametrize("command", ["fuchs", "exp2-betti", "neighborly"])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_config_tables_need_a_point(self, command, n):
+        outcome = run(["config", command, "--n", str(n)])
+        assert outcome.exit_code == 2
+        assert outcome.stdout_lines == ()
+        assert outcome.stderr_lines == ("error: need n >= 1",)
+
     def test_partition_at_limit(self):
         n = spheres.PARTITION_MAX_N
         assert run(["calc", "partition", "--n", str(n)]).stdout_lines == (

@@ -7,6 +7,7 @@ import oracles
 from ordertop.complexes import cyclic_polytope_boundary
 from ordertop.config import (
     MAX_CIRCLE_FACES,
+    MAX_N,
     ConfigError,
     binary_partition_count,
     circle_face_count,
@@ -21,8 +22,8 @@ from ordertop.config import (
 
 class TestFuchsDimension:
     def test_tables_keep_no_cache(self):
-        # each call memoises in its own dict; a process-wide cache held
-        # 7.8 MB after these calls
+        # each call builds its own table and frees it on return; a
+        # process-wide memo held 7.8 MB after these calls
         fuchs_table(5)
         tracemalloc.start()
         try:
@@ -63,6 +64,51 @@ class TestFuchsDimension:
 
     def test_table(self):
         assert fuchs_table(3).dims == {0: 1, 1: 1, 2: 0}
+
+
+# OEIS A018819, the binary partition function, for n = 0..33
+A018819 = [
+    1, 1, 2, 2, 4, 4, 6, 6, 10, 10, 14, 14, 20, 20, 26, 26, 36, 36, 46, 46,
+    60, 60, 74, 74, 94, 94, 114, 114, 140, 140, 166, 166, 202, 202,
+]
+
+
+@pytest.fixture(scope="module")
+def knapsack_table():
+    return oracles.power_of_two_multiset_table(MAX_N)
+
+
+class TestTables:
+    """The halving recurrence against counts it does not share code with."""
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 127, 128, 129, 255, 256, 257, MAX_N])
+    def test_fuchs_table_against_knapsack(self, n, knapsack_table):
+        row = knapsack_table[n]
+        assert fuchs_table(n).dims == {k: row[n - k] for k in range(n)}
+
+    def test_binary_partition_count_is_a018819(self):
+        assert [binary_partition_count(n) for n in range(34)] == A018819
+
+    def test_every_table_is_bounded(self):
+        with pytest.raises(ConfigError, match=f"need n <= {MAX_N}, got 1200"):
+            fuchs_dimension(1200, 100)
+        with pytest.raises(ConfigError, match=f"need n <= {MAX_N}"):
+            binary_partition_count(MAX_N + 1)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_fuchs_table_needs_a_point(self, n):
+        with pytest.raises(ConfigError, match="need n >= 1"):
+            fuchs_table(n)
+
+    def test_largest_table_is_small(self):
+        # n^2/2 counts peak at about 1.2 MB; a memo of partial sums would not fit
+        tracemalloc.start()
+        try:
+            fuchs_table(MAX_N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
 
 class TestPredictedBetti:

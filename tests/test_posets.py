@@ -280,6 +280,36 @@ class TestComplements:
                 assert B.bottom not in co and B.top not in co
 
 
+class TestCrapoComplementation:
+    """Crapo's complementation theorem (Arch. Math. 1968): for every z of a
+    finite lattice, mu(0, 1) = sum of mu(0, x) mu(y, 1) over x <= y in Co(z).
+    Checked without homology; an empty Co(z) forces mu(0, 1) = 0."""
+
+    @pytest.mark.parametrize(
+        "lattice",
+        [
+            generate("boolean", 3),
+            generate("boolean", 4),
+            generate("partition", 4),
+            generate("partition", 5),
+            generate("product", boolean_lattice(2), chain_poset(3)),
+            generate("product", chain_poset(2), chain_poset(3)),
+        ],
+        ids=["B3", "B4", "Pi4", "Pi5", "B2xC3", "C2xC3"],
+    )
+    def test_every_inner_element(self, lattice):
+        B = bounded(lattice)
+        whole = oracles.brute_mobius(list(lattice.elements), lattice.leq)
+        for z in B.truncate():
+            co = B.complements(z)
+            total = sum(
+                B.mobius_pair(B.bottom, x) * B.mobius_pair(y, B.top)
+                for x, y in product(co, repeat=2)
+                if lattice.leq(x, y)
+            )
+            assert total == whole, z
+
+
 class TestAntichainsAndCones:
     def test_coatoms_are_antichain(self):
         P = boolean_lattice(3)
