@@ -4,7 +4,7 @@ Conventions: the empty complex (no vertices at all) is a legal value, distinct
 from the one-point complex; it plays the role of S^{-1}, is the identity for
 the join, and has reduced Euler characteristic -1.
 
-Faces are computed once per complex as integer arrays (``FaceTable``):
+Faces are computed on demand as integer arrays (``FaceTable``):
 vertices are numbered in sorted label order, each k-face is a row of k+1
 ascending vertex ids, and the rows of each dimension are in lexicographic
 order, which is also the lexicographic order of the label tuples.  The table
@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -83,6 +84,14 @@ def _lex_codes(rows: np.ndarray, base: int) -> np.ndarray:
     return codes
 
 
+def _check_stack(size: int, entries: int) -> None:
+    if entries > MAX_STACK_ENTRIES:
+        raise ComplexError(
+            f"the {size - 1}-faces need a table of {entries} vertex ids, "
+            f"above the limit {MAX_STACK_ENTRIES}"
+        )
+
+
 def _face_table(vertices: tuple[str, ...], facets: Iterable[frozenset[str]]) -> FaceTable:
     id_of = {v: i for i, v in enumerate(vertices)}.__getitem__
     by_size: dict[int, list[str]] = {}  # size -> the labels of its facets, one after another
@@ -91,15 +100,14 @@ def _face_table(vertices: tuple[str, ...], facets: Iterable[frozenset[str]]) -> 
     faces: dict[int, np.ndarray] = {}
     boundary_rows: dict[int, np.ndarray] = {}
     top = max(by_size, default=0)
+    # The largest facet alone stacks comb(top, size + 1) faces size + 1 times
+    # each, so every stack it forces is checked before the first is built.
+    for size in range(top, 0, -1):
+        _check_stack(size, comb(top, size + 1) * (size + 1) * size + (top if size == top else 0))
     for size in range(top, 0, -1):
         labels = by_size.get(size, ())
         upper = faces.get(size)  # faces with one vertex more, or None at the top
-        entries = len(labels) + (0 if upper is None else upper.size * size)
-        if entries > MAX_STACK_ENTRIES:
-            raise ComplexError(
-                f"the {size - 1}-faces need a table of {entries} vertex ids, "
-                f"above the limit {MAX_STACK_ENTRIES}"
-            )
+        _check_stack(size, len(labels) + (0 if upper is None else upper.size * size))
         own = np.fromiter(map(id_of, labels), dtype=np.int64, count=len(labels))
         own = np.sort(own.reshape(-1, size), axis=1, kind="stable")
         if upper is None:
@@ -131,7 +139,7 @@ class SimplicialComplex:
     many faces it appears in.
     """
 
-    __slots__ = ("vertices", "facets", "_table")
+    __slots__ = ("vertices", "facets")
 
     def __init__(self, facets: Iterable[Iterable[str]] = (), vertices: Iterable[str] = ()):
         try:
@@ -165,7 +173,6 @@ class SimplicialComplex:
                         index.setdefault(v, set()).add(pos)
         self.facets: frozenset[frozenset[str]] = frozenset(maximal)
         self.vertices: tuple[str, ...] = tuple(sorted(labels))
-        self._table: FaceTable | None = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -188,10 +195,8 @@ class SimplicialComplex:
         return max((len(f) for f in self.facets), default=0) - 1
 
     def face_table(self) -> FaceTable:
-        """The faces as integer arrays (see ``FaceTable``), computed once."""
-        if self._table is None:
-            self._table = _face_table(self.vertices, self.facets)
-        return self._table
+        """The faces as integer arrays (see ``FaceTable``)."""
+        return _face_table(self.vertices, self.facets)
 
     def faces_by_dim(self) -> dict[int, tuple[tuple[str, ...], ...]]:
         """All faces grouped by dimension, each a sorted vertex tuple, in

@@ -96,7 +96,6 @@ class PredictedBetti:
     """Duality-predicted reduced Z/2 Betti table for at most n points on S^2."""
 
     n: int
-    m: int
     betti: dict[int, int]
 
     def betti_number(self, p: int) -> int:
@@ -116,7 +115,7 @@ def predicted_betti_exp2(n: int) -> PredictedBetti:
     row = _binary_partitions(n)
     # b(n, q) is the rank in cohomological degree n - q, so in degree 2n - 1 + q
     betti = {2 * n - 1 + q: row[q] for q in range(1, n + 1) if row[q]}
-    return PredictedBetti(n, 2, betti)
+    return PredictedBetti(n, betti)
 
 
 def neighborly_bound(n: int) -> int:

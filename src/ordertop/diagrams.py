@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .homology import HomologyProfile, reduced_homology
-from .posets import FinitePoset, PosetError, parse_poset
+from .posets import FinitePoset, PosetError, label_pairs, parse_poset
 
 
 class DiagramError(ValueError):
@@ -61,13 +61,12 @@ class DiagramReport:
         return not self.failures
 
 
-def _check(D: PosetDiagram) -> tuple[list[str], dict[tuple[str, str], dict[str, str]]]:
-    """One pass over the maps: the failures, and a connecting map for every
-    strict base relation.
+def _check(D: PosetDiagram) -> list[str]:
+    """The failures of one pass over the maps.
 
-    Each relation gets its supplied map, or else the composite through its
-    smallest intermediate element; every other composite must agree with
-    the chosen map.
+    Each strict base relation gets its supplied map, or else the composite
+    through its smallest intermediate element; every other composite must
+    agree with the chosen map.
     """
     failures: list[str] = []
     base = D.base
@@ -82,7 +81,7 @@ def _check(D: PosetDiagram) -> tuple[list[str], dict[tuple[str, str], dict[str, 
             if x not in upper:
                 failures.append(f"map {q}<{q2}: domain element {x!r} not in fiber {q2!r}")
     if failures:
-        return failures, {}
+        return failures
 
     for (q, q2), mapping in sorted(D.maps.items()):
         upper = D.fibers[q2]
@@ -119,59 +118,45 @@ def _check(D: PosetDiagram) -> tuple[list[str], dict[tuple[str, str], dict[str, 
                     f"composition mismatch for {a!r} < {b!r}: path via {name!r} disagrees"
                 )
         composite[(a, b)] = first
-    return failures, composite
+    return failures
 
 
 def validate(D: PosetDiagram) -> DiagramReport:
     """Check identities, totality, codomains, monotonicity, and that all
     cover-path composites agree (plus any supplied long maps)."""
-    failures, _ = _check(D)
-    return DiagramReport(tuple(failures))
+    return DiagramReport(tuple(_check(D)))
 
 
-def _require_valid(D: PosetDiagram) -> dict[tuple[str, str], dict[str, str]]:
-    """The connecting map of every strict base relation of a valid diagram."""
-    failures, maps = _check(D)
+def _valid_pair_labels(D: PosetDiagram) -> dict[tuple[str, str], str]:
+    """The label x@q of each fiber element x over each base element q of a
+    valid diagram."""
+    failures = _check(D)
     if failures:
         raise DiagramError("invalid diagram: " + "; ".join(failures[:3]))
-    return maps
+    return label_pairs(((x, q) for q in D.base for x in D.fibers[q]), "{}@{}".format)
 
 
-def _pair_label(x: str, q: str) -> str:
-    return f"{x}@{q}"
+def _cover_images(D: PosetDiagram, lab: dict[tuple[str, str], str]) -> list[tuple[str, str]]:
+    """The relations (f(y), q) < (y, q') for every base cover q < q' and y
+    over q', f its connecting map.  They generate the strict-equality
+    flattening, and with the fibers' covers the Grothendieck order, because
+    the composites along cover paths agree."""
+    return [(lab[x, q], lab[y, q2]) for q, q2 in D.base.covers for y, x in D.maps[q, q2].items()]
 
 
 def grothendieck(D: PosetDiagram) -> FinitePoset:
     """Poset on fiber-element/base-element pairs: (x, q) <= (y, q') when
     q <= q' and x lies below the image of y in the fiber over q."""
-    full = _require_valid(D)
-    elements = [_pair_label(x, q) for q in D.base for x in D.fibers[q]]
-    rels = []
-    for q in D.base:
-        fib = D.fibers[q]
-        for x in fib:
-            for y in fib.upset(x):
-                rels.append((_pair_label(x, q), _pair_label(y, q)))
-        for q2 in D.base.upset(q):
-            mapping = full[(q, q2)]
-            for y in D.fibers[q2]:
-                img = mapping[y]
-                for x in fib:
-                    if fib.leq(x, img):
-                        rels.append((_pair_label(x, q), _pair_label(y, q2)))
-    return FinitePoset(elements, rels)
+    lab = _valid_pair_labels(D)
+    rels = [(lab[x, q], lab[y, q]) for q in D.base for x, y in D.fibers[q].covers]
+    return FinitePoset(lab.values(), rels + _cover_images(D, lab))
 
 
 def diagram_flatten(D: PosetDiagram) -> FinitePoset:
     """Strict-equality flattening: fibers count as antichains and x < y holds
     exactly when the connecting map sends y to x."""
-    full = _require_valid(D)
-    elements = [_pair_label(x, q) for q in D.base for x in D.fibers[q]]
-    rels = []
-    for (q, q2), mapping in full.items():
-        for y, x in mapping.items():
-            rels.append((_pair_label(x, q), _pair_label(y, q2)))
-    return FinitePoset(elements, rels)
+    lab = _valid_pair_labels(D)
+    return FinitePoset(lab.values(), _cover_images(D, lab))
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ class SparseMatrix:
         return Entries(self)
 
 
-class Entries(Sequence):
+class Entries:
     """The (row, col, value) triples of a ``SparseMatrix``.  The length is
     the stored entry count; the triples are made only when read."""
 
@@ -147,9 +147,6 @@ class Entries(Sequence):
         m = self._m
         cols = np.repeat(np.arange(m.n_cols), np.diff(m.ptr))
         return zip(m.rows.tolist(), cols.tolist(), m.vals.tolist())
-
-    def __getitem__(self, i):
-        return tuple(self)[i]
 
 
 def _dense_snf(entries: Sequence[tuple[int, int, int]]) -> list[int]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
+from . import complexes
 from .complexes import SimplicialComplex
 
 
@@ -167,10 +168,12 @@ class FinitePoset:
     # -- derived posets -----------------------------------------------------
 
     def _induced(self, keep: int) -> "FinitePoset":
-        """Induced subposet on the elements whose index bits are set in keep."""
-        E = self.elements
+        """Induced subposet on the index bits set in keep, given by its covers."""
+        E, up, down = self.elements, self._up, self._down
         idx = list(_bits(keep))
-        rels = [(E[i], E[j]) for i in idx for j in _bits(self._up[i] & keep)]
+        rels = [
+            (E[i], E[j]) for i in idx for j in _bits(up[i] & keep) if not down[j] & up[i] & keep
+        ]
         return FinitePoset([E[i] for i in idx], rels)
 
     def subposet(self, labels: Iterable[str]) -> "FinitePoset":
@@ -199,8 +202,19 @@ class FinitePoset:
     # -- chains and the order complex --------------------------------------
 
     def maximal_chains(self) -> list[tuple[str, ...]]:
-        """All maximal chains, as ascending label tuples."""
+        """All maximal chains, as ascending label tuples, counted before any is built."""
         E, cover = self.elements, self._cover
+        # per element, the maximal chains of its up-set and their total length
+        chains, ids = [0] * len(E), [0] * len(E)
+        for i in sorted(range(len(E)), key=lambda i: self._up[i].bit_count()):
+            chains[i] = sum(chains[j] for j in _bits(cover[i])) or 1
+            ids[i] = chains[i] + sum(ids[j] for j in _bits(cover[i]))
+        total = sum(ids[i] for i in range(len(E)) if not self._down[i])
+        if total > complexes.MAX_STACK_ENTRIES:
+            raise PosetError(
+                f"the maximal chains need a table of {total} element ids, "
+                f"above the limit {complexes.MAX_STACK_ENTRIES}"
+            )
         out = []
         stack = [((e,), i) for i, e in enumerate(E) if not self._down[i]]
         while stack:
@@ -337,10 +351,6 @@ class BoundedPoset:
 _ELEMENT_CHARS = "123456789abcdefghijklmnopqrstuvwxyz"
 
 
-def _subset_label(items: Iterable[int]) -> str:
-    return "{" + ",".join(str(i) for i in sorted(items)) + "}"
-
-
 def chain_poset(k: int) -> FinitePoset:
     """Total order on k elements labeled 1..k."""
     if k < 0:
@@ -349,14 +359,14 @@ def chain_poset(k: int) -> FinitePoset:
     return FinitePoset(labels, zip(labels, labels[1:]))
 
 
-def _subset_poset(sets: Iterable[frozenset], label: Callable[[frozenset], str]) -> FinitePoset:
+def _subset_poset(sets: Iterable[frozenset]) -> FinitePoset:
     """Inclusion order on a family of sets, from the covers b - {x} < b.
 
     The closure of those covers is the inclusion order when the family holds
     every set between any two of its members, as the down-closed and
     size-bounded families of the generators below do.
     """
-    labels = {s: label(s) for s in sets}
+    labels = {s: "{" + ",".join(map(str, sorted(s))) + "}" for s in sets}
     covers = [
         (labels[b - {x}], lab) for b, lab in labels.items() for x in b if b - {x} in labels
     ]
@@ -368,7 +378,7 @@ def boolean_lattice(n: int) -> FinitePoset:
     if n < 0:
         raise PosetError("boolean rank must be >= 0")
     subsets = [frozenset(c) for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
-    return _subset_poset(subsets, _subset_label)
+    return _subset_poset(subsets)
 
 
 def exp_discrete_poset(m: int, n: int) -> FinitePoset:
@@ -376,7 +386,7 @@ def exp_discrete_poset(m: int, n: int) -> FinitePoset:
     if not 1 <= n <= m:
         raise PosetError(f"need 1 <= n <= m, got n={n}, m={m}")
     subsets = [frozenset(c) for k in range(1, n + 1) for c in combinations(range(1, m + 1), k)]
-    return _subset_poset(subsets, _subset_label)
+    return _subset_poset(subsets)
 
 
 def set_partitions(n: int) -> list[frozenset[frozenset[int]]]:
@@ -415,23 +425,25 @@ def partition_lattice(n: int) -> FinitePoset:
 
 def face_poset(K: SimplicialComplex) -> FinitePoset:
     """Nonempty faces of a complex ordered by inclusion."""
+    return _subset_poset(frozenset(f) for fs in K.faces_by_dim().values() for f in fs)
 
-    def lab(f: frozenset) -> str:
-        return "{" + ",".join(sorted(f)) + "}"
 
-    return _subset_poset((frozenset(f) for fs in K.faces_by_dim().values() for f in fs), lab)
+def label_pairs(pairs: Iterable[tuple[str, str]], label: Callable[[str, str], str]) -> dict:
+    """The label of each pair; two pairs with the same label are refused."""
+    labels = {pair: label(*pair) for pair in pairs}
+    owner = {lab: pair for pair, lab in labels.items()}  # the last pair with each label
+    for pair, lab in labels.items():
+        if owner[lab] != pair:
+            raise PosetError(f"pairs {pair} and {owner[lab]} both get the label {lab!r}")
+    return labels
 
 
 def poset_product(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
     """Componentwise order on pairs, labeled (p,q)."""
-
-    def lab(p: str, q: str) -> str:
-        return f"({p},{q})"
-
-    labels = [lab(p, q) for p in P for q in Q]
-    covers = [(lab(a, q), lab(b, q)) for a, b in P.covers for q in Q]
-    covers += [(lab(p, a), lab(p, b)) for a, b in Q.covers for p in P]
-    return FinitePoset(labels, covers)
+    lab = label_pairs(((p, q) for p in P for q in Q), "({},{})".format)
+    covers = [(lab[a, q], lab[b, q]) for a, b in P.covers for q in Q]
+    covers += [(lab[p, a], lab[p, b]) for a, b in Q.covers for p in P]
+    return FinitePoset(lab.values(), covers)
 
 
 def generate(kind: str, *params) -> FinitePoset:

@@ -7,7 +7,8 @@ fractions for Betti numbers, sympy for Smith normal forms, the evenness
 filter over all subsets for cyclic polytopes, direct recursion for Mobius
 numbers, Warshall's closure and chain enumeration for orders, exhaustive
 enumeration for counting problems, pairwise inclusion and refinement tests
-for the generated orders, the quadratic maximal-face scan for facet
+for the generated orders, set operations for complements in closure
+systems, the quadratic maximal-face scan for facet
 normalization, the sphere calculus on fully expanded multisets, and the
 flag-map battery one matrix at a time.
 """
@@ -275,6 +276,20 @@ def brute_maximal_chains(elements, lt):
         tuple(sorted(c, key=lambda x: sum(lt(y, x) for y in c)))
         for c in chains
         if c and not any(e not in c and all(comparable(e, x) for x in c) for e in elements)
+    )
+
+
+def closure_complements(sets, z):
+    """Complements of z in a closure system given as label -> set, with the
+    empty and the ground set among them: the inner x disjoint from z whose
+    union with z lies in no member but the ground set (the meet is the
+    intersection and the join the smallest member containing the union)."""
+    ground = max(sets.values(), key=len)
+    inner = {x: s for x, s in sets.items() if s and s != ground}
+    return frozenset(
+        x
+        for x, s in inner.items()
+        if not s & sets[z] and not any(s | sets[z] <= t for t in inner.values())
     )
 
 

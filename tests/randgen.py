@@ -44,6 +44,24 @@ def random_bounded_poset(rng: random.Random, max_inner: int = 8) -> BoundedPoset
     return BoundedPoset(FinitePoset(labels, rels), "bot", "top")
 
 
+def random_closure_lattice(
+    rng: random.Random, max_ground: int = 6, max_generators: int = 8
+) -> BoundedPoset:
+    """A random closure system on {1..n}, ordered by inclusion: the empty set,
+    the ground set, random generator sets and all their intersections.  An
+    intersection-closed family with a top is a lattice (the meet is the
+    intersection), and it need not be graded."""
+    n = rng.randint(3, max_ground)
+    ground = frozenset(range(1, n + 1))
+    family = {frozenset(), ground}
+    for _ in range(rng.randint(2, max_generators)):
+        generator = frozenset(x for x in ground if rng.random() < 0.5)
+        family |= {generator & s for s in family}
+    label = {s: "{" + ",".join(map(str, sorted(s))) + "}" for s in family}
+    rels = [(label[a], label[b]) for a in family for b in family if a < b]
+    return BoundedPoset(FinitePoset(label.values(), rels), label[frozenset()], label[ground])
+
+
 def random_antichain(rng: random.Random, P: FinitePoset) -> frozenset:
     pool = list(P.elements)
     rng.shuffle(pool)

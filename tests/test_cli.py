@@ -1,3 +1,4 @@
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -72,6 +73,24 @@ class TestHomologyCommand:
             "error: the 11-faces need a table of 12093120 vertex ids, above the limit 8000000",
         )
 
+    def test_face_table_over_the_limit_is_refused_before_any_stack(self, tmp_path):
+        path = tmp_path / "simplex20.cplx"
+        path.write_text(" ".join(f"v{i}" for i in range(20)) + "\n")
+        outcome, peak = traced_run(["homology", str(path)])
+        assert outcome.exit_code == 2
+        assert peak < 5_000_000
+
+
+def traced_run(argv) -> tuple[CommandOutcome, int]:
+    """The outcome of one invocation and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        outcome = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return outcome, peak
+
 
 class TestPosetCommands:
     def test_mobius(self, b3_file):
@@ -88,6 +107,22 @@ class TestPosetCommands:
         outcome = run(["ordercomplex", b3_file])
         expected = format_cplx(parse_poset(B3_POSET).order_complex())
         assert "\n".join(outcome.stdout_lines) + "\n" == expected
+
+    def test_chain_table_over_the_limit_is_refused_before_any_chain(self, tmp_path):
+        # six layers of 20 with every cover between adjacent layers: 20^6
+        # maximal chains of 6 elements each
+        layers = [[f"l{k}e{i}" for i in range(20)] for k in range(6)]
+        lines = ["elements: " + " ".join(e for layer in layers for e in layer)]
+        lines += [f"{a} < {b}" for lo, hi in zip(layers, layers[1:]) for a in lo for b in hi]
+        path = tmp_path / "layered.poset"
+        path.write_text("\n".join(lines) + "\n")
+        outcome, peak = traced_run(["ordercomplex", str(path)])
+        assert outcome.exit_code == 2 and not outcome.stdout_lines
+        assert outcome.stderr_lines == (
+            "error: the maximal chains need a table of 384000000 element ids, "
+            "above the limit 8000000",
+        )
+        assert peak < 5_000_000
 
     def test_malformed_poset(self, tmp_path):
         path = tmp_path / "bad.poset"
@@ -377,6 +412,17 @@ class TestDiagramCommand:
         outcome = run(["diagram", "check", str(path)])
         assert len(calls) == 1
         assert (outcome.stdout_lines, outcome.exit_code) == (stdout, code)
+
+    def test_grothendieck_label_collision_exits_2(self, tmp_path):
+        path = tmp_path / "collide.pdiag"
+        path.write_text(
+            "base:\nelements: b@c c\nfiber b@c:\nelements: a\nfiber c:\nelements: a@b\n"
+        )
+        outcome = run(["diagram", "grothendieck", str(path)])
+        assert outcome.exit_code == 2 and not outcome.stdout_lines
+        assert outcome.stderr_lines == (
+            "error: pairs ('a', 'b@c') and ('a@b', 'c') both get the label 'a@b@c'",
+        )
 
     def test_grothendieck_emits_poset(self, cylinder_file):
         outcome = run(["diagram", "grothendieck", cylinder_file])

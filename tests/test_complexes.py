@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from randgen import random_complex, random_subcomplex
-from ordertop import complexes
+from ordertop import complementation, complexes, config
 from ordertop.complexes import (
     ComplexError,
     PointedComplex,
@@ -24,7 +24,8 @@ from ordertop.complexes import (
     suspension,
     wedge,
 )
-from ordertop.homology import reduced_homology
+from ordertop.homology import philip_hall_check, reduced_homology
+from ordertop.posets import BoundedPoset, boolean_lattice, partition_lattice
 
 
 def betti(K, coeff="Z"):
@@ -362,3 +363,43 @@ class TestFaceTableBound:
         K = SimplicialComplex([[f"v{i}" for i in range(self.N)]])
         with pytest.raises(ComplexError, match=f"{self.LARGEST} vertex ids, above the limit"):
             K.face_table()
+
+
+def verify_every_inner_element():
+    for P in (boolean_lattice(4), partition_lattice(4)):
+        L = BoundedPoset.from_poset(P)
+        for z in L.truncate():
+            complementation.verify(L, z)
+
+
+FACE_TABLE_READERS = {
+    "reduced_homology": lambda: reduced_homology(sphere_complex(3), "Z/2"),
+    "verify": verify_every_inner_element,
+    "quotient_wedge_check": lambda: complementation.quotient_wedge_check(
+        BoundedPoset.from_poset(boolean_lattice(4)).truncate(), ["{1,2}", "{3}"]
+    ),
+    "circle_model_check": lambda: config.circle_model_check(2, 7),
+    "philip_hall_check": lambda: philip_hall_check(BoundedPoset.from_poset(partition_lattice(4))),
+}
+
+
+class TestFaceTableBuilds:
+    """A complex is its vertices and facets; each check builds the face
+    table of each complex it reads once."""
+
+    def test_a_complex_keeps_no_table(self):
+        assert SimplicialComplex.__slots__ == ("vertices", "facets")
+
+    @pytest.mark.parametrize("name", sorted(FACE_TABLE_READERS))
+    def test_one_build_per_complex(self, monkeypatch, name):
+        readers, builds = [], []
+        face_table, build = SimplicialComplex.face_table, complexes._face_table
+        monkeypatch.setattr(
+            SimplicialComplex, "face_table", lambda K: readers.append(K) or face_table(K)
+        )
+        monkeypatch.setattr(
+            complexes, "_face_table", lambda *args: builds.append(args) or build(*args)
+        )
+        FACE_TABLE_READERS[name]()
+        assert builds and len(builds) == len(readers)
+        assert len({id(K) for K in readers}) == len(readers)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,7 @@ from ordertop.diagrams import (
     parse_pdiag,
     validate,
 )
-from ordertop.posets import FinitePoset, boolean_lattice, chain_poset
+from ordertop.posets import FinitePoset, PosetError, boolean_lattice, chain_poset
 
 TWO_CHAIN = FinitePoset(["0", "1"], [("0", "1")])
 
@@ -93,6 +94,27 @@ class TestGrothendieck:
                 [(f"{a}@{q}", f"{b}@{q}") for a in fiber for b in fiber.upset(a)],
             )
             assert level == expected
+
+
+@pytest.mark.parametrize("flatten", [grothendieck, diagram_flatten])
+def test_pair_labels_that_collide_are_refused(flatten):
+    base = FinitePoset(["b@c", "c"])
+    D = PosetDiagram(base, {"b@c": FinitePoset(["a"]), "c": FinitePoset(["a@b"])}, {})
+    match = r"pairs \('a', 'b@c'\) and \('a@b', 'c'\) both get the label 'a@b@c'"
+    with pytest.raises(PosetError, match=match):
+        flatten(D)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_order_is_the_definition(self, seed):
+        # (x, q) <= (y, q') exactly when q <= q' and x <= f(y) over q
+        D = random_two_chain_diagram(random.Random(300 + seed))
+        G = grothendieck(D)
+        f = D.maps["lo", "hi"]
+        pairs = [(x, q) for q in D.base for x in D.fibers[q]]
+        for (x, q), (y, q2) in product(pairs, repeat=2):
+            image = y if q == q2 else f[y] if (q, q2) == ("lo", "hi") else None
+            expected = image is not None and D.fibers[q].leq(x, image)
+            assert G.leq(f"{x}@{q}", f"{y}@{q2}") == expected
 
 
 class TestFlatten:

@@ -5,7 +5,8 @@ from math import comb, factorial
 import pytest
 
 import oracles
-from randgen import random_bounded_poset, random_complex, random_poset
+from randgen import random_bounded_poset, random_closure_lattice, random_complex, random_poset
+from ordertop import complexes
 from ordertop.posets import (
     BoundedPoset,
     FinitePoset,
@@ -123,6 +124,13 @@ class TestGenerators:
             lambda a, b: a != b and P.leq(a[0], b[0]) and Q.leq(a[1], b[1]),
         )
 
+    def test_product_labels_that_collide_are_refused(self):
+        P = FinitePoset(["a,b", "a"], [("a,b", "a")])
+        Q = FinitePoset(["c", "b,c"], [("c", "b,c")])
+        match = r"pairs \('a', 'b,c'\) and \('a,b', 'c'\) both get the label '\(a,b,c\)'"
+        with pytest.raises(PosetError, match=match):
+            poset_product(P, Q)
+
     def test_generate_dispatch(self):
         assert generate("boolean", 2) == boolean_lattice(2)
         assert generate("chain", 3) == chain_poset(3)
@@ -177,6 +185,58 @@ class TestTruncate:
         T = bounded(boolean_lattice(1)).truncate()
         assert len(T) == 0
         assert T.order_complex().is_empty
+
+
+class TestInducedFromCovers:
+    """A derived poset is built from its covers alone, and equals the one
+    built from every relation it inherits."""
+
+    @pytest.mark.parametrize(
+        "lattice", [partition_lattice(5), boolean_lattice(4)], ids=["Pi5", "B4"]
+    )
+    def test_passes_exactly_the_covers(self, monkeypatch, lattice):
+        B = bounded(lattice)
+        y = sorted(lattice.elements, key=lambda e: (len(lattice.downset(e)), e))[len(lattice) // 2]
+        passed = []
+        original = FinitePoset.__init__
+
+        def init(self, elements, relations=()):
+            relations = list(relations)
+            passed.append(len(relations))
+            original(self, elements, relations)
+
+        monkeypatch.setattr(FinitePoset, "__init__", init)
+        derived = {
+            "truncate": B.truncate,
+            "remove": lambda: lattice.remove([y]),
+            "below": lambda: lattice.below(y),
+            "above": lambda: lattice.above(y),
+        }
+        for name, derive in derived.items():
+            passed.clear()
+            result = derive()
+            assert passed == [len(result.covers)], name
+            inherited = [(a, b) for a in result for b in lattice.upset(a) if b in result]
+            assert result == FinitePoset(result.elements, inherited), name
+
+
+class TestMaximalChainBound:
+    """The chains are counted before any is built, against the face-table
+    limit; the total is the number of element ids in all of them."""
+
+    def test_full_partition_lattice_7(self):
+        assert len(partition_lattice(7).maximal_chains()) == 56_700
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_limit_is_the_exact_total(self, monkeypatch, seed):
+        P = partition_lattice(4) if seed == 0 else random_poset(random.Random(900 + seed))
+        chains = P.maximal_chains()
+        total = sum(map(len, oracles.brute_maximal_chains(P.elements, P.lt)))
+        monkeypatch.setattr(complexes, "MAX_STACK_ENTRIES", total)
+        assert P.maximal_chains() == chains
+        monkeypatch.setattr(complexes, "MAX_STACK_ENTRIES", total - 1)
+        with pytest.raises(PosetError, match=f"table of {total} element ids, above the limit"):
+            P.maximal_chains()
 
 
 class TestBounds:
@@ -298,7 +358,17 @@ class TestCrapoComplementation:
         ids=["B3", "B4", "Pi4", "Pi5", "B2xC3", "C2xC3"],
     )
     def test_every_inner_element(self, lattice):
-        B = bounded(lattice)
+        self.check(bounded(lattice))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_closure_systems(self, seed):
+        rng = random.Random(1000 + seed)
+        for _ in range(10):
+            self.check(random_closure_lattice(rng))
+
+    @staticmethod
+    def check(B):
+        lattice = B.poset
         whole = oracles.brute_mobius(list(lattice.elements), lattice.leq)
         for z in B.truncate():
             co = B.complements(z)
