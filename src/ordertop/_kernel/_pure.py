@@ -8,7 +8,8 @@ in one degree as ``cleared`` columns of the next (the clearing or "twist"
 trick of Chen-Kerber, *Persistent homology computation with a twist*, 2011).
 A cleared column never has to be reduced: over Z/2 it is a combination of the
 other columns, and over Z it is an integer one because only +-1 lows become
-pivots.  When ``pivot_rows`` is a list, the pivot rows found are appended.
+pivots.  Both return ``(units, residual, pivot rows)``, the residual empty
+over Z/2 and the pivot rows the ``cleared`` of the next degree.
 
 Before any reduction, one array pass finds the apparent pivots (Bauer,
 *Ripser*, J. Appl. Comput. Topol. 2021): the first active column with a given
@@ -19,8 +20,9 @@ unimodular column operations, since a pivot column is never changed.
 
 A matrix arrives in compressed columns (``homology.SparseMatrix``); each of
 its arrays is read once into a Python list, and a column becomes a dict (over
-Z) or a bitset (over Z/2) only when its turn comes, or for a pivot when some
-column is first reduced against it.
+Z) or a bitset (over Z/2) only when its turn comes.  An apparent pivot stays
+a column index in ``apparent`` until some column is first reduced against
+it; it then moves, unpacked, to ``pivots``.
 
 The names ``eliminate_unit_pivots`` and ``rank_mod2`` are the kernel entry
 points the benchmark tracer wraps.
@@ -68,18 +70,16 @@ def _subtract(col: dict[int, int], q: int, piv: dict[int, int]) -> None:
             del col[r]  # nv == 0 needs r in col, since q and v are nonzero
 
 
-def eliminate_unit_pivots(
-    m, cleared: Collection[int] = (), pivot_rows: list[int] | None = None
-) -> tuple[int, list[tuple[int, int, int]]]:
+def eliminate_unit_pivots(m, cleared: Collection[int] = ()) -> tuple[int, list, list[int]]:
     """Split a sparse integer matrix into unit pivots and a small residual.
 
     ``m`` is a ``homology.SparseMatrix``.  Only column operations are used,
     and a column becomes a pivot only when its low entry is +-1.  A column
     whose low is not a unit is set aside; once every pivot is known it is
     reduced against them until it is zero on all pivot rows.  Returns
-    ``(unit_count, residual)``: the invariant factors of the matrix (without
-    the ``cleared`` columns) are ``[1] * unit_count`` followed by those of
-    the ``residual`` (row, col, value) triples, because the pivot block is
+    ``(units, residual, pivot rows)``: the invariant factors of the matrix
+    (without the ``cleared`` columns) are ``[1] * units`` followed by those
+    of the ``residual`` (row, col, value) triples, because the pivot block is
     unimodular and the residual columns vanish on its rows.
     """
     ptr, rows, vals = m.ptr.tolist(), m.rows.tolist(), m.vals.tolist()
@@ -87,10 +87,9 @@ def eliminate_unit_pivots(
     def column(c: int) -> dict[int, int]:
         return dict(zip(rows[ptr[c] : ptr[c + 1]], vals[ptr[c] : ptr[c + 1]]))
 
-    # low row -> pivot column, +-1 there; an apparent pivot is held as its
-    # column index until a column is first reduced against it
-    pivots: dict[int, dict[int, int] | int]
-    pivots, rest = _apparent_pivots(m.ptr, m.rows, m.vals, cleared)
+    # low row -> pivot column, +-1 there
+    apparent, rest = _apparent_pivots(m.ptr, m.rows, m.vals, cleared)
+    pivots: dict[int, dict[int, int]] = {}
     set_aside: list[tuple[int, dict[int, int]]] = []
     for c in rest:
         col = column(c)
@@ -98,34 +97,33 @@ def eliminate_unit_pivots(
             low = max(col)
             piv = pivots.get(low)
             if piv is None:
-                if col[low] in (1, -1):
-                    pivots[low] = col
-                else:
-                    set_aside.append((c, col))
-                break
-            if piv.__class__ is int:
-                piv = pivots[low] = column(piv)
+                a = apparent.pop(low, None)
+                if a is None:
+                    if col[low] in (1, -1):
+                        pivots[low] = col
+                    else:
+                        set_aside.append((c, col))
+                    break
+                piv = pivots[low] = column(a)
             _subtract(col, col[low] * piv[low], piv)
 
     residual = []
     for c, col in set_aside:
-        while hits := [r for r in col if r in pivots]:
+        while hits := [r for r in col if r in pivots or r in apparent]:
             low = max(hits)
-            piv = pivots[low]
-            if piv.__class__ is int:
-                piv = pivots[low] = column(piv)
+            piv = pivots.get(low)
+            if piv is None:
+                piv = pivots[low] = column(apparent.pop(low))
             _subtract(col, col[low] * piv[low], piv)
         residual += [(r, c, v) for r, v in col.items()]
-    if pivot_rows is not None:
-        pivot_rows += pivots
-    return len(pivots), sorted(residual)
+    return len(pivots) + len(apparent), sorted(residual), [*pivots, *apparent]
 
 
-def rank_mod2(m, cleared: Collection[int] = (), pivot_rows: list[int] | None = None) -> int:
+def rank_mod2(m, cleared: Collection[int] = ()) -> tuple[int, list, list[int]]:
     """Rank over Z/2 of a ``homology.SparseMatrix`` (without the ``cleared``
-    columns).  The odd entries are picked by one mask, and each column is
-    packed into a Python integer, bit r for row r, only when its turn comes,
-    so at most the pivots are held as bitsets."""
+    columns), as ``(rank, [], pivot rows)``.  The odd entries are picked by
+    one mask, and each column is packed into a Python integer, bit r for row
+    r, only when its turn comes, so at most the pivots are held as bitsets."""
     odd = (m.vals % 2).astype(bool)
     odd_ptr = np.concatenate(([0], np.cumsum(odd)))[m.ptr]
     odd_rows = m.rows[odd]
@@ -137,22 +135,19 @@ def rank_mod2(m, cleared: Collection[int] = (), pivot_rows: list[int] | None = N
             col ^= 1 << r
         return col
 
-    # low row -> pivot column as a bitset; an apparent pivot is held as the
-    # complement ~c of its column index (negative, so never a bitset) until
-    # a column is first reduced against it
+    # low row -> pivot column as a bitset
     apparent, rest = _apparent_pivots(odd_ptr, odd_rows, None, cleared)
-    pivots = {low: ~c for low, c in apparent.items()}
+    pivots: dict[int, int] = {}
     for c in rest:
         col = bitset(c)
         while col:
             low = col.bit_length() - 1
             piv = pivots.get(low)
             if piv is None:
-                pivots[low] = col
-                break
-            if piv < 0:
-                piv = pivots[low] = bitset(~piv)
+                a = apparent.pop(low, None)
+                if a is None:
+                    pivots[low] = col
+                    break
+                piv = pivots[low] = bitset(a)
             col ^= piv
-    if pivot_rows is not None:
-        pivot_rows += pivots
-    return len(pivots)
+    return len(pivots) + len(apparent), [], [*pivots, *apparent]

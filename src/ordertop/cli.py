@@ -151,7 +151,7 @@ def _cmd_complementation(args) -> tuple[list[str], bool]:
     lines = [f"z {report.z}"]
     lines += [f"complement {c}" for c in sorted(report.complements)]
     lines.append(f"antichain {_bool(report.antichain)}")
-    lines.append(f"removed_acyclic {_bool(bool(report.removed_acyclic))}")
+    lines.append(f"removed_acyclic {_bool(report.removed_acyclic)}")
     if report.wedge_match is not None:
         lines.append(f"wedge_match {_bool(report.wedge_match)}")
     lines.append(f"verdict {'pass' if report.passed else 'fail'}")

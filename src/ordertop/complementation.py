@@ -33,19 +33,15 @@ class ComplementationReport:
     complements: frozenset[str]
     antichain: bool
     coeff: str
-    removed_acyclic: bool | None = None
-    removed_profile: HomologyProfile | None = None
+    removed_acyclic: bool
+    removed_profile: HomologyProfile
     left_profile: HomologyProfile | None = None
     right_profile: HomologyProfile | None = None
     wedge_match: bool | None = None
 
     @property
     def passed(self) -> bool:
-        if self.removed_acyclic is False:
-            return False
-        if self.wedge_match is False:
-            return False
-        return True
+        return self.removed_acyclic and self.wedge_match is not False
 
 
 def wedge_side(trunc: FinitePoset, antichain: frozenset[str]) -> SimplicialComplex:

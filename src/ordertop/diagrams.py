@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .homology import HomologyProfile, reduced_homology
-from .posets import FinitePoset, PosetError, label_pairs, parse_poset
+from .posets import FinitePoset, PosetError, label_items, parse_poset
 
 
 class DiagramError(ValueError):
@@ -133,7 +133,7 @@ def _valid_pair_labels(D: PosetDiagram) -> dict[tuple[str, str], str]:
     failures = _check(D)
     if failures:
         raise DiagramError("invalid diagram: " + "; ".join(failures[:3]))
-    return label_pairs(((x, q) for q in D.base for x in D.fibers[q]), "{}@{}".format)
+    return label_items(((x, q) for q in D.base for x in D.fibers[q]), "{}@{}".format, "pairs")
 
 
 def _cover_images(D: PosetDiagram, lab: dict[tuple[str, str], str]) -> list[tuple[str, str]]:
@@ -197,7 +197,7 @@ def parse_pdiag(text: str) -> PosetDiagram:
     """
     base_lines: list[str] = []
     fiber_lines: dict[str, list[str]] = {}
-    map_specs: dict[tuple[str, str], dict[str, str]] = {}
+    map_bodies: dict[tuple[str, str], str] = {}
     current: list[str] | None = None
     for line in text.splitlines():
         line = line.split("#", 1)[0].rstrip()
@@ -219,18 +219,9 @@ def parse_pdiag(text: str) -> PosetDiagram:
             if len(parts) != 3:
                 raise DiagramError(f"malformed map header: {stripped!r}")
             key = (parts[1], parts[2])
-            if key in map_specs:
+            if key in map_bodies:
                 raise DiagramError(f"duplicate map block for {key}")
-            mapping = {}
-            for item in body.split(","):
-                item = item.strip()
-                if not item:
-                    continue
-                src, arrow, dst = item.partition("->")
-                if not arrow:
-                    raise DiagramError(f"malformed map entry: {item!r}")
-                mapping[src.strip()] = dst.strip()
-            map_specs[key] = mapping
+            map_bodies[key] = body
             current = None
             continue
         if current is None:
@@ -244,4 +235,35 @@ def parse_pdiag(text: str) -> PosetDiagram:
         fibers = {q: parse_poset("\n".join(lines)) for q, lines in fiber_lines.items()}
     except PosetError as exc:
         raise DiagramError(str(exc)) from exc
-    return PosetDiagram(base, fibers, map_specs)
+    maps = {
+        (q, q2): _map_entries(body, fibers.get(q2, ()), fibers.get(q, ()))
+        for (q, q2), body in map_bodies.items()
+    }
+    return PosetDiagram(base, fibers, maps)
+
+
+def _map_entries(body: str, upper, lower) -> dict[str, str]:
+    """The ``x->y, ...`` entries of a map body, x declared in ``upper`` and y
+    in ``lower``.  Commas separate entries, except that a piece naming no
+    declared pair is joined to the next pieces when they together name one,
+    so labels declared with commas, like ``poset_product``'s, stay whole."""
+
+    def names_pair(item: str) -> bool:
+        x, arrow, y = item.partition("->")
+        return bool(arrow) and x.strip() in upper and y.strip() in lower
+
+    # an entry spans one piece more than the commas in its two labels
+    reach = 1 + sum(max((lab.count(",") for lab in P), default=0) for P in (upper, lower))
+    pieces = body.split(",")
+    mapping: dict[str, str] = {}
+    i = 0
+    while i < len(pieces):
+        joins = (",".join(pieces[i:e]) for e in range(i + 1, min(i + reach, len(pieces)) + 1))
+        item = next((j for j in joins if names_pair(j)), pieces[i]).strip()
+        i += item.count(",") + 1
+        if item:
+            x, arrow, y = item.partition("->")
+            if not arrow:
+                raise DiagramError(f"malformed map entry: {item!r}")
+            mapping[x.strip()] = y.strip()
+    return mapping

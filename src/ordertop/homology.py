@@ -12,19 +12,19 @@ checks d_k o d_{k+1} = 0 for every consecutive pair on the same arrays,
 exactly.
 
 ``reduced_homology`` reduces the coboundaries d_k^T, degree 0 upward, with
-the column reducer in ``ordertop._kernel._pure``.  Each coboundary has its
-rows and columns numbered backwards (``_coboundary``), so the low of a column
-is its lexicographically first coface, and the pivot rows of one degree are
-cleared from the columns of the next.  Over Z only +-1 lows become pivots,
-which keeps clearing exact; the few columns left over go to the classical
-Smith normal form ``_dense_snf``.  ``smith_normal_form`` and
-``invariant_factors`` run the same reducer on a single matrix, untransposed
-and without clearing.
+a column reducer of ``ordertop._kernel._pure``, which returns ``(units,
+residual, pivot rows)`` over either ring.  Each coboundary has its rows and
+columns numbered backwards (``_coboundary``), so the low of a column is its
+lexicographically first coface, and the pivot rows of one degree are cleared
+from the columns of the next.  Over Z only +-1 lows become pivots, which
+keeps clearing exact; the residual goes to the classical Smith normal form
+``_dense_snf``.  ``smith_normal_form`` and ``invariant_factors`` run the Z
+reducer on a single matrix, untransposed and without clearing.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,8 +156,6 @@ def _dense_snf(entries: Sequence[tuple[int, int, int]]) -> list[int]:
     divisibility fix-up (add an offending row into the pivot row) guarantees
     each diagonal entry divides everything that follows.
     """
-    if not entries:
-        return []
     row_ids = sorted({r for r, _, _ in entries})
     col_ids = sorted({c for _, c, _ in entries})
     ri = {r: i for i, r in enumerate(row_ids)}
@@ -219,15 +217,9 @@ def _dense_snf(entries: Sequence[tuple[int, int, int]]) -> list[int]:
     return factors
 
 
-def invariant_factors(
-    m: SparseMatrix, cleared: Collection[int] = (), pivot_rows: list[int] | None = None
-) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... of an integer matrix (d_i > 0).
-
-    The columns in ``cleared`` are left out, and the pivot rows are appended
-    to ``pivot_rows`` when it is a list (see ``_factors_by_degree``).
-    """
-    units, residual = _pure.eliminate_unit_pivots(m, cleared, pivot_rows)
+def invariant_factors(m: SparseMatrix) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... of an integer matrix (d_i > 0)."""
+    units, residual, _ = _pure.eliminate_unit_pivots(m)
     return (1,) * units + tuple(_dense_snf(residual))
 
 
@@ -381,16 +373,12 @@ def _factors_by_degree(cc: ChainComplex, ring: str) -> dict[int, tuple[int, ...]
     The pivot rows of the coboundary of d_k are cleared from the columns of
     the coboundary of d_{k+1} (see ``ordertop._kernel._pure``).
     """
+    reduce = _pure.eliminate_unit_pivots if ring == Z else _pure.rank_mod2
     factors: dict[int, tuple[int, ...]] = {}
     cleared: list[int] = []
     for k in sorted(cc.boundary):
-        mat = _coboundary(cc.boundary[k])
-        pivot_rows: list[int] = []
-        if ring == Z:
-            factors[k] = invariant_factors(mat, cleared, pivot_rows)
-        else:
-            factors[k] = (1,) * _pure.rank_mod2(mat, cleared, pivot_rows)
-        cleared = pivot_rows
+        units, residual, cleared = reduce(_coboundary(cc.boundary[k]), cleared)
+        factors[k] = (1,) * units + tuple(_dense_snf(residual))
     return factors
 
 

@@ -141,17 +141,11 @@ class FinitePoset:
         E = self.elements
         return frozenset((E[i], E[j]) for i in range(len(E)) for j in _bits(self._cover[i]))
 
-    def upset(self, a: str, strict: bool = True) -> frozenset[str]:
-        mask = self._up[self._idx(a)]
-        if not strict:
-            mask |= 1 << self._idx(a)
-        return frozenset(self.elements[j] for j in _bits(mask))
+    def upset(self, a: str) -> frozenset[str]:
+        return frozenset(self.elements[j] for j in _bits(self._up[self._idx(a)]))
 
-    def downset(self, a: str, strict: bool = True) -> frozenset[str]:
-        mask = self._down[self._idx(a)]
-        if not strict:
-            mask |= 1 << self._idx(a)
-        return frozenset(self.elements[j] for j in _bits(mask))
+    def downset(self, a: str) -> frozenset[str]:
+        return frozenset(self.elements[j] for j in _bits(self._down[self._idx(a)]))
 
     def minimal_elements(self) -> tuple[str, ...]:
         return tuple(e for i, e in enumerate(self.elements) if not self._down[i])
@@ -359,34 +353,31 @@ def chain_poset(k: int) -> FinitePoset:
     return FinitePoset(labels, zip(labels, labels[1:]))
 
 
-def _subset_poset(sets: Iterable[frozenset]) -> FinitePoset:
-    """Inclusion order on a family of sets, from the covers b - {x} < b.
+def _subset_poset(sets: Iterable[tuple]) -> FinitePoset:
+    """Inclusion order on a family of sets, each a sorted tuple, from the
+    covers b - {x} < b.
 
     The closure of those covers is the inclusion order when the family holds
     every set between any two of its members, as the down-closed and
     size-bounded families of the generators below do.
     """
-    labels = {s: "{" + ",".join(map(str, sorted(s))) + "}" for s in sets}
-    covers = [
-        (labels[b - {x}], lab) for b, lab in labels.items() for x in b if b - {x} in labels
-    ]
-    return FinitePoset(labels.values(), covers)
+    labels = label_items(sets, lambda *s: "{" + ",".join(map(str, s)) + "}", "sets")
+    drops = ((b[:i] + b[i + 1 :], lab) for b, lab in labels.items() for i in range(len(b)))
+    return FinitePoset(labels.values(), [(labels[f], lab) for f, lab in drops if f in labels])
 
 
 def boolean_lattice(n: int) -> FinitePoset:
     """All subsets of {1..n}, including the empty set, ordered by inclusion."""
     if n < 0:
         raise PosetError("boolean rank must be >= 0")
-    subsets = [frozenset(c) for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
-    return _subset_poset(subsets)
+    return _subset_poset(c for k in range(n + 1) for c in combinations(range(1, n + 1), k))
 
 
 def exp_discrete_poset(m: int, n: int) -> FinitePoset:
     """Nonempty subsets of {1..m} of cardinality at most n, by inclusion."""
     if not 1 <= n <= m:
         raise PosetError(f"need 1 <= n <= m, got n={n}, m={m}")
-    subsets = [frozenset(c) for k in range(1, n + 1) for c in combinations(range(1, m + 1), k)]
-    return _subset_poset(subsets)
+    return _subset_poset(c for k in range(1, n + 1) for c in combinations(range(1, m + 1), k))
 
 
 def set_partitions(n: int) -> list[frozenset[frozenset[int]]]:
@@ -425,22 +416,23 @@ def partition_lattice(n: int) -> FinitePoset:
 
 def face_poset(K: SimplicialComplex) -> FinitePoset:
     """Nonempty faces of a complex ordered by inclusion."""
-    return _subset_poset(frozenset(f) for fs in K.faces_by_dim().values() for f in fs)
+    return _subset_poset(f for fs in K.faces_by_dim().values() for f in fs)
 
 
-def label_pairs(pairs: Iterable[tuple[str, str]], label: Callable[[str, str], str]) -> dict:
-    """The label of each pair; two pairs with the same label are refused."""
-    labels = {pair: label(*pair) for pair in pairs}
-    owner = {lab: pair for pair, lab in labels.items()}  # the last pair with each label
-    for pair, lab in labels.items():
-        if owner[lab] != pair:
-            raise PosetError(f"pairs {pair} and {owner[lab]} both get the label {lab!r}")
+def label_items(items: Iterable[tuple], label: Callable[..., str], kind: str) -> dict:
+    """The label ``label(*item)`` of each tuple; two items with the same
+    label are refused, naming both as ``kind``."""
+    labels = {item: label(*item) for item in items}
+    owner = {lab: item for item, lab in labels.items()}  # the last item with each label
+    for item, lab in labels.items():
+        if owner[lab] != item:
+            raise PosetError(f"{kind} {item} and {owner[lab]} both get the label {lab!r}")
     return labels
 
 
 def poset_product(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
     """Componentwise order on pairs, labeled (p,q)."""
-    lab = label_pairs(((p, q) for p in P for q in Q), "({},{})".format)
+    lab = label_items(((p, q) for p in P for q in Q), "({},{})".format, "pairs")
     covers = [(lab[a, q], lab[b, q]) for a, b in P.covers for q in Q]
     covers += [(lab[p, a], lab[p, b]) for a, b in Q.covers for p in P]
     return FinitePoset(lab.values(), covers)

@@ -25,8 +25,9 @@ class SphereCalcError(ValueError):
 
 
 # Largest n evaluated.  The multiplicities (n-1)! and 2^(n-2) stay well below
-# the interpreter's 4300-digit int-to-str limit, which the CLI output would
-# hit, and the partition recurrence (O(n^2) big-integer additions) stays fast.
+# the 4300-digit int-to-str limit the CLI output would hit, the partition
+# recurrence (O(n^2) big-integer additions) stays fast, and so does the
+# grassmannian one, which ORIENTED_MAX_N also bounds.
 PARTITION_MAX_N = 500
 ORIENTED_MAX_N = 10_000
 
@@ -147,6 +148,8 @@ def grassmannian_type(n: int, d: int = 1) -> SphereWedge:
     """
     if n < 2:
         raise SphereCalcError("need n >= 2")
+    if n > ORIENTED_MAX_N:
+        raise SphereCalcError(f"need n <= {ORIENTED_MAX_N}, got {n}")
     if d not in (1, 2, 4):
         raise SphereCalcError("field dimension must be 1, 2 or 4")
     current = sphere(d)

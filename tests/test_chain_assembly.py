@@ -61,7 +61,7 @@ def triples_profile(mats, counts, ring):
             factors[k] = invariant_factors(m)
             ranks[k] = len(factors[k])
         else:
-            ranks[k] = _pure.rank_mod2(m)
+            ranks[k], _, _ = _pure.rank_mod2(m)
     betti, torsion = {}, {}
     for k in range(-1, max(counts) + 1):
         b = counts.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0)

@@ -205,6 +205,7 @@ class TestInputBounds:
             (["config", "fuchs", "--n"], config.MAX_N),
             (["config", "exp2-betti", "--n"], config.MAX_N),
             (["config", "neighborly", "--n"], config.MAX_N),
+            (["calc", "grassmannian", "--n"], spheres.ORIENTED_MAX_N),
         ],
     )
     def test_n_limit(self, argv, limit):
@@ -423,6 +424,27 @@ class TestDiagramCommand:
         assert outcome.stderr_lines == (
             "error: pairs ('a', 'b@c') and ('a@b', 'c') both get the label 'a@b@c'",
         )
+
+    def test_map_lines_take_comma_labels(self, tmp_path):
+        path = tmp_path / "product.pdiag"
+        path.write_text(
+            "base:\nelements: lo hi\nlo < hi\n"
+            "fiber lo:\nelements: (a,b) (a,c)\n(a,b) < (a,c)\n"
+            "fiber hi:\nelements: (c,d) (c,e)\n(c,d) < (c,e)\n"
+            "map lo hi: (c,d)->(a,b), (c,e)->(a,c)\n"
+        )
+        outcome = run(["diagram", "check", str(path)])
+        assert (outcome.stdout_lines, outcome.exit_code) == (
+            ("valid true", "cylinder_match true", "verdict pass"),
+            0,
+        )
+        emitted = parse_poset("\n".join(run(["diagram", "grothendieck", str(path)]).stdout_lines))
+        assert emitted.covers == {
+            ("(a,b)@lo", "(a,c)@lo"),
+            ("(a,b)@lo", "(c,d)@hi"),
+            ("(a,c)@lo", "(c,e)@hi"),
+            ("(c,d)@hi", "(c,e)@hi"),
+        }
 
     def test_grothendieck_emits_poset(self, cylinder_file):
         outcome = run(["diagram", "grothendieck", cylinder_file])

@@ -307,3 +307,29 @@ map 0 1: p->x
     def test_stray_line(self):
         with pytest.raises(DiagramError, match="outside"):
             parse_pdiag("elements: a\n" + self.GOOD)
+
+    # fibers labelled like poset_product pairs, with commas inside labels
+    PRODUCT = """
+base:
+elements: lo hi
+lo < hi
+fiber lo:
+elements: (a,b) (a,c)
+(a,b) < (a,c)
+fiber hi:
+elements: (c,d) (c,e)
+(c,d) < (c,e)
+map lo hi: (c,d)->(a,b), (c,e)->(a,c)
+"""
+
+    def test_map_entries_keep_declared_comma_labels(self):
+        D = parse_pdiag(self.PRODUCT)
+        assert D.maps[("lo", "hi")] == {"(c,d)": "(a,b)", "(c,e)": "(a,c)"}
+        assert validate(D).passed
+
+    def test_map_entries_split_on_commas_outside_declared_labels(self):
+        D = parse_pdiag(self.PRODUCT.replace("(c,e)->(a,c)", "(c,e)->(a,c),, (c,d)->(a,b)"))
+        assert D.maps[("lo", "hi")] == {"(c,d)": "(a,b)", "(c,e)": "(a,c)"}
+        # an entry naming no declared pair ends at the next comma
+        with pytest.raises(DiagramError, match=r"malformed map entry: '\(c'"):
+            parse_pdiag(self.PRODUCT.replace("->(a,c)", "->(a,z)"))

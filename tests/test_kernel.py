@@ -36,18 +36,18 @@ class TestPureKernel:
     def test_unit_elimination_counts_rank(self):
         # identity: every pivot is a unit
         entries = [(i, i, 1) for i in range(5)]
-        units, residual = _pure.eliminate_unit_pivots(matrix(5, 5, entries))
-        assert units == 5 and residual == []
+        units, residual, pivot_rows = _pure.eliminate_unit_pivots(matrix(5, 5, entries))
+        assert units == 5 and residual == [] and sorted(pivot_rows) == [0, 1, 2, 3, 4]
 
     def test_residual_has_no_units(self):
         entries = [(0, 0, 2), (1, 1, 3)]
-        units, residual = _pure.eliminate_unit_pivots(matrix(2, 2, entries))
-        assert units == 0
+        units, residual, pivot_rows = _pure.eliminate_unit_pivots(matrix(2, 2, entries))
+        assert units == 0 and pivot_rows == []
         assert sorted(residual) == [(0, 0, 2), (1, 1, 3)]
 
     def test_duplicate_entries_summed(self):
-        units, residual = _pure.eliminate_unit_pivots(matrix(1, 1, [(0, 0, 1), (0, 0, -1)]))
-        assert units == 0 and residual == []
+        result = _pure.eliminate_unit_pivots(matrix(1, 1, [(0, 0, 1), (0, 0, -1)]))
+        assert result == (0, [], [])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -61,7 +61,8 @@ class TestPureKernel:
         dense = [[0] * n_cols for _ in range(n_rows)]
         for r, c, v in entries:
             dense[r][c] += v
-        assert _pure.rank_mod2(matrix(n_rows, n_cols, entries)) == oracles.rank_gf2(dense)
+        rank, _, _ = _pure.rank_mod2(matrix(n_rows, n_cols, entries))
+        assert rank == oracles.rank_gf2(dense)
 
     def test_big_integers_against_sympy(self):
         huge = 2 ** 70
@@ -72,37 +73,48 @@ class TestPureKernel:
     def test_residual_reduced_on_pivot_rows(self):
         # column 0 is a unit pivot on row 0; column 1 has the non-unit low 2
         entries = [(0, 0, 1), (0, 1, 1), (1, 1, 2)]
-        assert _pure.eliminate_unit_pivots(matrix(2, 2, entries)) == (1, [(1, 1, 2)])
+        assert _pure.eliminate_unit_pivots(matrix(2, 2, entries)) == (1, [(1, 1, 2)], [0])
         assert smith_normal_form([[1, 1], [0, 2]]) == (1, 2)
         # the same column left unreduced on row 0 would give (1, 1)
         assert _dense_snf([(0, 1, 1), (1, 1, 2)]) == [1]
 
     def test_rank_mod2_sums_duplicates_and_rejects_out_of_range(self):
-        assert _pure.rank_mod2(matrix(1, 1, [(0, 0, 1), (0, 0, 1)])) == 0
-        assert _pure.rank_mod2(matrix(1, 1, [(0, 0, 1), (0, 0, 2)])) == 1
-        assert _pure.eliminate_unit_pivots(matrix(1, 1, [(0, 0, 1), (0, 0, 1)])) == (0, [(0, 0, 2)])
+        assert _pure.rank_mod2(matrix(1, 1, [(0, 0, 1), (0, 0, 1)])) == (0, [], [])
+        assert _pure.rank_mod2(matrix(1, 1, [(0, 0, 1), (0, 0, 2)])) == (1, [], [0])
+        assert _pure.eliminate_unit_pivots(matrix(1, 1, [(0, 0, 1), (0, 0, 1)])) == (
+            0,
+            [(0, 0, 2)],
+            [],
+        )
         with pytest.raises(ValueError):
             _pure.rank_mod2(matrix(1, 1, [(1, 0, 1)]))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_pivot_rows_distinct(self, seed):
+        # Both reducers return (units, residual, pivot rows): one distinct
+        # row per unit, and no residual over Z/2.
         rng = random.Random(100 + seed)
         n_rows, n_cols = rng.randint(1, 12), rng.randint(1, 12)
         entries = random_entries(rng, n_rows, n_cols, rng.randint(0, 40), -2, 2)
         m = matrix(n_rows, n_cols, entries)
-        rows_z: list[int] = []
-        units, _ = _pure.eliminate_unit_pivots(m, pivot_rows=rows_z)
-        rows_2: list[int] = []
-        rank = _pure.rank_mod2(m, pivot_rows=rows_2)
+        units, residual, rows_z = _pure.eliminate_unit_pivots(m)
+        rank, residual_2, rows_2 = _pure.rank_mod2(m)
         assert len(set(rows_z)) == len(rows_z) == units
         assert len(set(rows_2)) == len(rows_2) == rank
         assert all(0 <= r < n_rows for r in rows_z + rows_2)
+        assert residual_2 == []
+        assert not {r for r, _, _ in residual} & set(rows_z)
 
 
 COMPLEXES = [random_complex(random.Random(900 + seed), 8, 8, 5) for seed in range(15)]
 COMPLEXES += list(torsion_cases().values())
 # clearing the low row of a non-unit column would change the factors here
 COMPLEXES.append(join(projective_plane(), moore_space(3)))
+
+
+def factors(reduced):
+    units, residual, _ = reduced
+    return (1,) * units + tuple(_dense_snf(residual))
 
 
 @pytest.mark.parametrize("index", range(len(COMPLEXES)))
@@ -112,12 +124,9 @@ def test_clearing_keeps_factors_and_ranks(index):
     cc = ChainComplex.from_complex(COMPLEXES[index])
     for k in range(1, cc.dim + 1):
         upper, lower = cc.boundary[k], cc.boundary[k - 1]
-        rows_z: list[int] = []
-        invariant_factors(upper, pivot_rows=rows_z)
-        rows_2: list[int] = []
-        _pure.rank_mod2(upper, pivot_rows=rows_2)
-        assert invariant_factors(lower, frozenset(rows_z)) == invariant_factors(lower)
-        assert _pure.rank_mod2(lower, frozenset(rows_2)) == _pure.rank_mod2(lower)
+        for reduce in (_pure.eliminate_unit_pivots, _pure.rank_mod2):
+            _, _, rows = reduce(upper)
+            assert factors(reduce(lower, frozenset(rows))) == factors(reduce(lower))
 
 
 def dense_array(m):

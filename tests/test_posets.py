@@ -131,6 +131,12 @@ class TestGenerators:
         with pytest.raises(PosetError, match=match):
             poset_product(P, Q)
 
+    def test_face_labels_that_collide_are_refused(self):
+        K = SimplicialComplex([["a,b"], ["a", "b"]])
+        match = r"sets \('a,b',\) and \('a', 'b'\) both get the label '\{a,b\}'"
+        with pytest.raises(PosetError, match=match):
+            face_poset(K)
+
     def test_generate_dispatch(self):
         assert generate("boolean", 2) == boolean_lattice(2)
         assert generate("chain", 3) == chain_poset(3)
@@ -510,8 +516,6 @@ class TestAgainstOracles:
         for a in labels:
             assert P.upset(a) == {b for b in labels if (a, b) in less}
             assert P.downset(a) == {b for b in labels if (b, a) in less}
-            assert P.upset(a, strict=False) == P.upset(a) | {a}
-            assert P.downset(a, strict=False) == P.downset(a) | {a}
 
     def test_dual(self, case):
         P, labels, less = case
