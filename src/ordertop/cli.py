@@ -9,6 +9,7 @@ invocation itself was unusable (bad flags, missing file, malformed input).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +38,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # built on the first run, then shared: parse_args keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ordertop", description=__doc__)
     parser.add_argument("--quiet", action="store_true", help="suppress stderr summaries")

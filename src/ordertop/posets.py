@@ -1,11 +1,12 @@
 """Finite posets: parsing, generators, Mobius function, complements, order complexes.
 
-Order data is kept as index bitmasks over the canonical (lexicographic)
-element ordering: per element its strict up-set, down-set and covers, all
-computed in one topological pass over the given relations.  Comparability
-queries, cone extraction, derived posets, maximal chains and brute-force
-meets/joins read those masks.  The generators emit cover relations only and
-leave the transitive closure to ``FinitePoset``.
+Order data is kept over the canonical (lexicographic) element ordering and
+computed in one topological pass over the given relations: per element, its
+strict up-set and down-set as index bitmasks and its covers as an ascending
+tuple of indices.  Comparability queries, cone extraction, derived posets
+and brute-force meets/joins use the masks as sets; maximal chains, cover
+listings and the dual walk the cover tuples.  The generators emit
+cover relations only and leave the transitive closure to ``FinitePoset``.
 """
 
 from __future__ import annotations
@@ -36,12 +37,14 @@ def _check_label(label: str) -> str:
 class FinitePoset:
     """Immutable finite poset on string labels.
 
-    Built from an element list and arbitrary strict relations.  One
-    topological pass (Kahn's order) computes the order: from the top of that
-    order down, each element's up-set is its successors together with their
-    up-sets, and its covers are the successors that no other successor lies
-    below (the transitive reduction); the down-sets then follow the covers
-    upward.  Cycles (including a < a) are rejected, naming an element on one.
+    Built from an element list and arbitrary strict relations, each
+    element's distinct successors kept as an index list.  One topological
+    pass (Kahn's order) computes the order: from the top of that order down,
+    each element's up-set is its successors together with their up-sets, and
+    its covers are the successors that no other successor lies below (the
+    transitive reduction); the down-sets then follow the covers upward.
+    Up-sets and down-sets are index bitmasks, covers ascending index tuples.
+    Cycles (including a < a) are rejected, naming an element on one.
     """
 
     __slots__ = ("elements", "_index", "_up", "_down", "_cover")
@@ -54,7 +57,8 @@ class FinitePoset:
         self.elements: tuple[str, ...] = tuple(sorted(labels))
         self._index = {lab: i for i, lab in enumerate(self.elements)}
         n = len(self.elements)
-        succ = [0] * n
+        succ = [0] * n  # successors as a mask, to drop repeated relations
+        nexts: list[list[int]] = [[] for _ in range(n)]  # and as an index list
         indeg = [0] * n  # distinct predecessors not yet placed in the order
         for a, b in relations:
             ia, ib = self._idx(a), self._idx(b)
@@ -62,36 +66,37 @@ class FinitePoset:
                 raise PosetError(f"cycle in relations: {a!r} < {a!r}")
             if not succ[ia] >> ib & 1:
                 succ[ia] |= 1 << ib
+                nexts[ia].append(ib)
                 indeg[ib] += 1
 
         # Kahn's order; the loop also visits the elements it appends.
         order = [i for i in range(n) if not indeg[i]]
         for i in order:
-            for j in _bits(succ[i]):
+            for j in nexts[i]:
                 indeg[j] -= 1
                 if not indeg[j]:
                     order.append(j)
         if len(order) < n:
             # Every unplaced element has an unplaced predecessor, so n steps
             # back from any of them end on a cycle.
-            pred = {j: i for i in range(n) if indeg[i] for j in _bits(succ[i])}
+            pred = {j: i for i in range(n) if indeg[i] for j in nexts[i]}
             j = next(i for i in range(n) if indeg[i])
             for _ in range(n):
                 j = pred[j]
             raise PosetError(f"cycle in relations through {self.elements[j]!r}")
 
         up = [0] * n
-        cover = [0] * n
+        cover: list[tuple[int, ...]] = [()] * n
         for i in reversed(order):
             above = 0
-            for j in _bits(succ[i]):
+            for j in nexts[i]:
                 above |= up[j]
             up[i] = succ[i] | above
-            cover[i] = succ[i] & ~above
+            cover[i] = tuple(sorted(j for j in nexts[i] if not above >> j & 1))
         down = [0] * n
         for i in order:
             below = down[i] | 1 << i
-            for j in _bits(cover[i]):
+            for j in cover[i]:
                 down[j] |= below
         self._up = tuple(up)
         self._down = tuple(down)
@@ -123,7 +128,7 @@ class FinitePoset:
         return hash((self.elements, self._up))
 
     def __repr__(self) -> str:
-        covers = sum(c.bit_count() for c in self._cover)
+        covers = sum(map(len, self._cover))
         return f"FinitePoset({len(self)} elements, {covers} covers)"
 
     def lt(self, a: str, b: str) -> bool:
@@ -139,7 +144,7 @@ class FinitePoset:
     def covers(self) -> frozenset[tuple[str, str]]:
         """Irredundant cover pairs (a, b): a < b with nothing in between."""
         E = self.elements
-        return frozenset((E[i], E[j]) for i in range(len(E)) for j in _bits(self._cover[i]))
+        return frozenset((E[i], E[j]) for i, cs in enumerate(self._cover) for j in cs)
 
     def upset(self, a: str) -> frozenset[str]:
         return frozenset(self.elements[j] for j in _bits(self._up[self._idx(a)]))
@@ -186,7 +191,7 @@ class FinitePoset:
 
     def dual(self) -> "FinitePoset":
         E = self.elements
-        rels = [(E[j], E[i]) for i in range(len(E)) for j in _bits(self._cover[i])]
+        rels = [(E[j], E[i]) for i, cs in enumerate(self._cover) for j in cs]
         return FinitePoset(E, rels)
 
     def remove(self, labels: Iterable[str]) -> "FinitePoset":
@@ -201,8 +206,8 @@ class FinitePoset:
         # per element, the maximal chains of its up-set and their total length
         chains, ids = [0] * len(E), [0] * len(E)
         for i in sorted(range(len(E)), key=lambda i: self._up[i].bit_count()):
-            chains[i] = sum(chains[j] for j in _bits(cover[i])) or 1
-            ids[i] = chains[i] + sum(ids[j] for j in _bits(cover[i]))
+            chains[i] = sum(chains[j] for j in cover[i]) or 1
+            ids[i] = chains[i] + sum(ids[j] for j in cover[i])
         total = sum(ids[i] for i in range(len(E)) if not self._down[i])
         if total > complexes.MAX_STACK_ENTRIES:
             raise PosetError(
@@ -216,7 +221,7 @@ class FinitePoset:
             if not cover[i]:
                 out.append(chain)
             else:
-                stack.extend((chain + (E[j],), j) for j in _bits(cover[i]))
+                stack.extend((chain + (E[j],), j) for j in cover[i])
         return out
 
     def order_complex(self) -> SimplicialComplex:

@@ -27,7 +27,8 @@ class SphereCalcError(ValueError):
 # Largest n evaluated.  The multiplicities (n-1)! and 2^(n-2) stay well below
 # the 4300-digit int-to-str limit the CLI output would hit, the partition
 # recurrence (O(n^2) big-integer additions) stays fast, and so does the
-# grassmannian one, which ORIENTED_MAX_N also bounds.
+# grassmannian one, which ORIENTED_MAX_N also bounds.  ORIENTED_MAX_N also
+# bounds exp_circle_type, whose sphere dimension 2n-1 is printed in full.
 PARTITION_MAX_N = 500
 ORIENTED_MAX_N = 10_000
 
@@ -210,6 +211,8 @@ def exp_circle_type(n: int) -> SphereWedge:
     """
     if n < 1:
         raise SphereCalcError("need n >= 1")
+    if n > ORIENTED_MAX_N:
+        raise SphereCalcError(f"need n <= {ORIENTED_MAX_N}, got {n}")
     collapsed_simplex = sphere(n - 1)
     return _smash2(sphere(n), collapsed_simplex)
 

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from ordertop import complementation, config, diagrams, grassmann, spheres
+from ordertop import cli, complementation, config, diagrams, grassmann, spheres
 from ordertop.cli import CommandOutcome, run
 from ordertop.complexes import format_cplx, parse_cplx
 from ordertop.homology import reduced_homology
@@ -15,6 +19,7 @@ from ordertop.posets import (
     partition_lattice,
 )
 
+SRC = Path(cli.__file__).resolve().parents[1]
 B3_POSET = format_poset(boolean_lattice(3))
 TRIANGLE_CPLX = "a b\nb c\na c\n"
 
@@ -206,6 +211,7 @@ class TestInputBounds:
             (["config", "exp2-betti", "--n"], config.MAX_N),
             (["config", "neighborly", "--n"], config.MAX_N),
             (["calc", "grassmannian", "--n"], spheres.ORIENTED_MAX_N),
+            (["calc", "exp-circle", "--n"], spheres.ORIENTED_MAX_N),
         ],
     )
     def test_n_limit(self, argv, limit):
@@ -466,6 +472,40 @@ class TestUsage:
         assert loud.stderr_lines == ("ok",)
         assert quiet.stderr_lines == ()
         assert loud.stdout_lines == quiet.stdout_lines
+
+    def test_quiet_does_not_carry_over(self):
+        run(["--quiet", "calc", "partition", "--n", "4"])
+        assert run(["calc", "partition", "--n", "4"]).stderr_lines == ("ok",)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["calc", "grassmannian", "--n", "3", "--d", "x"],
+            ["calc", "grassmannian", "--d", "2"],
+            ["--quiet", "calc", "nope"],
+            ["calc", "grassmannian", "--n", "3", "--d", "2", "--bogus"],
+        ],
+    )
+    def test_usage_error_leaves_no_state(self, bad):
+        argv = ["calc", "grassmannian", "--n", "3"]
+        lone = subprocess.run(
+            [sys.executable, "-m", "ordertop", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            check=True,
+        )
+        assert run(bad).exit_code == 2
+        after = run(argv)
+        assert after.exit_code == 0
+        assert after.stderr_lines == ("ok",)
+        assert "\n".join(after.stdout_lines) + "\n" == lone.stdout
+
+    def test_parser_is_built_once(self):
+        run(["calc", "partition", "--n", "4"])
+        built = cli._build_parser()
+        run(["nonsense"])
+        assert cli._build_parser() is built
 
     def test_outcome_is_a_record(self):
         outcome = run(["calc", "partition", "--n", "3"])

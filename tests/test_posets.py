@@ -490,13 +490,23 @@ def shuffled_order(seed):
 
 
 class TestAgainstOracles:
-    """Each order query against Warshall's closure of the same relations."""
+    """Each order query against Warshall's closure of the same relations,
+    given once and with every relation listed twice."""
 
-    @pytest.fixture(params=range(40))
+    @pytest.fixture(
+        params=[(seed, 1) for seed in range(40)] + [(seed, 2) for seed in range(40)],
+        ids=[str(seed) for seed in range(40)] + [f"twice-{seed}" for seed in range(40)],
+    )
     def case(self, request):
-        labels, rels = shuffled_order(1000 + request.param)
+        seed, copies = request.param
+        labels, rels = shuffled_order(1000 + seed)
         less = oracles.strict_closure(labels, rels)
-        return FinitePoset(labels, rels), sorted(labels), less
+        return FinitePoset(labels, rels * copies), sorted(labels), less
+
+    def test_equals_closure_poset(self, case):
+        P, labels, less = case
+        assert P == FinitePoset(labels, less)
+        assert repr(P) == repr(FinitePoset(labels, less))
 
     def test_maximal_chains(self, case):
         P, labels, less = case
