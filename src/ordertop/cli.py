@@ -33,9 +33,16 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures into exit code 2
         raise _UsageError(message)
+
+    def print_help(self, file=None):  # route -h into the record, exit code 0
+        raise _HelpRequested(self.format_help())
 
 
 @functools.cache  # built on the first run, then shared: parse_args keeps no state
@@ -245,6 +252,8 @@ def run(argv) -> CommandOutcome:
     try:
         args = parser.parse_args(argv)
         lines, passed = _HANDLERS[args.command](args)
+    except _HelpRequested as exc:
+        return CommandOutcome(0, tuple(str(exc).splitlines()), ())
     except _UsageError as exc:
         return CommandOutcome(2, (), (f"usage error: {exc}",))
     except (

@@ -7,8 +7,11 @@ normalized eigenvalue gaps.  The map is invariant under A -> alpha A + beta I
 orbit; both facts are checked numerically on sampled inputs.
 
 Every computation runs on stacks of shape (k, n, n): one stacked ``eigh`` per
-stack for the flags, one stacked SVD per flag stage for the angles, and the
-slices of the whole stack at once.  The single-matrix functions (``phi``,
+stack for the flags, one stacked projection residual per flag stage for the
+angles, and the slices of the whole stack at once.  An angle is the largest
+singular value of its residual; ``check_battery`` runs that SVD only on the
+few stages whose Frobenius bounds say they could fail the tolerance or hold
+the maximum.  The single-matrix functions (``phi``,
 ``orbit_invariance_check``, ``slice_representative``, ``subspace_gap``) are
 stacks of one, and ``check_battery`` draws its samples in blocks of
 ``max(1, BLOCK_ENTRIES // n^2)`` matrices, so its memory does not grow with
@@ -28,20 +31,27 @@ SYM_TOL = 1e-12
 WEIGHT_DROP = 1e-10
 CHECK_TOL = 1e-8
 
-# Largest matrix order for check_battery: a sample costs n - 1 SVDs of up to
-# n x n, so time grows as n^4 (about 0.04 s per sample at n = 100, 4 s at
-# n = 400).
+# Largest matrix order for check_battery: a sample builds n - 1 projection
+# residuals of up to n x n, so time grows as n^4 (about 0.01 s per sample at
+# n = 100).
 MAX_N = 100
 
 # Largest samples * n^2 for check_battery, which bounds its total work.  A
-# sample costs about 1.2-3.7 us per matrix entry (one BLAS thread, 2-CPU x86
-# VM): 12 us at n = 2, 77 us at n = 8 and 37 ms at n = 100, so the slowest
-# input within the limit, n = 100 with 1,600 samples, runs in about 65 s
-# (n = 2 with 4,000,000 samples in 48 s, n = 8 with 250,000 in 20 s).
+# sample costs about 0.4-1.4 us per matrix entry (one BLAS thread, 2-CPU x86
+# VM): 4.4 us at n = 2, 26 us at n = 8 and 10 ms at n = 100, so the slowest
+# inputs within the limit, n = 100 with 1,600 samples and n = 2 with
+# 4,000,000, run in 16 s and 18 s (n = 8 with 250,000 in 7 s).
 MAX_SAMPLE_ENTRIES = 16_000_000
 
 # Matrix entries per block of battery samples (128 samples at n = 8).
 BLOCK_ENTRIES = 8192
+
+# Relative margin on a stage's Frobenius bound before its exact gap is
+# skipped.  The computed SVD and Frobenius norm of one residual each round
+# to within a few n * eps of the exact values (under 1e-13 at n = MAX_N), so
+# a bound that stays under a threshold after widening by 1e-6 is under it
+# by far more than rounding can move either.
+BOUND_MARGIN = 1e-6
 
 
 class GrassmannError(ValueError):
@@ -90,18 +100,47 @@ def _flags(M: np.ndarray):
     return weights / np.cumsum(weights, axis=1)[:, -1:], keep, vecs
 
 
-def _gaps(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Per-matrix 2-norm of the projection residual V - U (U^T V)."""
-    resid = V - U @ (U.swapaxes(1, 2) @ V)
-    return np.linalg.svd(resid, compute_uv=False).max(axis=1)
+def _residuals(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Per-matrix projection residual V - U (U^T V)."""
+    return V - U @ (U.swapaxes(1, 2) @ V)
 
 
-def _orbit_stack(M: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
+def _gaps(R: np.ndarray) -> np.ndarray:
+    """Per-matrix 2-norm of a stack of residuals."""
+    return np.linalg.svd(R, compute_uv=False).max(axis=1)
+
+
+def _may_matter(resid: list[np.ndarray], live: np.ndarray, top: float) -> np.ndarray:
+    """Mark the stages whose gap could reach CHECK_TOL or the largest of
+    ``top`` and the live stages' gaps.
+
+    Stage i's residual R has n rows, i columns and rank at most
+    min(i, n - i), so ||R||_F / sqrt(min(i, n - i)) <= gap <= ||R||_F.  The
+    largest lower bound of a live stage is at most the largest gap, so a
+    stage whose upper bound stays under CHECK_TOL and under the larger of
+    ``top`` and that lower bound neither fails the check nor holds the
+    maximum.
+    """
+    n = len(resid) + 1
+    frob = np.stack([np.sqrt(np.einsum("kij,kij->k", R, R)) for R in resid], axis=1)
+    stage = np.arange(1, n)
+    lower = np.where(live, frob / np.sqrt(np.minimum(stage, n - stage)), 0.0)
+    return frob * (1.0 + BOUND_MARGIN) >= min(CHECK_TOL, lower.max(initial=top))
+
+
+def _orbit_stack(
+    M: np.ndarray, alpha: np.ndarray, beta: np.ndarray, floor: float | None = None
+):
     """Compare the flag of each M[j] with that of alpha[j] M[j] + beta[j] I.
 
     Returns the shifted stack and, per matrix, the support match, the
     weight and angle deviations (inf where the supports differ) and whether
     the support of M[j] is reduced.
+
+    Without ``floor`` every angle deviation is exact.  With it, only two
+    things about them are: which reach CHECK_TOL, and the largest of them
+    and ``floor``.  A stage's gap is then computed only where its bounds
+    (``_may_matter``) say it could change either, and counts as 0 elsewhere.
     """
     n = M.shape[1]
     B = _symmetric_stack(alpha[:, None, None] * M + beta[:, None, None] * np.eye(n))
@@ -110,10 +149,16 @@ def _orbit_stack(M: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     match = (ka == kb).all(axis=1)
     # dropped stages weigh 0 on both sides when the supports match
     weight_dev = np.abs(wa - wb).max(axis=1)
+    resid = [_residuals(va[:, :, :i], vb[:, :, :i]) for i in range(1, n)]
+    measured = ka & match[:, None]
+    if floor is not None:
+        # a support mismatch already holds the maximum: its deviation is inf
+        measured &= _may_matter(resid, measured, floor if match.all() else np.inf)
     angle_dev = np.zeros(len(M))
-    for i in range(1, n):
-        gap = _gaps(va[:, :, :i], vb[:, :, :i])
-        angle_dev = np.maximum(angle_dev, np.where(ka[:, i - 1], gap, 0.0))
+    for i, R in enumerate(resid):
+        rows = measured[:, i]
+        if rows.any():
+            angle_dev[rows] = np.maximum(angle_dev[rows], _gaps(R[rows]))
     weight_dev[~match] = np.inf
     angle_dev[~match] = np.inf
     return B, match, weight_dev, angle_dev, ~ka.all(axis=1)
@@ -206,7 +251,7 @@ def subspace_gap(U: np.ndarray, V: np.ndarray) -> float:
     """
     if U.shape != V.shape:
         raise GrassmannError("subspace bases have different shapes")
-    return float(_gaps(U[None], V[None])[0])
+    return float(_gaps(_residuals(U[None], V[None]))[0])
 
 
 @dataclass(frozen=True)
@@ -287,14 +332,17 @@ def check_battery(n: int, samples: int, seed: int) -> BatteryReport:
     for start in range(0, samples, per_block):
         k = min(per_block, samples - start)
         raw = np.empty((k, n, n))
-        alpha = np.empty(k)
-        beta = np.empty(k)
+        u = np.empty((k, 2))
         for j in range(k):
-            raw[j] = rng.standard_normal((n, n))
-            alpha[j] = rng.uniform(0.1, 3.0)
-            beta[j] = rng.uniform(-5.0, 5.0)
+            rng.standard_normal(out=raw[j])
+            rng.random(out=u[j])
+        # rng.uniform(low, high) draws low + (high - low) * rng.random()
+        alpha = 0.1 + (3.0 - 0.1) * u[:, 0]
+        beta = -5.0 + (5.0 - -5.0) * u[:, 1]
         M = _symmetric_stack((raw + raw.swapaxes(1, 2)) / 2.0)
-        B, match, weight_dev, angle_dev, reduced_support = _orbit_stack(M, alpha, beta)
+        B, match, weight_dev, angle_dev, reduced_support = _orbit_stack(
+            M, alpha, beta, floor=max_angle
+        )
         slice_dev = np.abs(_slices(M) - _slices(B)).max(axis=(1, 2))
         max_weight = max(max_weight, float(weight_dev.max()))
         max_angle = max(max_angle, float(angle_dev.max()))

@@ -471,15 +471,21 @@ def flag_slice(A):
     return centered / norm
 
 
-def battery(n, samples, seed, check_tol=1e-8, weight_drop=FLAG_WEIGHT_DROP):
+def battery_draws(n, samples, seed):
+    """The battery's samples in order, as (A, alpha, beta)."""
     rng = np.random.default_rng(seed)
-    failures = reduced = 0
-    max_weight = max_angle = max_slice = 0.0
     for _ in range(samples):
         raw = rng.standard_normal((n, n))
         A = (raw + raw.T) / 2.0
         alpha = float(rng.uniform(0.1, 3.0))
         beta = float(rng.uniform(-5.0, 5.0))
+        yield A, alpha, beta
+
+
+def battery(n, samples, seed, check_tol=1e-8, weight_drop=FLAG_WEIGHT_DROP):
+    failures = reduced = 0
+    max_weight = max_angle = max_slice = 0.0
+    for A, alpha, beta in battery_draws(n, samples, seed):
         match, weight_dev, angle_dev, reduced_support = orbit_check(A, alpha, beta, weight_drop)
         slice_dev = float(
             np.abs(flag_slice(A) - flag_slice(alpha * A + beta * np.eye(n))).max()

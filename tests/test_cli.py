@@ -501,6 +501,27 @@ class TestUsage:
         assert after.stderr_lines == ("ok",)
         assert "\n".join(after.stdout_lines) + "\n" == lone.stdout
 
+    @pytest.mark.parametrize("argv", [["--help"], ["grassmann", "check", "-h"]])
+    def test_help_is_in_the_record(self, argv, capsys, monkeypatch):
+        # argparse wraps help to $COLUMNS, so fix it on both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        outcome = run(argv)
+        assert capsys.readouterr() == ("", "")
+        assert outcome.exit_code == 0
+        assert outcome.stderr_lines == ()
+        assert outcome.stdout_lines[0].startswith(f"usage: ordertop {' '.join(argv[:-1])}")
+        lone = subprocess.run(
+            [sys.executable, "-m", "ordertop", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"},
+            check=True,
+        )
+        assert "\n".join(outcome.stdout_lines) + "\n" == lone.stdout
+        assert lone.stderr == ""
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (lone.stdout, "")
+
     def test_parser_is_built_once(self):
         run(["calc", "partition", "--n", "4"])
         built = cli._build_parser()

@@ -241,6 +241,88 @@ class TestAgainstLoopOracle:
             assert np.array_equal(B[j], alpha[j] * M[j] + beta[j] * np.eye(3))
 
 
+def _angle_devs(n, samples, seed, weight_drop=oracles.FLAG_WEIGHT_DROP):
+    return [
+        oracles.orbit_check(A, alpha, beta, weight_drop)[2]
+        for A, alpha, beta in oracles.battery_draws(n, samples, seed)
+    ]
+
+
+class TestBoundedGaps:
+    """check_battery runs the exact SVD only for stages whose Frobenius
+    bounds say they could fail CHECK_TOL or hold the largest angle; the
+    oracle runs every SVD, and the reports must still be equal."""
+
+    # at n = 30 the bounds of each block alone, without the running maximum
+    # of the blocks before it, would leave about 2% of the stages to an SVD
+    @pytest.mark.parametrize("n,samples", [(8, 2000), (30, 100)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_few_stages_need_an_svd(self, monkeypatch, n, samples, seed):
+        svd = np.linalg.svd
+        stages = []
+
+        def counting_svd(a, *args, **kwargs):
+            stages.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(grassmann.np.linalg, "svd", counting_svd)
+        check_battery(n, samples, seed)
+        assert 0 < sum(stages) < 0.01 * samples * (n - 1)
+
+    # the n = 8 gaps spread from about 1e-15 to 6e-14, so at these tolerances
+    # rows that do not hold the maximum fail on the angle
+    @pytest.mark.parametrize("tol", [1e-14, 3e-14])
+    def test_non_maximal_angle_failures(self, monkeypatch, tol):
+        angle_failures = sum(dev >= tol for dev in _angle_devs(8, 300, 3))
+        assert 1 < angle_failures < 300
+        monkeypatch.setattr(grassmann, "CHECK_TOL", tol)
+        report = check_battery(8, 300, 3)
+        assert report.failures >= angle_failures
+        assert dataclasses.astuple(report) == oracles.battery(8, 300, 3, check_tol=tol)
+
+    def test_tolerance_equal_to_a_gap(self, monkeypatch):
+        """A row whose gap equals CHECK_TOL fails.  For a rank-1 residual
+        the computed Frobenius norm can round an ulp below the computed SVD,
+        which the margin on the bound has to cover."""
+        draws = list(oracles.battery_draws(3, 40, 0))
+        M = grassmann._symmetric_stack(np.stack([A for A, _, _ in draws]))
+        alpha = np.array([a for _, a, _ in draws])
+        beta = np.array([b for _, _, b in draws])
+        exact = grassmann._orbit_stack(M, alpha, beta)[3]
+        for tol in exact:
+            monkeypatch.setattr(grassmann, "CHECK_TOL", tol)
+            # an infinite floor leaves CHECK_TOL as the only reason to run an SVD
+            pruned = grassmann._orbit_stack(M, alpha, beta, floor=math.inf)[3]
+            assert np.array_equal(pruned >= tol, exact >= tol)
+
+    def test_mismatch_in_an_early_block(self, monkeypatch):
+        """A support mismatch makes the largest angle inf in the first block;
+        later blocks must still find the rows that fail on the angle."""
+        n, samples, seed, tol = 4, 60, 1, 1e-15
+        # a stage of sample 0 weighs an ulp less on one side of the orbit
+        # than on the other: dropping at the smaller weight keeps it on one
+        # side only
+        A, alpha, beta = next(oracles.battery_draws(n, 1, seed))
+        sides = []
+        for M in (A, alpha * A + beta * np.eye(n)):
+            lam = np.linalg.eigh(M[None])[0][0]
+            sides.append(np.diff(lam) / (lam[-1] - lam[0]))
+        drop = min(np.minimum(*sides)[sides[0] != sides[1]])
+        # the weights sum to 1, so a drop below 1 / (n - 1) keeps a stage
+        # of every flag
+        assert drop < 1 / (n - 1)
+        monkeypatch.setattr(grassmann, "WEIGHT_DROP", drop)
+        monkeypatch.setattr(grassmann, "CHECK_TOL", tol)
+        monkeypatch.setattr(grassmann, "BLOCK_ENTRIES", 10 * n * n)
+        devs = _angle_devs(n, samples, seed, weight_drop=drop)
+        assert devs[0] == math.inf
+        assert 0 < sum(math.isfinite(d) and d >= tol for d in devs[10:]) < samples - 10
+        report = check_battery(n, samples, seed)
+        assert dataclasses.astuple(report) == oracles.battery(
+            n, samples, seed, check_tol=tol, weight_drop=drop
+        )
+
+
 class TestInputValidation:
     def test_non_square_rejected(self):
         with pytest.raises(GrassmannError, match="square"):
