@@ -18,11 +18,16 @@ has to be reduced to find them, so only the other columns run the Python
 loop.  Taking pivots out of left-to-right order is still a sequence of
 unimodular column operations, since a pivot column is never changed.
 
-A matrix arrives in compressed columns (``homology.SparseMatrix``); each of
-its arrays is read once into a Python list, and a column becomes a dict (over
-Z) or a bitset (over Z/2) only when its turn comes.  An apparent pivot stays
-a column index in ``apparent`` until some column is first reduced against
-it; it then moves, unpacked, to ``pivots``.
+A matrix arrives in compressed columns (``homology.SparseMatrix``) and stays
+in its arrays.  The apparent pivots are three arrays: their lows ascending,
+the column of each, and the other columns.  When there are no other
+columns, as in every degree of the order complexes seen so far, a reducer
+returns the lows as the pivot rows without making a Python object per
+entry.  Otherwise only the other columns, and the pivot columns they meet,
+are sliced out of the arrays; a column becomes a dict (over Z) or a bitset
+(over Z/2) only when its turn comes, and an apparent pivot's low is looked
+up by ``searchsorted`` and its column unpacked the first time some column is
+reduced against it.
 
 The names ``eliminate_unit_pivots`` and ``rank_mod2`` are the kernel entry
 points the benchmark tracer wraps.
@@ -37,18 +42,22 @@ import numpy as np
 
 def _apparent_pivots(
     ptr: np.ndarray, rows: np.ndarray, vals: np.ndarray | None, cleared: Collection[int]
-) -> tuple[dict[int, int], list[int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split the nonempty columns that are not ``cleared`` into apparent
     pivots and the rest.
 
-    Returns ``({low row: column}, other columns ascending)``.  A column is an
-    apparent pivot when no earlier one of these columns has the same initial
-    low and, unless ``vals`` is None (over Z/2), that low entry is +-1.
+    Returns ``(lows, owners, rest)``: the apparent pivots' low rows
+    ascending, the column that owns each, and the other columns ascending.
+    A column is an apparent pivot when no earlier one of these columns has
+    the same initial low and, unless ``vals`` is None (over Z/2), that low
+    entry is +-1.
     """
     ends = ptr[1:]
     active = ends > ptr[:-1]
-    if cleared:
-        active[np.fromiter(cleared, np.int64, len(cleared))] = False
+    if len(cleared):
+        if not isinstance(cleared, np.ndarray):
+            cleared = np.fromiter(cleared, np.int64, len(cleared))
+        active[cleared] = False
     cols = np.flatnonzero(active)
     last = ends[cols] - 1
     lows, first = np.unique(rows[last], return_index=True)
@@ -57,7 +66,13 @@ def _apparent_pivots(
         lows, first = lows[unit], first[unit]
     rest = np.ones(len(cols), dtype=bool)
     rest[first] = False
-    return dict(zip(lows.tolist(), cols[first].tolist())), cols[rest].tolist()
+    return lows, cols[first], cols[rest]
+
+
+def _owner(lows: np.ndarray, owners: np.ndarray, row: int) -> int | None:
+    """The apparent pivot column whose low is ``row``, or None."""
+    i = int(lows.searchsorted(row))
+    return int(owners[i]) if i < len(lows) and lows[i] == row else None
 
 
 def _subtract(col: dict[int, int], q: int, piv: dict[int, int]) -> None:
@@ -70,7 +85,7 @@ def _subtract(col: dict[int, int], q: int, piv: dict[int, int]) -> None:
             del col[r]  # nv == 0 needs r in col, since q and v are nonzero
 
 
-def eliminate_unit_pivots(m, cleared: Collection[int] = ()) -> tuple[int, list, list[int]]:
+def eliminate_unit_pivots(m, cleared: Collection[int] = ()) -> tuple[int, list, np.ndarray]:
     """Split a sparse integer matrix into unit pivots and a small residual.
 
     ``m`` is a ``homology.SparseMatrix``.  Only column operations are used,
@@ -80,74 +95,89 @@ def eliminate_unit_pivots(m, cleared: Collection[int] = ()) -> tuple[int, list, 
     ``(units, residual, pivot rows)``: the invariant factors of the matrix
     (without the ``cleared`` columns) are ``[1] * units`` followed by those
     of the ``residual`` (row, col, value) triples, because the pivot block is
-    unimodular and the residual columns vanish on its rows.
+    unimodular and the residual columns vanish on its rows.  The pivot rows
+    are an int64 array.
     """
-    ptr, rows, vals = m.ptr.tolist(), m.rows.tolist(), m.vals.tolist()
+    lows, owners, rest = _apparent_pivots(m.ptr, m.rows, m.vals, cleared)
+    if not len(rest):
+        return len(lows), [], lows
 
     def column(c: int) -> dict[int, int]:
-        return dict(zip(rows[ptr[c] : ptr[c + 1]], vals[ptr[c] : ptr[c + 1]]))
+        start, stop = m.ptr[c], m.ptr[c + 1]
+        return dict(zip(m.rows[start:stop].tolist(), m.vals[start:stop].tolist()))
 
-    # low row -> pivot column, +-1 there
-    apparent, rest = _apparent_pivots(m.ptr, m.rows, m.vals, cleared)
-    pivots: dict[int, dict[int, int]] = {}
+    def pivot(low: int) -> dict[int, int] | None:
+        """The pivot column on row ``low``, unpacking an apparent one."""
+        piv = pivots.get(low)
+        if piv is None:
+            a = _owner(lows, owners, low)
+            if a is not None:
+                piv = pivots[low] = column(a)
+        return piv
+
+    pivots: dict[int, dict[int, int]] = {}  # low row -> column, +-1 there
+    found: list[int] = []  # the pivot rows that are not apparent
     set_aside: list[tuple[int, dict[int, int]]] = []
-    for c in rest:
+    for c in rest.tolist():
         col = column(c)
         while col:
             low = max(col)
-            piv = pivots.get(low)
+            piv = pivot(low)
             if piv is None:
-                a = apparent.pop(low, None)
-                if a is None:
-                    if col[low] in (1, -1):
-                        pivots[low] = col
-                    else:
-                        set_aside.append((c, col))
-                    break
-                piv = pivots[low] = column(a)
+                if col[low] in (1, -1):
+                    pivots[low] = col
+                    found.append(low)
+                else:
+                    set_aside.append((c, col))
+                break
             _subtract(col, col[low] * piv[low], piv)
 
     residual = []
     for c, col in set_aside:
-        while hits := [r for r in col if r in pivots or r in apparent]:
+        while hits := [r for r in col if r in pivots or _owner(lows, owners, r) is not None]:
             low = max(hits)
-            piv = pivots.get(low)
-            if piv is None:
-                piv = pivots[low] = column(apparent.pop(low))
+            piv = pivot(low)
             _subtract(col, col[low] * piv[low], piv)
         residual += [(r, c, v) for r, v in col.items()]
-    return len(pivots) + len(apparent), sorted(residual), [*pivots, *apparent]
+    pivot_rows = np.concatenate((lows, np.array(found, dtype=np.int64)))
+    return len(pivot_rows), sorted(residual), pivot_rows
 
 
-def rank_mod2(m, cleared: Collection[int] = ()) -> tuple[int, list, list[int]]:
+def rank_mod2(m, cleared: Collection[int] = ()) -> tuple[int, list, np.ndarray]:
     """Rank over Z/2 of a ``homology.SparseMatrix`` (without the ``cleared``
-    columns), as ``(rank, [], pivot rows)``.  The odd entries are picked by
-    one mask, and each column is packed into a Python integer, bit r for row
-    r, only when its turn comes, so at most the pivots are held as bitsets."""
-    odd = (m.vals % 2).astype(bool)
-    odd_ptr = np.concatenate(([0], np.cumsum(odd)))[m.ptr]
-    odd_rows = m.rows[odd]
-    ptr, rows = odd_ptr.tolist(), odd_rows.tolist()
+    columns), as ``(rank, [], pivot rows)``, the pivot rows an int64 array.
+    Unless every entry is +-1, the odd entries are picked by one mask; each
+    column is packed into a Python integer, bit r for row r, only when its
+    turn comes, so at most the pivots are held as bitsets."""
+    ptr, rows, vals = m.ptr, m.rows, m.vals
+    if len(vals) and (vals.min() < -1 or vals.max() > 1):
+        odd = vals % 2 != 0
+        ptr = np.concatenate(([0], np.cumsum(odd)))[ptr]
+        rows = rows[odd]
+    lows, owners, rest = _apparent_pivots(ptr, rows, None, cleared)
+    if not len(rest):
+        return len(lows), [], lows
 
     def bitset(c: int) -> int:
         col = 0
-        for r in rows[ptr[c] : ptr[c + 1]]:
-            col ^= 1 << r
+        for r in rows[ptr[c] : ptr[c + 1]].tolist():
+            col |= 1 << r
         return col
 
-    # low row -> pivot column as a bitset
-    apparent, rest = _apparent_pivots(odd_ptr, odd_rows, None, cleared)
-    pivots: dict[int, int] = {}
-    for c in rest:
+    pivots: dict[int, int] = {}  # low row -> pivot column as a bitset
+    found: list[int] = []  # the pivot rows that are not apparent
+    for c in rest.tolist():
         col = bitset(c)
         while col:
             low = col.bit_length() - 1
             piv = pivots.get(low)
             if piv is None:
-                a = apparent.pop(low, None)
+                a = _owner(lows, owners, low)
                 if a is None:
                     pivots[low] = col
+                    found.append(low)
                     break
                 piv = pivots[low] = bitset(a)
             col ^= piv
-    return len(pivots) + len(apparent), [], [*pivots, *apparent]
+    pivot_rows = np.concatenate((lows, np.array(found, dtype=np.int64)))
+    return len(pivot_rows), [], pivot_rows

@@ -4,14 +4,17 @@ Conventions: the empty complex (no vertices at all) is a legal value, distinct
 from the one-point complex; it plays the role of S^{-1}, is the identity for
 the join, and has reduced Euler characteristic -1.
 
-Faces are computed on demand as integer arrays (``FaceTable``):
-vertices are numbered in sorted label order, each k-face is a row of k+1
-ascending vertex ids, and the rows of each dimension are in lexicographic
-order, which is also the lexicographic order of the label tuples.  The table
-is built top down from the facets with one ``np.unique`` per dimension, and
-it records for every face the positions of its codimension-one faces, which
-are the row indices of the boundary matrix (``homology.ChainComplex``).
-Label tuples are made only by ``faces_by_dim``.
+Faces are computed on demand as integer arrays (``FaceTable``): each k-face
+is a row of k+1 ascending vertex ids, and the rows of each dimension are in
+lexicographic order.  The table records for every face the positions of its
+codimension-one faces, which are the row indices of the boundary matrix
+(``homology.ChainComplex``).  A complex given by its facets numbers its
+vertices in sorted label order and builds the table top down from the
+facets, with one ``np.unique`` per dimension (``_face_table``); the rows
+then come in the lexicographic order of the label tuples.  An order complex
+(``posets.OrderComplex``) numbers them from the top of its poset down and
+grows the table from the chains instead.  Label tuples are made only by
+``faces_by_dim``, always from the facets.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ class ComplexError(ValueError):
 def _check_label(label: str) -> str:
     if not isinstance(label, str) or not label:
         raise ComplexError(f"vertex label must be a nonempty string, got {label!r}")
-    if any(ch.isspace() for ch in label):
+    if label.split() != [label]:
         raise ComplexError(f"vertex label may not contain whitespace: {label!r}")
     return label
 
@@ -44,23 +47,30 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # each face one dimension up once per dropped vertex, plus the facets of
 # that size.  The peak memory of ``ordertop homology`` grows with the
 # largest stack (one fresh process each, 2-CPU x86 VM): the order complex of
-# the full partition lattice Pi_7 stacks 7.19 M ids and peaks at about
-# 600 MB; the 18-vertex simplex stacks 3.94 M and peaks at 265 MB; the
-# 19-vertex simplex would stack 8.31 M (not measured) and the 20-vertex
-# simplex 18.5 M, which peaked at 1.1 GB and took 8.9 s without this limit.
+# the full partition lattice Pi_7, read from its facets, stacks 7.19 M ids
+# and peaks at about 600 MB; the 18-vertex simplex stacks 3.94 M and peaks
+# at 265 MB; the 19-vertex simplex would stack 8.31 M (not measured) and the
+# 20-vertex simplex 18.5 M, which peaked at 1.1 GB and took 8.9 s without
+# this limit.  The chain trie of an order complex (``posets._chain_table``)
+# holds the same bound for each of its levels, (k + 1) * f_k ids for the
+# k-chains.
 MAX_STACK_ENTRIES = 8_000_000
 
 
 class FaceTable(NamedTuple):
     """All nonempty faces of a complex as arrays of vertex ids, by dimension.
 
-    ``faces[k]`` has shape (f_k, k+1): one row per k-face, its ids ascending
-    (an id is a position in ``SimplicialComplex.vertices``), the rows in
-    lexicographic order.  ``boundary_rows[k]``, for k >= 1, has the same
-    shape: entry [j, p] is the position in ``faces[k-1]`` of face j with its
-    vertex in column k-p removed, so each row ascends.
+    An id is a position in ``vertices``: the sorted labels for a complex
+    given by its facets; for an order complex, the poset's elements from
+    the top down (by strict up-set size, ties in label order), so a chain's
+    row lists it from its top element.  ``faces[k]`` has shape (f_k, k+1):
+    one row per k-face, its ids ascending, the rows in lexicographic order.
+    ``boundary_rows[k]``, for k >= 1, has the same shape: entry [j, p] is
+    the position in ``faces[k-1]`` of face j with its vertex in column k-p
+    removed, so each row ascends.
     """
 
+    vertices: tuple[str, ...]
     faces: dict[int, np.ndarray]
     boundary_rows: dict[int, np.ndarray]
 
@@ -124,7 +134,7 @@ def _face_table(vertices: tuple[str, ...], facets: Iterable[frozenset[str]]) -> 
         faces[size - 1] = stacked[first]
         if upper is not None:
             boundary_rows[size] = inverse.reshape(-1)[: len(dropped)].reshape(size + 1, -1).T
-    return FaceTable(dict(sorted(faces.items())), dict(sorted(boundary_rows.items())))
+    return FaceTable(vertices, dict(sorted(faces.items())), dict(sorted(boundary_rows.items())))
 
 
 class SimplicialComplex:
@@ -207,7 +217,7 @@ class SimplicialComplex:
         labels = np.array(self.vertices, dtype=object)
         return {
             d: tuple(map(tuple, labels[ids].tolist()))
-            for d, ids in self.face_table().faces.items()
+            for d, ids in _face_table(self.vertices, self.facets).faces.items()
         }
 
     def face_counts(self) -> dict[int, int]:

@@ -15,10 +15,13 @@ the maximum.  The single-matrix functions (``phi``,
 ``orbit_invariance_check``, ``slice_representative``, ``subspace_gap``) are
 stacks of one, and ``check_battery`` draws its samples in blocks of
 ``max(1, BLOCK_ENTRIES // n^2)`` matrices, so its memory does not grow with
-the sample count.  The arithmetic per matrix is the same as a loop over
-single matrices would do, in the same order, so results are bit-identical to
-it: weights are normalised by a sequential sum and Frobenius norms are dot
-products.
+the sample count.  Per matrix the arithmetic is that of a loop over single
+matrices, in the same order (weights are normalised by a sequential sum and
+Frobenius norms are dot products), but not always bit-identical to it: the
+first stage's residual, taken from a strided view through a stacked matmul,
+can round differently from a contiguous 2-D product.  The angles agree with
+such a loop to rounding (5 of the first 60 samples at n = 4, seed 0 differ,
+near 1e-15), and the report at the default ``CHECK_TOL`` is the same.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ reducer on a single matrix, untransposed and without clearing.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -375,7 +375,7 @@ def _factors_by_degree(cc: ChainComplex, ring: str) -> dict[int, tuple[int, ...]
     """
     reduce = _pure.eliminate_unit_pivots if ring == Z else _pure.rank_mod2
     factors: dict[int, tuple[int, ...]] = {}
-    cleared: list[int] = []
+    cleared: Collection[int] = ()
     for k in sorted(cc.boundary):
         units, residual, cleared = reduce(_coboundary(cc.boundary[k]), cleared)
         factors[k] = (1,) * units + tuple(_dense_snf(residual))

@@ -14,8 +14,16 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from . import complexes
-from .complexes import SimplicialComplex
+from .complexes import FaceTable, SimplicialComplex
+
+# Most elements a ``FinitePoset`` takes.  Its up-set and down-set masks grow
+# as n^2/8 bytes each for a chain of n elements: an 80,000-element chain
+# reached 1.72 GB, and 10,000 elements cost at most about 25 MB.  The full
+# partition lattice Pi_8 has 4,140 elements.
+MAX_ELEMENTS = 10_000
 
 
 class PosetError(ValueError):
@@ -29,9 +37,14 @@ class MeetJoinError(PosetError):
 def _check_label(label: str) -> str:
     if not isinstance(label, str) or not label:
         raise PosetError(f"element label must be a nonempty string, got {label!r}")
-    if any(ch.isspace() for ch in label) or "<" in label:
+    if label.split() != [label] or "<" in label:
         raise PosetError(f"element label may not contain whitespace or '<': {label!r}")
     return label
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_ELEMENTS:
+        raise PosetError(f"a poset of {n} elements is above the limit {MAX_ELEMENTS}")
 
 
 class FinitePoset:
@@ -51,6 +64,7 @@ class FinitePoset:
 
     def __init__(self, elements: Iterable[str], relations: Iterable[tuple[str, str]] = ()):
         labels = [_check_label(e) for e in elements]
+        _check_size(len(labels))
         if len(set(labels)) != len(labels):
             dup = next(lab for lab in labels if labels.count(lab) > 1)
             raise PosetError(f"duplicate element label: {dup!r}")
@@ -224,9 +238,9 @@ class FinitePoset:
                 stack.extend((chain + (E[j],), j) for j in cover[i])
         return out
 
-    def order_complex(self) -> SimplicialComplex:
+    def order_complex(self) -> "OrderComplex":
         """Complex of all chains; facets are the maximal chains."""
-        return SimplicialComplex(self.maximal_chains())
+        return OrderComplex(self)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -234,6 +248,123 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+class OrderComplex(SimplicialComplex):
+    """The order complex of a poset: its faces are the chains of ``poset``.
+
+    It is the complex of the maximal chains, equal to the plain
+    ``SimplicialComplex`` of those facets; only its face table and face
+    counts are read off the order of ``poset`` (``_chain_table``) instead of
+    the facet labels.
+    """
+
+    __slots__ = ("poset",)
+
+    def __init__(self, poset: FinitePoset):
+        SimplicialComplex.__init__(self, poset.maximal_chains())
+        self.poset = poset
+
+    def face_table(self) -> FaceTable:
+        """The chains as integer arrays, ids numbered from the top of the poset down."""
+        return _chain_table(self.poset)
+
+    def face_counts(self) -> dict[int, int]:
+        return dict(enumerate(_chain_levels(self.poset)[3]))
+
+
+def _chain_levels(P: FinitePoset) -> tuple[list[int], np.ndarray, np.ndarray, list[int]]:
+    """P numbered from the top down, the strict down-sets in those ids, and
+    the number of chains of each size, every count checked against the face
+    table's limit before anything of its size is built.
+
+    Returns ``(order, ptr, keys, counts)``.  ``order[i]`` is the index in
+    ``P.elements`` of id i.  Ids go by strict up-set size, smallest first,
+    ties in label order: a linear extension of the dual, so every chain
+    ascends in ids from its top element down.  (On Pi_4 to Pi_7 and
+    exp_discrete(8, 4) and (11, 4) this numbering makes every pivot of every
+    coboundary apparent; numbering from the bottom up, larger up-sets first,
+    leaves 18 of exp_discrete(11, 4)'s 13,431 to the reduction loop.)  The
+    down-set of id a is
+    ``keys[ptr[a]:ptr[a+1]] - a * n``, ascending: ``keys`` holds a * n + b
+    for every pair b < a of P, sorted.  ``counts[k]`` is the number of
+    k-chains (chains of k + 1 elements); ``complexes.MAX_STACK_ENTRIES``
+    bounds (k + 1) * counts[k].
+    """
+    up, down = P._up, P._down
+    n = len(up)
+    pairs = sum(m.bit_count() for m in down)
+    complexes._check_stack(2, 2 * pairs)
+    order = sorted(range(n), key=lambda i: up[i].bit_count())
+    new_id = np.empty(n, dtype=np.int64)
+    new_id[order] = np.arange(n)
+    degree = np.fromiter((down[i].bit_count() for i in order), np.int64, n)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=ptr[1:])
+    lower = np.fromiter((j for i in order for j in _bits(down[i])), np.int64, pairs)
+    source = np.repeat(np.arange(n), degree)
+    keys = source * n + new_id[lower]
+    keys.sort()  # each down-set ascending; the sources already are
+    lower = keys % n
+    counts: list[int] = []
+    ends = np.ones(n)  # per id, the chains of the current size that end there
+    # Every sum is of counts already checked, so far below 2^53: exact.
+    while total := int(ends.sum()):
+        complexes._check_stack(len(counts) + 1, (len(counts) + 1) * total)
+        counts.append(total)
+        ends = np.bincount(lower, weights=ends[source], minlength=n)
+    return order, ptr, keys, counts
+
+
+def _chain_table(P: FinitePoset) -> FaceTable:
+    """The face table of P's order complex, grown as a trie of chains.
+
+    Ids are those of ``_chain_levels``, so a chain's row lists it from the
+    top down.  Level k holds the k-chains in lexicographic order: each
+    (k-1)-chain followed by its extensions by the down-set of its last
+    element, ascending, so no level is sorted.  The extension of a chain x
+    by v sits at ``searchsorted(keys, last[x] * n + v) + shift[x]``, where
+    ``shift[x]`` is the position of x's first child less that of its last
+    element's down-set in ``keys``.  In the boundary of a k-chain
+    v_0, ..., v_k, column 0 (drop v_k) is its parent.  Column p >= 1 drops
+    v_{k-p}: that is the parent's own column p - 1, a (k-2)-chain d,
+    extended by v_k.  For p >= 2 the last element of d is v_{k-1}, so the
+    face is d's first child plus the rank of v_k among the face's own
+    siblings; for p = 1, d is the grandparent and one ``searchsorted`` finds
+    it.
+    """
+    order, ptr, keys, counts = _chain_levels(P)
+    n = len(order)
+    vertices = tuple(P.elements[i] for i in order)
+    faces = {0: np.arange(n).reshape(-1, 1)} if counts else {}
+    boundary_rows: dict[int, np.ndarray] = {}
+    degree = np.diff(ptr)
+    lower = keys % n  # the lower element of each pair, by key
+    last = np.arange(n)  # the last element of each chain of the level below
+    below = None  # (last, first child, shift) of the level two down
+    for k in range(1, len(counts)):
+        child_count = degree[last]
+        first_child = np.cumsum(child_count) - child_count
+        shift = first_child - ptr[last]
+        parent = np.repeat(np.arange(len(last)), child_count)
+        face = np.arange(counts[k])
+        added = lower[face - shift[parent]]
+        faces[k] = np.concatenate((faces[k - 1][parent], added[:, None]), axis=1)
+        rows = np.empty((counts[k], k + 1), dtype=np.int64)
+        rows[:, 0] = parent
+        if k == 1:
+            rows[:, 1] = added
+        else:
+            upper = boundary_rows[k - 1][parent]
+            grand_last, grand_first, grand_shift = below
+            grand = upper[:, 0]
+            rows[:, 1] = np.searchsorted(keys, grand_last[grand] * n + added) + grand_shift[grand]
+            siblings = face - first_child[parent]
+            rows[:, 2:] = grand_first[upper[:, 1:]] + siblings[:, None]
+        boundary_rows[k] = rows
+        below = (last, first_child, shift)
+        last = added
+    return FaceTable(vertices, faces, boundary_rows)
 
 
 class BoundedPoset:
@@ -504,6 +635,7 @@ def parse_poset(text: str) -> FinitePoset:
             if elements is not None:
                 raise PosetError("multiple 'elements:' declarations")
             elements = stmt[len("elements:"):].split()
+            _check_size(len(elements))
             declared = set(elements)
             continue
         if elements is None:

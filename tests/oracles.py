@@ -5,12 +5,12 @@ library under test: chain complexes assembled from label tuples with a
 dict-based boundary-of-boundary check, dense Gaussian elimination over exact
 fractions for Betti numbers, sympy for Smith normal forms, the evenness
 filter over all subsets for cyclic polytopes, direct recursion for Mobius
-numbers, Warshall's closure and chain enumeration for orders, exhaustive
-enumeration for counting problems, pairwise inclusion and refinement tests
-for the generated orders, set operations for complements in closure
-systems, the quadratic maximal-face scan for facet
-normalization, the sphere calculus on fully expanded multisets, and the
-flag-map battery one matrix at a time.
+numbers, Warshall's closure and chain enumeration for orders (every chain
+grown one element at a time), exhaustive enumeration for counting problems,
+pairwise inclusion and refinement tests for the generated orders, set
+operations for complements in closure systems, the quadratic maximal-face
+scan for facet normalization, the sphere calculus on fully expanded
+multisets, and the flag-map battery one matrix at a time.
 """
 
 from fractions import Fraction
@@ -277,6 +277,17 @@ def brute_maximal_chains(elements, lt):
         for c in chains
         if c and not any(e not in c and all(comparable(e, x) for x in c) for e in elements)
     )
+
+
+def brute_chains(elements, lt):
+    """Every nonempty chain of a strict order given as a predicate, as a
+    frozenset: the subsets are grown one element at a time, and a subset is
+    kept while its members are pairwise comparable."""
+    comparable = {(a, b) for a in elements for b in elements if lt(a, b) or lt(b, a)}
+    chains = [()]
+    for e in elements:
+        chains += [c + (e,) for c in chains if all((e, x) in comparable for x in c)]
+    return {frozenset(c) for c in chains[1:]}
 
 
 def closure_complements(sets, z):

@@ -12,6 +12,7 @@ from ordertop.cli import CommandOutcome, run
 from ordertop.complexes import format_cplx, parse_cplx
 from ordertop.homology import reduced_homology
 from ordertop.posets import (
+    MAX_ELEMENTS,
     BoundedPoset,
     boolean_lattice,
     format_poset,
@@ -128,6 +129,22 @@ class TestPosetCommands:
             "above the limit 8000000",
         )
         assert peak < 5_000_000
+
+    def test_poset_over_the_element_limit_exits_2_before_any_mask(self, tmp_path):
+        # An 80,000-element chain: its order masks alone would take 1.6 GB.
+        # The element count is checked at the elements line, before any
+        # relation is read.
+        labels = [str(i) for i in range(1, 80_001)]
+        lines = ["elements: " + " ".join(labels)]
+        lines += [f"{a} < {b}" for a, b in zip(labels, labels[1:])]
+        path = tmp_path / "chain80000.poset"
+        path.write_text("\n".join(lines) + "\n")
+        outcome, peak = traced_run(["mobius", str(path)])
+        assert outcome.exit_code == 2 and not outcome.stdout_lines
+        assert outcome.stderr_lines == (
+            f"error: a poset of 80000 elements is above the limit {MAX_ELEMENTS}",
+        )
+        assert peak < 20_000_000
 
     def test_malformed_poset(self, tmp_path):
         path = tmp_path / "bad.poset"

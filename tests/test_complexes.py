@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from randgen import random_complex, random_subcomplex
-from ordertop import complementation, complexes, config
+from ordertop import complementation, complexes, config, posets
 from ordertop.complexes import (
     ComplexError,
     PointedComplex,
@@ -25,7 +25,7 @@ from ordertop.complexes import (
     wedge,
 )
 from ordertop.homology import philip_hall_check, reduced_homology
-from ordertop.posets import BoundedPoset, boolean_lattice, partition_lattice
+from ordertop.posets import BoundedPoset, OrderComplex, boolean_lattice, partition_lattice
 
 
 def betti(K, coeff="Z"):
@@ -385,21 +385,27 @@ FACE_TABLE_READERS = {
 
 class TestFaceTableBuilds:
     """A complex is its vertices and facets; each check builds the face
-    table of each complex it reads once."""
+    table of each complex it reads once.  A reader asks for a face table, or
+    for an order complex's face counts; a build runs the label builder or
+    counts a poset's chain levels, which the chain trie starts with."""
 
     def test_a_complex_keeps_no_table(self):
         assert SimplicialComplex.__slots__ == ("vertices", "facets")
+        assert OrderComplex.__slots__ == ("poset",)
 
     @pytest.mark.parametrize("name", sorted(FACE_TABLE_READERS))
     def test_one_build_per_complex(self, monkeypatch, name):
         readers, builds = [], []
-        face_table, build = SimplicialComplex.face_table, complexes._face_table
-        monkeypatch.setattr(
-            SimplicialComplex, "face_table", lambda K: readers.append(K) or face_table(K)
-        )
-        monkeypatch.setattr(
-            complexes, "_face_table", lambda *args: builds.append(args) or build(*args)
-        )
+
+        def spy(owner, attr, log):
+            original = getattr(owner, attr)
+            monkeypatch.setattr(owner, attr, lambda *args: log.append(args[0]) or original(*args))
+
+        spy(SimplicialComplex, "face_table", readers)
+        spy(OrderComplex, "face_table", readers)
+        spy(OrderComplex, "face_counts", readers)
+        spy(complexes, "_face_table", builds)
+        spy(posets, "_chain_levels", builds)
         FACE_TABLE_READERS[name]()
         assert builds and len(builds) == len(readers)
         assert len({id(K) for K in readers}) == len(readers)

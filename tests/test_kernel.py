@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 import oracles
 from randgen import moore_space, projective_plane, random_complex, torsion_cases
 from ordertop._kernel import _pure
-from ordertop.complexes import cyclic_polytope_boundary, join
+from ordertop.complexes import SimplicialComplex, cyclic_polytope_boundary, join
 from ordertop.homology import (
     Z,
     Z2,
@@ -32,6 +34,13 @@ def matrix(n_rows, n_cols, entries):
     return SparseMatrix.from_entries(n_rows, n_cols, entries)
 
 
+def plain(result):
+    """A reducer's (units, residual, pivot rows), the pivot rows, an int
+    array, as a list."""
+    units, residual, pivot_rows = result
+    return units, residual, [int(r) for r in pivot_rows]
+
+
 class TestPureKernel:
     def test_unit_elimination_counts_rank(self):
         # identity: every pivot is a unit
@@ -41,13 +50,13 @@ class TestPureKernel:
 
     def test_residual_has_no_units(self):
         entries = [(0, 0, 2), (1, 1, 3)]
-        units, residual, pivot_rows = _pure.eliminate_unit_pivots(matrix(2, 2, entries))
+        units, residual, pivot_rows = plain(_pure.eliminate_unit_pivots(matrix(2, 2, entries)))
         assert units == 0 and pivot_rows == []
         assert sorted(residual) == [(0, 0, 2), (1, 1, 3)]
 
     def test_duplicate_entries_summed(self):
         result = _pure.eliminate_unit_pivots(matrix(1, 1, [(0, 0, 1), (0, 0, -1)]))
-        assert result == (0, [], [])
+        assert plain(result) == (0, [], [])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -73,15 +82,15 @@ class TestPureKernel:
     def test_residual_reduced_on_pivot_rows(self):
         # column 0 is a unit pivot on row 0; column 1 has the non-unit low 2
         entries = [(0, 0, 1), (0, 1, 1), (1, 1, 2)]
-        assert _pure.eliminate_unit_pivots(matrix(2, 2, entries)) == (1, [(1, 1, 2)], [0])
+        assert plain(_pure.eliminate_unit_pivots(matrix(2, 2, entries))) == (1, [(1, 1, 2)], [0])
         assert smith_normal_form([[1, 1], [0, 2]]) == (1, 2)
         # the same column left unreduced on row 0 would give (1, 1)
         assert _dense_snf([(0, 1, 1), (1, 1, 2)]) == [1]
 
     def test_rank_mod2_sums_duplicates_and_rejects_out_of_range(self):
-        assert _pure.rank_mod2(matrix(1, 1, [(0, 0, 1), (0, 0, 1)])) == (0, [], [])
-        assert _pure.rank_mod2(matrix(1, 1, [(0, 0, 1), (0, 0, 2)])) == (1, [], [0])
-        assert _pure.eliminate_unit_pivots(matrix(1, 1, [(0, 0, 1), (0, 0, 1)])) == (
+        assert plain(_pure.rank_mod2(matrix(1, 1, [(0, 0, 1), (0, 0, 1)]))) == (0, [], [])
+        assert plain(_pure.rank_mod2(matrix(1, 1, [(0, 0, 1), (0, 0, 2)]))) == (1, [], [0])
+        assert plain(_pure.eliminate_unit_pivots(matrix(1, 1, [(0, 0, 1), (0, 0, 1)]))) == (
             0,
             [(0, 0, 2)],
             [],
@@ -97,8 +106,8 @@ class TestPureKernel:
         n_rows, n_cols = rng.randint(1, 12), rng.randint(1, 12)
         entries = random_entries(rng, n_rows, n_cols, rng.randint(0, 40), -2, 2)
         m = matrix(n_rows, n_cols, entries)
-        units, residual, rows_z = _pure.eliminate_unit_pivots(m)
-        rank, residual_2, rows_2 = _pure.rank_mod2(m)
+        units, residual, rows_z = plain(_pure.eliminate_unit_pivots(m))
+        rank, residual_2, rows_2 = plain(_pure.rank_mod2(m))
         assert len(set(rows_z)) == len(rows_z) == units
         assert len(set(rows_2)) == len(rows_2) == rank
         assert all(0 <= r < n_rows for r in rows_z + rows_2)
@@ -165,3 +174,24 @@ def test_coboundary_factors_per_degree(name):
     for k, d in cc.boundary.items():
         assert over_z[k] == invariant_factors(d)
         assert over_2[k] == (1,) * oracles.rank_gf2_entries(d.entries)
+
+
+@pytest.mark.parametrize("reduce", [_pure.eliminate_unit_pivots, _pure.rank_mod2])
+def test_all_apparent_reduction_makes_no_object_per_entry(reduce):
+    # The coboundary of d_1 of the complete graph on 150 vertices has 149
+    # entries a column; with the empty face's pivot row cleared, every pivot
+    # is apparent.
+    graph = SimplicialComplex(combinations([f"v{i:03d}" for i in range(150)], 2))
+    cc = ChainComplex.from_complex(graph)
+    _, _, cleared = reduce(_coboundary(cc.boundary[0]))
+    cob = _coboundary(cc.boundary[1])
+    assert not len(_pure._apparent_pivots(cob.ptr, cob.rows, cob.vals, cleared)[2])
+    tracemalloc.start()
+    try:
+        units, residual, pivot_rows = reduce(cob, cleared)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (units, residual, len(pivot_rows)) == (149, [], 149)
+    # A list of the rows alone would take a pointer and an int per entry.
+    assert peak < cob.rows.nbytes // 4

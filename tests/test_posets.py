@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from randgen import random_bounded_poset, random_closure_lattice, random_complex, random_poset
-from ordertop import complexes
+from ordertop import complexes, posets
 from ordertop.posets import (
     BoundedPoset,
     FinitePoset,
@@ -21,6 +21,7 @@ from ordertop.posets import (
     parse_poset,
     partition_lattice,
     poset_product,
+    set_partitions,
 )
 from ordertop.complexes import SimplicialComplex
 
@@ -72,6 +73,42 @@ class TestParse:
     def test_roundtrip(self):
         P = boolean_lattice(3)
         assert parse_poset(format_poset(P)) == P
+
+
+class TestElementLimit:
+    def test_limit_on_each_side(self, monkeypatch):
+        monkeypatch.setattr(posets, "MAX_ELEMENTS", 5)
+        assert len(chain_poset(5)) == 5
+        with pytest.raises(PosetError, match="a poset of 6 elements is above the limit 5"):
+            chain_poset(6)
+        with pytest.raises(PosetError, match="a poset of 6 elements is above the limit 5"):
+            parse_poset("elements: a b c d e f")
+
+    def test_limit_admits_the_partition_lattice_8(self):
+        assert posets.MAX_ELEMENTS >= len(set_partitions(8)) == 4140
+
+
+class TestLabels:
+    # A label is refused when it has whitespace, by the test
+    # label.split() != [label]; it must refuse exactly the str.isspace
+    # code points, wherever they sit in the label.
+    SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+    def test_every_whitespace_code_point_is_refused(self):
+        for ch in self.SPACES:
+            for label in (ch, "a" + ch, ch + "a", "a" + ch + "b", ch + ch):
+                for check, error in ((posets._check_label, PosetError),
+                                     (complexes._check_label, complexes.ComplexError)):
+                    with pytest.raises(error, match="whitespace"):
+                        check(label)
+
+    def test_every_other_code_point_is_accepted(self):
+        for c in range(0x110000):
+            label = "a" + chr(c)
+            if not label[1].isspace():
+                assert complexes._check_label(label) == label
+                if label[1] != "<":
+                    assert posets._check_label(label) == label
 
 
 class TestGenerators:
