@@ -48,12 +48,12 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # that size.  The peak memory of ``ordertop homology`` grows with the
 # largest stack (one fresh process each, 2-CPU x86 VM): the order complex of
 # the full partition lattice Pi_7, read from its facets, stacks 7.19 M ids
-# and peaks at about 600 MB; the 18-vertex simplex stacks 3.94 M and peaks
-# at 265 MB; the 19-vertex simplex would stack 8.31 M (not measured) and the
-# 20-vertex simplex 18.5 M, which peaked at 1.1 GB and took 8.9 s without
-# this limit.  The chain trie of an order complex (``posets._chain_table``)
-# holds the same bound for each of its levels, (k + 1) * f_k ids for the
-# k-chains.
+# and peaks at about 425 MB over either ring; the 18-vertex simplex stacks
+# 3.94 M and peaks at 207 MB; the 19-vertex simplex would stack 8.31 M (not
+# measured) and the 20-vertex simplex 18.5 M, which peaked at 1.1 GB and
+# took 8.9 s without this limit.  The chain trie of an order complex
+# (``posets._chain_table``) holds the same bound for each of its levels,
+# (k + 1) * f_k ids for the k-chains.
 MAX_STACK_ENTRIES = 8_000_000
 
 

@@ -9,12 +9,19 @@ Every matrix is a ``SparseMatrix`` in compressed columns (``ptr``, ``rows``,
 Comput. 2017).  ``ChainComplex.from_complex`` builds d_k from the face table
 of ``ordertop.complexes`` with array operations only, and the constructor
 checks d_k o d_{k+1} = 0 for every consecutive pair on the same arrays,
-exactly.
+exactly.  The check first pairs the terms of every column of the product:
+dropping two vertices in either order reaches the same face with opposite
+signs, so when every pair has equal rows and negated products the product
+is zero, with no array as long as all of its terms (``_pairs_cancel``).
+This decides every pair that ``from_complex`` builds.  Any other pair, or
+one that the pairing does not account for, is decided by keying all terms
+by (column, row), one sort and ``np.add.reduceat``.
 
 ``reduced_homology`` reduces the coboundaries d_k^T, degree 0 upward, with
 a column reducer of ``ordertop._kernel._pure``, which returns ``(units,
 residual, pivot rows)`` over either ring.  Each coboundary has its rows and
-columns numbered backwards (``_coboundary``), so the low of a column is its
+columns numbered backwards (``_coboundary``, one in-place sort of the
+unique int64 keys row * nnz + entry), so the low of a column is its
 lexicographically first coface, and the pivot rows of one degree are cleared
 from the columns of the next.  Over Z only +-1 lows become pivots, which
 keeps clearing exact; the residual goes to the classical Smith normal form
@@ -274,16 +281,70 @@ class ChainComplex:
         return cls(counts, boundary)
 
 
+def _face_pairs(m: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The terms of one column of d_k o d_{k+1} that cancel, in pairs of
+    (position in the column of d_{k+1}, position in the column of d_k),
+    for columns of m and m - 1 entries.
+
+    Rows ascend within a column, so with the vertices v_0 < ... < v_{m-1}
+    of a (k+1)-face, position p of its column drops v_{m-1-p}, and position
+    q of the column of that face drops its vertex m-2-q.  The term (s, t-1),
+    s < t, drops v_{m-1-s} and then v_{m-1-t}; the term (t, s) drops the two
+    in the other order.  Both reach the same (k-1)-face, with opposite signs
+    (Munkres, Elements of Algebraic Topology, Section 5), and the pairs
+    cover each of the m(m-1) terms once.
+    """
+    return [((s, t - 1), (t, s)) for s in range(m) for t in range(s + 1, m)]
+
+
+def _pairs_cancel(outer: SparseMatrix, inner: SparseMatrix) -> bool:
+    """True when the terms of outer @ inner cancel in the pairs of
+    ``_face_pairs``: every column of ``inner`` has m entries, every column
+    of ``outer`` has m - 1, and for each position pair the two gathered rows
+    are equal and the two products negated, column by column.  Then every
+    column of the product is zero.  Products are compared in int64 only
+    when none can pass it; otherwise, and whenever a pair differs, this
+    returns False and decides nothing.
+    """
+    n, nnz = inner.n_cols, len(inner.rows)
+    if not n or nnz % n:
+        return False
+    m = nnz // n
+    if not (
+        np.array_equal(inner.ptr, np.arange(n + 1) * m)
+        and np.array_equal(outer.ptr, np.arange(outer.n_cols + 1) * (m - 1))
+        and _max_abs(inner.vals) * _max_abs(outer.vals) <= _INT64_MAX
+    ):
+        return False
+    rows, vals = inner.rows.reshape(n, m), inner.vals.reshape(n, m)
+    for (s, q), (t, r) in _face_pairs(m):
+        # the two terms of every column, as positions in ``outer``: the
+        # start of the column that ``inner`` names plus the offset there
+        i = rows[:, s] * (m - 1) + q
+        j = rows[:, t] * (m - 1) + r
+        if not np.array_equal(outer.rows[i], outer.rows[j]):
+            return False
+        if not np.array_equal(vals[:, s] * outer.vals[i], -(vals[:, t] * outer.vals[j])):
+            return False
+    return True
+
+
 def _product_is_zero(outer: SparseMatrix, inner: SparseMatrix) -> bool:
     """True when outer @ inner == 0, computed exactly on the column arrays.
 
-    Each entry (r, c, v) of ``inner`` contributes v * outer[:, r] to column c
-    of the product.  The contributions are keyed by (c, row), sorted once and
-    summed by ``np.add.reduceat``.  A sum has at most the length of the
-    longest column of ``inner`` terms, so int64 is used only when that many
-    products of the largest values fit; otherwise the values are Python
+    The pairing test ``_pairs_cancel`` decides every d_k o d_{k+1} that
+    ``ChainComplex.from_complex`` builds without forming the product.  When
+    it does not account for every term (columns of other lengths, values
+    whose products could pass int64, or a faulty matrix), the exact check
+    runs: each entry (r, c, v) of ``inner`` contributes v * outer[:, r] to
+    column c of the product, the contributions are keyed by (c, row), sorted
+    once and summed by ``np.add.reduceat``.  A sum has at most the length of
+    the longest column of ``inner`` terms, so int64 is used only when that
+    many products of the largest values fit; otherwise the values are Python
     integers.
     """
+    if _pairs_cancel(outer, inner):
+        return True
     lengths = np.diff(outer.ptr)[inner.rows]
     total = int(lengths.sum())
     if not total:
@@ -354,12 +415,20 @@ def _coboundary(d: SparseMatrix) -> SparseMatrix:
     """The transpose of ``d`` with its rows and its columns both numbered
     backwards: entry (r, c, v) goes to (n_cols-1-c, n_rows-1-r, v).
 
-    One stable argsort by row, read backwards, orders the entries by their
-    new column and, within one, by ascending new row.  For d_k the low of a
+    The entries are ordered by the int64 keys r * nnz + e, e the entry's
+    index, which are unique, so one in-place sort gives the order of a
+    stable sort by row.  Read backwards, it orders the entries by their new
+    column and, within one, by ascending new row.  For d_k the low of a
     column is then the lexicographically first coface of a (k-1)-face, and
     the row numbering is the column numbering of the coboundary of d_{k+1}.
     """
-    order = np.argsort(d.rows, kind="stable")[::-1]
+    nnz = len(d.rows)
+    if d.n_rows * nnz > _INT64_MAX:
+        raise HomologyError("coboundary too large to key in int64")
+    keys = d.rows * nnz + np.arange(nnz)
+    keys.sort()
+    order = keys[::-1] % max(nnz, 1)
+    del keys
     cols = np.repeat(np.arange(d.n_cols), np.diff(d.ptr))
     ptr = np.zeros(d.n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(d.rows, minlength=d.n_rows)[::-1], out=ptr[1:])

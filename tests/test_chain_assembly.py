@@ -1,24 +1,41 @@
 """The chain complex built from face arrays against the tuple-and-triple
 assembly of ``oracles.boundary_triples``: the same faces in the same order,
 the same boundary matrices and the same homology, and an exact
-boundary-of-boundary check."""
+boundary-of-boundary check, by the pairing of face terms and by the sort
+behind it."""
 
 import random
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
 import oracles
 import randgen
+from ordertop import (
+    BoundedPoset,
+    boolean_lattice,
+    cyclic_polytope_boundary,
+    exp_discrete_poset,
+    join,
+    partition_lattice,
+    quotient_model,
+)
 from ordertop._kernel import _pure
 from ordertop.complexes import SimplicialComplex
 from ordertop.homology import (
     ChainComplex,
     HomologyError,
     SparseMatrix,
+    _coboundary,
+    _face_pairs,
+    _pairs_cancel,
+    _product_is_zero,
     invariant_factors,
     reduced_homology,
 )
+from ordertop.posets import face_poset
 
 
 def non_pure(seed):
@@ -189,3 +206,138 @@ def test_column_layout_validated(args, message):
     n_rows, n_cols, *arrays = args
     with pytest.raises(HomologyError, match=message):
         SparseMatrix(n_rows, n_cols, *(np.array(a) for a in arrays))
+
+
+def proper_part(P):
+    return BoundedPoset.from_poset(P).truncate().order_complex()
+
+
+def named_complexes():
+    rp2 = randgen.projective_plane()
+    sphere = cyclic_polytope_boundary(9, 4)
+    return {
+        **{f"pi{n}": proper_part(partition_lattice(n)) for n in (4, 5, 6)},
+        "b5": proper_part(boolean_lattice(5)),
+        "exp_8_4": exp_discrete_poset(8, 4).order_complex(),
+        "cyclic_11_8": cyclic_polytope_boundary(11, 8),
+        "cyclic_14_6": cyclic_polytope_boundary(14, 6),
+        "rp2": rp2,
+        "sd_rp2": face_poset(rp2).order_complex(),
+        "rp2_join_rp2": join(rp2, rp2),
+        "quotient": quotient_model(sphere, randgen.random_subcomplex(random.Random(1600), sphere)),
+    }
+
+
+NAMED = named_complexes()
+
+
+def consecutive_pairs(K):
+    b = ChainComplex.from_complex(K).boundary
+    return [(k, b[k], b[k + 1]) for k in sorted(b) if k + 1 in b]
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_pairing_certifies_named_complexes(name):
+    for _, outer, inner in consecutive_pairs(NAMED[name]):
+        assert _pairs_cancel(outer, inner)
+
+
+def test_pairing_certifies_generated_complexes():
+    for K in CASES:
+        for _, outer, inner in consecutive_pairs(K):
+            assert _pairs_cancel(outer, inner)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_face_pairs_cover_every_term_once(m):
+    terms = [term for pair in _face_pairs(m) for term in pair]
+    assert sorted(terms) == list(product(range(m), range(m - 1)))
+
+
+def with_column(mat, c, rows, vals):
+    """``mat`` with column c replaced by the given entries, sorted by row."""
+    lo, hi = mat.ptr[c], mat.ptr[c + 1]
+    order = np.argsort(rows)
+    new_rows, new_vals = mat.rows.copy(), mat.vals.copy()
+    new_rows[lo:hi], new_vals[lo:hi] = np.asarray(rows)[order], np.asarray(vals)[order]
+    return SparseMatrix(mat.n_rows, mat.n_cols, mat.ptr, new_rows, new_vals)
+
+
+def faults(rng, k, inner):
+    """d_{k+1} with the sign of one entry flipped, and for k >= 1 with the
+    row of one entry moved to a face outside its column.  (The columns of
+    d_0 are all equal, so a moved row of d_1 still composes to zero.)"""
+    c = rng.randrange(inner.n_cols)
+    lo, hi = inner.ptr[c], inner.ptr[c + 1]
+    rows, vals = inner.rows[lo:hi].tolist(), inner.vals[lo:hi].tolist()
+    p = rng.randrange(len(rows))
+    flipped = vals[:p] + [-vals[p]] + vals[p + 1 :]
+    yield with_column(inner, c, rows, flipped)
+    free = sorted(set(range(inner.n_rows)) - set(rows))
+    if k >= 1 and free:
+        yield with_column(inner, c, rows[:p] + [rng.choice(free)] + rows[p + 1 :], vals)
+
+
+FAULT_INPUTS = [NAMED[name] for name in sorted(NAMED)] + CASES[:40]
+
+
+@pytest.mark.parametrize("index", range(len(FAULT_INPUTS)))
+def test_one_fault_makes_the_pairing_decline(index):
+    rng = random.Random(1700 + index)
+    K = FAULT_INPUTS[index]
+    counts = ChainComplex.from_complex(K).counts
+    for k, outer, inner in consecutive_pairs(K):
+        for faulty in faults(rng, k, inner):
+            assert not _pairs_cancel(outer, faulty)
+            with pytest.raises(HomologyError, match=f"composition {k} o {k + 1}"):
+                ChainComplex(counts, {k: outer, k + 1: faulty})
+
+
+def test_boundary_check_memory_stays_below_the_products():
+    # Pi_6's proper part: 61,600 terms in its three products, 481 KiB as one
+    # int64 array; the pairing holds a few arrays of one column position
+    # (167 KiB measured with numpy 2.4)
+    pairs = consecutive_pairs(NAMED["pi6"])
+    terms = sum(int(np.diff(outer.ptr)[inner.rows].sum()) for _, outer, inner in pairs)
+    assert terms == 61_600
+    tracemalloc.start()
+    try:
+        assert all(_product_is_zero(outer, inner) for _, outer, inner in pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 224 * 1024 < 8 * terms / 2
+
+
+def random_sparse(rng):
+    """A random matrix with empty and uneven columns; some values need
+    Python integers."""
+    n_rows, n_cols = rng.randint(0, 9), rng.randint(0, 9)
+    big = rng.choice([1, 2**70])
+    entries = [
+        (r, c, rng.choice([-1, 1, 2, -3, big]))
+        for r in range(n_rows)
+        for c in range(n_cols)
+        if rng.random() < rng.choice([0.1, 0.5])
+    ]
+    return SparseMatrix.from_entries(n_rows, n_cols, entries)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_coboundary_is_the_reversed_transpose(seed):
+    d = random_sparse(random.Random(1800 + seed))
+    n_rows, n_cols = d.n_rows, d.n_cols
+    expected = SparseMatrix.from_entries(
+        n_cols, n_rows, [(n_cols - 1 - c, n_rows - 1 - r, v) for r, c, v in d.entries]
+    )
+    got = _coboundary(d)
+    assert (got.n_rows, got.n_cols) == (n_cols, n_rows)
+    assert got.ptr.tolist() == expected.ptr.tolist()
+    assert list(got.entries) == list(expected.entries)
+
+
+def test_coboundary_keys_stay_in_int64():
+    # keys row * nnz + entry would pass 2^63: 2^61 rows times 4 entries
+    d = SparseMatrix.from_entries(2**61, 4, [(0, c, 1) for c in range(4)])
+    with pytest.raises(HomologyError, match="too large"):
+        _coboundary(d)
