@@ -13,9 +13,8 @@ exactly.  The check first pairs the terms of every column of the product:
 dropping two vertices in either order reaches the same face with opposite
 signs, so when every pair has equal rows and negated products the product
 is zero, with no array as long as all of its terms (``_pairs_cancel``).
-This decides every pair that ``from_complex`` builds.  Any other pair, or
-one that the pairing does not account for, is decided by keying all terms
-by (column, row), one sort and ``np.add.reduceat``.
+This decides every pair that ``from_complex`` builds.  Any other pair is
+multiplied out one column at a time in Python integers.
 
 ``reduced_homology`` reduces the coboundaries d_k^T, degree 0 upward, with
 a column reducer of ``ordertop._kernel._pure``, which returns ``(units,
@@ -24,8 +23,9 @@ columns numbered backwards (``_coboundary``, one in-place sort of the
 unique int64 keys row * nnz + entry), so the low of a column is its
 lexicographically first coface, and the pivot rows of one degree are cleared
 from the columns of the next.  Over Z only +-1 lows become pivots, which
-keeps clearing exact; the residual goes to the classical Smith normal form
-``_dense_snf``.  ``smith_normal_form`` and ``invariant_factors`` run the Z
+keeps clearing exact; the residual goes to ``_dense_snf``, which pivots on
+entries of least absolute value and ends with one (gcd, lcm) pass over the
+diagonal.  ``smith_normal_form`` and ``invariant_factors`` run the Z
 reducer on a single matrix, untransposed and without clearing.
 """
 
@@ -33,6 +33,9 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
+from math import gcd, lcm
+from operator import itemgetter
 
 import numpy as np
 
@@ -157,71 +160,44 @@ class Entries:
 
 
 def _dense_snf(entries: Sequence[tuple[int, int, int]]) -> list[int]:
-    """Classical Smith normal form of a small residual matrix, exact integers.
+    """Invariant factors of a small residual matrix, exact integers.
 
-    Pivots are chosen by minimal absolute value to limit entry growth.  The
-    divisibility fix-up (add an offending row into the pivot row) guarantees
-    each diagonal entry divides everything that follows.
+    Each step pivots on an entry of least absolute value and clears its
+    column and its row by integer division.  A nonzero remainder is smaller
+    than the pivot and becomes the next pivot; once the pivot's row and
+    column are clear, the pivot joins the diagonal and both are dropped.
+    One pairwise (gcd, lcm) pass then puts the diagonal in the order
+    d1 | d2 | ..., which keeps the Smith normal form of the diagonal matrix.
     """
-    row_ids = sorted({r for r, _, _ in entries})
-    col_ids = sorted({c for _, c, _ in entries})
-    ri = {r: i for i, r in enumerate(row_ids)}
-    ci = {c: j for j, c in enumerate(col_ids)}
-    m, n = len(row_ids), len(col_ids)
-    a = [[0] * n for _ in range(m)]
+    row_ids = {r: i for i, r in enumerate(sorted({r for r, _, _ in entries}))}
+    col_ids = {c: j for j, c in enumerate(sorted({c for _, c, _ in entries}))}
+    a = [[0] * len(col_ids) for _ in row_ids]
     for r, c, v in entries:
-        a[ri[r]][ci[c]] += v
+        a[row_ids[r]][col_ids[c]] += v
 
-    factors: list[int] = []
-    t = 0
-    while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = a[i][j]
-                if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
+    diagonal: list[int] = []
+    while nonzero := [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]:
+        _, i, j = min(nonzero)
+        pivot_row, p = a[i], a[i][j]
         for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        p = a[t][t]
-
-        dirty = False
-        for i in range(t + 1, m):
-            q = a[i][t] // p
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            if a[i][t]:
-                dirty = True  # remainder smaller than |p|: rescan for pivot
-        if dirty:
-            continue
-        for j in range(t + 1, n):
-            q = a[t][j] // p
-            if q:
+            q = row[j] // p
+            if q and row is not pivot_row:
+                row[:] = [x - q * y for x, y in zip(row, pivot_row)]
+        for k in range(len(pivot_row)):
+            q = pivot_row[k] // p
+            if q and k != j:
                 for row in a:
-                    row[j] -= q * row[t]
-            if a[t][j]:
-                dirty = True
-        if dirty:
-            continue
-        bad = next(
-            (
-                i
-                for i in range(t + 1, m)
-                for j in range(t + 1, n)
-                if a[i][j] % p
-            ),
-            None,
-        )
-        if bad is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            continue
-        factors.append(abs(p))
-        t += 1
-    return factors
+                    row[k] -= q * row[j]
+        # clear when the pivot, counted in its row and in its column, is all
+        if sum(map(bool, pivot_row)) + sum(bool(row[j]) for row in a) == 2:
+            diagonal.append(abs(p))
+            del a[i]
+            for row in a:
+                del row[j]
+    for s in range(len(diagonal)):
+        for t in range(s + 1, len(diagonal)):
+            diagonal[s], diagonal[t] = gcd(diagonal[s], diagonal[t]), lcm(diagonal[s], diagonal[t])
+    return diagonal
 
 
 def invariant_factors(m: SparseMatrix) -> tuple[int, ...]:
@@ -330,43 +306,26 @@ def _pairs_cancel(outer: SparseMatrix, inner: SparseMatrix) -> bool:
 
 
 def _product_is_zero(outer: SparseMatrix, inner: SparseMatrix) -> bool:
-    """True when outer @ inner == 0, computed exactly on the column arrays.
+    """True when outer @ inner == 0, computed exactly.
 
     The pairing test ``_pairs_cancel`` decides every d_k o d_{k+1} that
-    ``ChainComplex.from_complex`` builds without forming the product.  When
-    it does not account for every term (columns of other lengths, values
-    whose products could pass int64, or a faulty matrix), the exact check
-    runs: each entry (r, c, v) of ``inner`` contributes v * outer[:, r] to
-    column c of the product, the contributions are keyed by (c, row), sorted
-    once and summed by ``np.add.reduceat``.  A sum has at most the length of
-    the longest column of ``inner`` terms, so int64 is used only when that
-    many products of the largest values fit; otherwise the values are Python
-    integers.
+    ``ChainComplex.from_complex`` builds without forming the product.  Any
+    pair it does not certify (columns of other lengths, values whose
+    products could pass int64, or a faulty matrix) is multiplied out one
+    column of ``inner`` at a time: each entry (r, c, v) adds v * outer[:, r]
+    to a dict of the column's sums, in Python integers.
     """
     if _pairs_cancel(outer, inner):
         return True
-    lengths = np.diff(outer.ptr)[inner.rows]
-    total = int(lengths.sum())
-    if not total:
-        return True
-    if inner.n_cols * outer.n_rows > _INT64_MAX:
-        raise HomologyError("boundary product too large to key in int64")
-    a, b = inner.vals, outer.vals
-    if int(np.diff(inner.ptr).max()) * _max_abs(a) * _max_abs(b) > _INT64_MAX:
-        a, b = a.astype(object), b.astype(object)
-    # position in ``outer`` of each term: the start of outer column r plus
-    # the term's offset within that column
-    offsets = outer.ptr[inner.rows] - (np.cumsum(lengths) - lengths)
-    pos = np.arange(total) + np.repeat(offsets, lengths)
-    col_keys = np.repeat(np.arange(inner.n_cols) * outer.n_rows, np.diff(inner.ptr))
-    keys = np.repeat(col_keys, lengths) + outer.rows[pos]
-    terms = np.repeat(a, lengths) * b[pos]
-    del pos, offsets, col_keys  # fewer arrays alive at once: the peak memory of the check
-    order = np.argsort(keys, kind="stable")
-    keys, terms = keys[order], terms[order]
-    del order
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return not np.add.reduceat(terms, starts).any()
+    ptr, rows, vals = outer.ptr.tolist(), outer.rows.tolist(), outer.vals.tolist()
+    for _, column in groupby(inner.entries, key=itemgetter(1)):
+        sums: dict[int, int] = {}
+        for r, _, v in column:
+            for e in range(ptr[r], ptr[r + 1]):
+                sums[rows[e]] = sums.get(rows[e], 0) + v * vals[e]
+        if any(sums.values()):
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -604,10 +604,10 @@ def parse_poset(text: str) -> FinitePoset:
     ``#`` starts a comment; one ``elements: a b c`` line declares the ground
     set, before any relation; each following statement ``a < b`` declares a
     relation.  Semicolons separate statements within a line; several
-    relations may share a line, separated by commas.  Labels contain no
-    whitespace and no ``<``, which makes relation statements tokenizable;
-    commas trailing a label are stripped unless the label itself is declared
-    with one.
+    relations may share a line, separated by commas, spaced or not.  Labels
+    contain no whitespace and no ``<``, which makes relation statements
+    tokenizable; commas trailing a label are stripped unless the label itself
+    is declared with one.
     """
     statements = []
     for line in text.splitlines():
@@ -652,7 +652,10 @@ def parse_poset(text: str) -> FinitePoset:
             relations.append(
                 (clean(tokens[i - 1], "left"), clean(tokens[i + 1], "right"))
             )
-        if len(used) != len(tokens):
+        # a token of commas alone that belongs to no relation separates two relations
+        if len(used) != len(tokens) and any(
+            i not in used and t.strip(",") for i, t in enumerate(tokens)
+        ):
             raise PosetError(f"malformed relation statement: {stmt!r}")
     if elements is None:
         raise PosetError("missing 'elements:' line")

@@ -1,8 +1,8 @@
 """The chain complex built from face arrays against the tuple-and-triple
 assembly of ``oracles.boundary_triples``: the same faces in the same order,
 the same boundary matrices and the same homology, and an exact
-boundary-of-boundary check, by the pairing of face terms and by the sort
-behind it."""
+boundary-of-boundary check, by the pairing of face terms and by the column
+product behind it."""
 
 import random
 import tracemalloc
@@ -182,12 +182,48 @@ def test_boundary_check_exact_on_large_sums():
         composed([big] * 4, [big] * 4)
 
 
-def test_boundary_check_keys_stay_in_int64():
-    # (c, row) keys of d_1 @ d_2 would pass 2^63: 4 columns times 2^61 rows
-    d1 = SparseMatrix.from_entries(2**61, 1, [(0, 0, 1)])
-    d2 = SparseMatrix.from_entries(1, 4, [(0, 3, 1)])
-    with pytest.raises(HomologyError, match="too large"):
-        ChainComplex({-1: 1, 0: 2**61, 1: 1, 2: 4}, {1: d1, 2: d2})
+def traced_peak(build):
+    """The ``tracemalloc`` peak, in bytes, while ``build()`` runs."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+HUGE = 2**61
+
+
+def test_boundary_check_exact_on_huge_row_counts():
+    # d_1 with 2^61 rows against d_2: both verdicts are exact, and the check
+    # allocates nothing that grows with the row count
+    def nonzero():
+        d1 = SparseMatrix.from_entries(HUGE, 1, [(0, 0, 1)])
+        d2 = SparseMatrix.from_entries(1, 4, [(0, 3, 1)])
+        with pytest.raises(HomologyError, match="composition 1 o 2"):
+            ChainComplex({-1: 1, 0: HUGE, 1: 1, 2: 4}, {1: d1, 2: d2})
+
+    def zero():
+        # columns of two entries against one of two: outside the pairing
+        d1 = SparseMatrix.from_entries(HUGE, 2, [(r, c, 1) for r in (0, HUGE - 1) for c in (0, 1)])
+        d2 = SparseMatrix.from_entries(2, 1, [(0, 0, 1), (1, 0, -1)])
+        assert not _pairs_cancel(d1, d2)
+        assert ChainComplex({-1: 1, 0: HUGE, 1: 2, 2: 1}, {1: d1, 2: d2}).dim == 2
+
+    assert traced_peak(nonzero) < 64 * 1024
+    assert traced_peak(zero) < 64 * 1024
+
+
+def test_product_check_on_empty_columns():
+    # the column product sees no entry: an inner matrix with no columns, and
+    # one whose entries all name empty columns of the outer matrix
+    outer = SparseMatrix.from_entries(2, 3, [(0, 0, 1), (1, 2, 1)])
+    no_columns = SparseMatrix.from_entries(3, 0, [])
+    onto_empty = SparseMatrix.from_entries(3, 2, [(1, 0, 5), (1, 1, -2)])
+    for inner in (no_columns, onto_empty):
+        assert not _pairs_cancel(outer, inner)
+        assert _product_is_zero(outer, inner)
 
 
 @pytest.mark.parametrize(
@@ -200,12 +236,18 @@ def test_boundary_check_keys_stay_in_int64():
         ((2, 1, [0, 1], [0], [0]), "nonzero"),
         ((2, 2, [0, 1], [0], [1]), "pointers"),
         ((2, 2, [0, 2, 1], [0], [1]), "pointers"),
+        ((-1, 0, [0], [], []), "negative matrix shape -1x0"),
     ],
 )
 def test_column_layout_validated(args, message):
     n_rows, n_cols, *arrays = args
     with pytest.raises(HomologyError, match=message):
         SparseMatrix(n_rows, n_cols, *(np.array(a) for a in arrays))
+
+
+def test_ragged_dense_input_refused():
+    with pytest.raises(HomologyError, match="ragged matrix input"):
+        SparseMatrix.from_dense([[1, 0], [1]])
 
 
 def proper_part(P):

@@ -146,6 +146,13 @@ class TestPosetCommands:
         )
         assert peak < 20_000_000
 
+    @pytest.mark.parametrize("sep", [", ", " ,", " , "])
+    def test_mobius_reads_commas_spaced_or_not(self, tmp_path, sep):
+        path = tmp_path / "diamond.poset"
+        path.write_text(f"elements: 0 a b 1\n0 < a{sep}0 < b{sep}a < 1{sep}b < 1\n")
+        outcome = run(["mobius", str(path)])
+        assert (outcome.exit_code, outcome.stdout_lines) == (0, ("mobius 1",))
+
     def test_malformed_poset(self, tmp_path):
         path = tmp_path / "bad.poset"
         path.write_text("elements: a; a < a")
@@ -473,6 +480,78 @@ class TestDiagramCommand:
         outcome = run(["diagram", "grothendieck", cylinder_file])
         emitted = parse_poset("\n".join(outcome.stdout_lines))
         assert emitted.lt("x@0", "p@1")
+
+
+CYLINDER_HEAD = "base:\nelements: 0 1\n0 < 1\nfiber 0:\nelements: x\nfiber 1:\nelements: p\n"
+NON_LATTICE = (
+    "elements: bot a b c d top\n"
+    "bot < a, bot < b, a < c, a < d, b < c, b < d, c < top, d < top\n"
+)
+MOBIUS = ("mobius", "FILE")
+CHECK = ("diagram", "check", "FILE")
+GROTHENDIECK = ("diagram", "grothendieck", "FILE")
+
+
+class TestFileRefusals:
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (MOBIUS, "elements: a b\nelements: c\n", "multiple 'elements:' declarations"),
+            (MOBIUS, "a < b\nelements: a b\n", "the 'elements:' line must come before relations"),
+            (MOBIUS, "elements: a b\na b\n", "malformed relation statement: 'a b'"),
+            (MOBIUS, "elements: a b\n< b\n", "malformed relation statement: '< b'"),
+            (MOBIUS, "elements: a b\na <\n", "malformed relation statement: 'a <'"),
+            (MOBIUS, "elements: a b c\na < b c\n", "malformed relation statement: 'a < b c'"),
+            (MOBIUS, "elements: a b\na < ,\n", "unknown element: ''"),
+            (MOBIUS, "# no elements\n", "missing 'elements:' line"),
+            (
+                CHECK,
+                "base:\nelements: 0\nfiber 0:\nelements: x\nfiber 0:\nelements: y\n",
+                "duplicate fiber block for '0'",
+            ),
+            (
+                CHECK,
+                CYLINDER_HEAD + "map 0 1: p->x\nmap 0 1: p->x\n",
+                "duplicate map block for ('0', '1')",
+            ),
+            (CHECK, CYLINDER_HEAD + "map 0: p->x\n", "malformed map header: 'map 0: p->x'"),
+            (
+                CHECK,
+                "base:\nelements: 0\nfiber 0:\nelements: x x\n",
+                "duplicate element label: 'x'",
+            ),
+            (
+                CHECK,
+                CYLINDER_HEAD + "map 0 1: p->x\nmap 1 0: x->p\n",
+                "map pair ('1', '0') is not a base relation",
+            ),
+            (
+                GROTHENDIECK,
+                CYLINDER_HEAD + "map 0 1: p->z\n",
+                "invalid diagram: map 0<1: image 'z' not in fiber '0'",
+            ),
+            (
+                GROTHENDIECK,
+                CYLINDER_HEAD + "map 0 1: p->x, r->x\n",
+                "invalid diagram: map 0<1: domain element 'r' not in fiber '1'",
+            ),
+            (
+                ("complementation", "verify", "FILE", "--z", "c"),
+                NON_LATTICE,
+                "meet of 'd' and 'c' does not exist",
+            ),
+        ],
+    )
+    def test_exits_2_with_the_message(self, tmp_path, argv, text, message):
+        path = tmp_path / "input"
+        path.write_text(text)
+        outcome = run([str(path) if word == "FILE" else word for word in argv])
+        assert (outcome.exit_code, outcome.stdout_lines) == (2, ())
+        assert outcome.stderr_lines == (f"error: {message}",)
+
+    def test_circle_needs_n_at_least_1(self):
+        outcome = run(["config", "circle", "--n", "0", "--m", "5"])
+        assert (outcome.exit_code, outcome.stderr_lines) == (2, ("error: need n >= 1",))
 
 
 class TestUsage:

@@ -73,6 +73,10 @@ class TestValues:
         assert sphere_complex(1).euler_reduced() == -1
         assert sphere_complex(2).euler_reduced() == 1
 
+    def test_sphere_below_minus_one_refused(self):
+        with pytest.raises(ComplexError, match="sphere dimension must be >= -1"):
+            sphere_complex(-2)
+
 
 BAD_LABELS = {"int": 5, "none": None, "list": ["a"], "empty": "", "space": "a b", "tab": "a\tb"}
 
@@ -223,6 +227,13 @@ class TestWedge:
     def test_empty_part_rejected(self):
         with pytest.raises(ComplexError, match="basepoint"):
             PointedComplex(empty_complex(), "x")
+        # the constructor refuses it, so only a part made around it reaches
+        # the wedge's own refusal
+        part = object.__new__(PointedComplex)
+        object.__setattr__(part, "complex", empty_complex())
+        object.__setattr__(part, "basepoint", "x")
+        with pytest.raises(ComplexError, match="cannot wedge an empty complex"):
+            wedge([PointedComplex(point_complex(), "pt"), part])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_homology_adds(self, seed):

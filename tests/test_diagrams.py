@@ -308,6 +308,11 @@ map 0 1: p->x
         with pytest.raises(DiagramError, match="outside"):
             parse_pdiag("elements: a\n" + self.GOOD)
 
+    def test_fiber_poset_error_is_a_diagram_error(self):
+        bad = self.GOOD.replace("elements: x y", "elements: x x")
+        with pytest.raises(DiagramError, match="duplicate element label: 'x'"):
+            parse_pdiag(bad)
+
     # fibers labelled like poset_product pairs, with commas inside labels
     PRODUCT = """
 base:

@@ -7,6 +7,8 @@ import pytest
 
 from ordertop import grassmann
 from ordertop.grassmann import (
+    FlagComponent,
+    FlagPoint,
     GrassmannError,
     check_battery,
     orbit_invariance_check,
@@ -324,6 +326,24 @@ class TestBoundedGaps:
 
 
 class TestInputValidation:
+    @pytest.mark.parametrize(
+        "stages, message",
+        [
+            ([(0.5, 2), (0.5, 1)], "strictly nested"),
+            ([(0.5, 1), (0.5, 1)], "strictly nested"),
+            ([(1.5, 1), (-0.5, 2)], "positive"),
+            ([(0.5, 1), (0.25, 2)], "sum to 1, got 0.75"),
+        ],
+    )
+    def test_flag_point_validated(self, stages, message):
+        components = tuple(FlagComponent(w, np.eye(3)[:, :k]) for w, k in stages)
+        with pytest.raises(GrassmannError, match=message):
+            FlagPoint(components)
+
+    def test_subspace_gap_shapes_must_match(self):
+        with pytest.raises(GrassmannError, match="different shapes"):
+            subspace_gap(np.eye(3)[:, :1], np.eye(3)[:, :2])
+
     def test_non_square_rejected(self):
         with pytest.raises(GrassmannError, match="square"):
             phi(np.ones((2, 3)))

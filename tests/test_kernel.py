@@ -115,6 +115,30 @@ class TestPureKernel:
         assert not {r for r, _, _ in residual} & set(rows_z)
 
 
+SNF_VALUES = [0, 1, -1, 2, 3, -4, 6, 9, 2**70]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dense_snf_against_sympy(seed):
+    # 300 dense matrices up to 6x6; 2^70 forces Python integers
+    rng = random.Random(2000 + seed)
+    for _ in range(50):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        dense = [[rng.choice(SNF_VALUES) for _ in range(n)] for _ in range(m)]
+        entries = [(r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
+        assert tuple(_dense_snf(entries)) == oracles.sympy_invariant_factors(dense)
+
+
+@pytest.mark.parametrize(
+    "diagonal, factors",
+    [((2, 3), [1, 6]), ((4, 6), [2, 12]), ((6, 10, 15), [1, 30, 30]), ((0, 0), [])],
+)
+def test_dense_snf_orders_a_diagonal(diagonal, factors):
+    # every pivot is clear at once; only the (gcd, lcm) pass makes the chain
+    entries = [(i, i, d) for i, d in enumerate(diagonal)]
+    assert _dense_snf(entries) == factors
+
+
 COMPLEXES = [random_complex(random.Random(900 + seed), 8, 8, 5) for seed in range(15)]
 COMPLEXES += list(torsion_cases().values())
 # clearing the low row of a non-unit column would change the factors here

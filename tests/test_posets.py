@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 from math import comb, factorial
 
@@ -69,6 +70,16 @@ class TestParse:
     def test_unknown_label_in_relation(self):
         with pytest.raises(PosetError, match="unknown"):
             parse_poset("elements: a b; a < z")
+
+    @pytest.mark.parametrize("sep", [", ", " ,", " , "])
+    def test_commas_separate_relations_spaced_or_not(self, sep):
+        P = parse_poset(f"elements: a b c d\na < b{sep}c < d\n")
+        assert P.covers == {("a", "b"), ("c", "d")}
+
+    def test_declared_comma_label_next_to_a_relation(self):
+        # the middle comma belongs to no relation and separates the two
+        P = parse_poset("elements: a , b\na < , , , < b\n")
+        assert P.covers == {("a", ","), (",", "b")}
 
     def test_roundtrip(self):
         P = boolean_lattice(3)
@@ -177,8 +188,27 @@ class TestGenerators:
     def test_generate_dispatch(self):
         assert generate("boolean", 2) == boolean_lattice(2)
         assert generate("chain", 3) == chain_poset(3)
+        assert generate("exp_discrete", 4, 2) == exp_discrete_poset(4, 2)
+        K = SimplicialComplex([["a", "b"], ["b", "c"]])
+        assert generate("face_poset", K) == face_poset(K)
+        P = partition_lattice(3)
+        assert generate("dual", P) == P.dual()
         with pytest.raises(PosetError, match="unknown generator"):
             generate("mystery", 1)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: chain_poset(-1), "chain length must be >= 0"),
+            (lambda: boolean_lattice(-1), "boolean rank must be >= 0"),
+            (lambda: exp_discrete_poset(3, 0), "need 1 <= n <= m, got n=0, m=3"),
+            (lambda: exp_discrete_poset(2, 3), "need 1 <= n <= m, got n=3, m=2"),
+            (lambda: partition_lattice(0), "partition lattice needs n >= 1"),
+        ],
+    )
+    def test_generator_arguments_refused(self, make, message):
+        with pytest.raises(PosetError, match=f"^{re.escape(message)}$"):
+            make()
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_partition_order_is_refinement(self, n):
