@@ -128,10 +128,7 @@ def _profile_lines(profile: HomologyProfile, nonzero_only: bool = False) -> list
 
 
 def _wedge_lines(x: spheres.SphereWedge) -> list[str]:
-    if x.is_empty:
-        return ["empty"]
-    if x.is_point:
-        return ["point"]
+    # every calc family gives a wedge of spheres of dimension >= 0
     return [f"wedge {c} x S^{d}" for d, c in x.dims.items()]
 
 

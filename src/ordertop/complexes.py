@@ -5,10 +5,11 @@ from the one-point complex; it plays the role of S^{-1}, is the identity for
 the join, and has reduced Euler characteristic -1.
 
 Faces are computed on demand as integer arrays (``FaceTable``): each k-face
-is a row of k+1 ascending vertex ids, and the rows of each dimension are in
-lexicographic order.  The table records for every face the positions of its
-codimension-one faces, which are the row indices of the boundary matrix
-(``homology.ChainComplex``).  A complex given by its facets numbers its
+is a row of k+1 ascending vertex ids, the rows of each dimension in
+lexicographic order, but the table stores no rows, only the vertices and,
+for every face, the positions of its codimension-one faces (the row indices
+of the boundary matrix, ``homology.ChainComplex``); a face's row is read off
+the first two of those positions.  A complex given by its facets numbers its
 vertices in sorted label order and builds the table top down from the
 facets, with one ``np.unique`` per dimension (``_face_table``); the rows
 then come in the lexicographic order of the label tuples.  An order complex
@@ -37,6 +38,8 @@ def _check_label(label: str) -> str:
         raise ComplexError(f"vertex label must be a nonempty string, got {label!r}")
     if label.split() != [label]:
         raise ComplexError(f"vertex label may not contain whitespace: {label!r}")
+    if "#" in label:
+        raise ComplexError(f"vertex label may not contain '#' (.cplx comment): {label!r}")
     return label
 
 
@@ -58,20 +61,21 @@ MAX_STACK_ENTRIES = 8_000_000
 
 
 class FaceTable(NamedTuple):
-    """All nonempty faces of a complex as arrays of vertex ids, by dimension.
+    """All nonempty faces of a complex, by dimension, as boundary rows.
 
     An id is a position in ``vertices``: the sorted labels for a complex
     given by its facets; for an order complex, the poset's elements from
     the top down (by strict up-set size, ties in label order), so a chain's
-    row lists it from its top element.  ``faces[k]`` has shape (f_k, k+1):
-    one row per k-face, its ids ascending, the rows in lexicographic order.
-    ``boundary_rows[k]``, for k >= 1, has the same shape: entry [j, p] is
-    the position in ``faces[k-1]`` of face j with its vertex in column k-p
-    removed, so each row ascends.
+    row lists it from its top element.  The 0-faces are the ids, so f_0 is
+    ``len(vertices)``.  ``boundary_rows[k]``, for k >= 1, has shape
+    (f_k, k+1), one row per k-face in lexicographic order of the faces' id
+    rows: entry [j, p] is the position among the (k-1)-faces of face j with
+    its vertex in column k-p removed, so each row ascends.  The id row of
+    face j is that of its face in column 0 followed by the last id of its
+    face in column 1.
     """
 
     vertices: tuple[str, ...]
-    faces: dict[int, np.ndarray]
     boundary_rows: dict[int, np.ndarray]
 
 
@@ -107,8 +111,8 @@ def _face_table(vertices: tuple[str, ...], facets: Iterable[frozenset[str]]) -> 
     by_size: dict[int, list[str]] = {}  # size -> the labels of its facets, one after another
     for f in facets:
         by_size.setdefault(len(f), []).extend(f)
-    faces: dict[int, np.ndarray] = {}
     boundary_rows: dict[int, np.ndarray] = {}
+    upper = None  # the faces with one vertex more, none above the top
     top = max(by_size, default=0)
     # The largest facet alone stacks comb(top, size + 1) faces size + 1 times
     # each, so every stack it forces is checked before the first is built.
@@ -116,7 +120,6 @@ def _face_table(vertices: tuple[str, ...], facets: Iterable[frozenset[str]]) -> 
         _check_stack(size, comb(top, size + 1) * (size + 1) * size + (top if size == top else 0))
     for size in range(top, 0, -1):
         labels = by_size.get(size, ())
-        upper = faces.get(size)  # faces with one vertex more, or None at the top
         _check_stack(size, len(labels) + (0 if upper is None else upper.size * size))
         own = np.fromiter(map(id_of, labels), dtype=np.int64, count=len(labels))
         own = np.sort(own.reshape(-1, size), axis=1, kind="stable")
@@ -131,10 +134,10 @@ def _face_table(vertices: tuple[str, ...], facets: Iterable[frozenset[str]]) -> 
         _, first, inverse = np.unique(
             _lex_codes(stacked, len(vertices)), return_index=True, return_inverse=True
         )
-        faces[size - 1] = stacked[first]
         if upper is not None:
             boundary_rows[size] = inverse.reshape(-1)[: len(dropped)].reshape(size + 1, -1).T
-    return FaceTable(vertices, dict(sorted(faces.items())), dict(sorted(boundary_rows.items())))
+        upper = stacked[first]
+    return FaceTable(vertices, dict(sorted(boundary_rows.items())))
 
 
 class SimplicialComplex:
@@ -213,15 +216,20 @@ class SimplicialComplex:
         lexicographic order.
 
         The empty face is not listed; homology handles degree -1 separately.
+        Each dimension's rows are gathered from the rows one dimension down
+        along boundary columns 0 and 1 (see ``FaceTable``).
         """
         labels = np.array(self.vertices, dtype=object)
-        return {
-            d: tuple(map(tuple, labels[ids].tolist()))
-            for d, ids in _face_table(self.vertices, self.facets).faces.items()
-        }
+        ids = np.arange(len(labels)).reshape(-1, 1)
+        faces = {0: ids} if len(labels) else {}
+        for d, rows in _face_table(self.vertices, self.facets).boundary_rows.items():
+            faces[d] = ids = np.concatenate((ids[rows[:, 0]], ids[rows[:, 1], -1:]), axis=1)
+        return {d: tuple(map(tuple, labels[ids].tolist())) for d, ids in faces.items()}
 
     def face_counts(self) -> dict[int, int]:
-        return {d: len(ids) for d, ids in self.face_table().faces.items()}
+        table = self.face_table()
+        sizes = [len(table.vertices), *map(len, table.boundary_rows.values())]
+        return dict(enumerate(sizes)) if table.vertices else {}
 
     def euler_reduced(self) -> int:
         """Reduced Euler characteristic: alternating face count minus 1."""
@@ -312,9 +320,6 @@ def wedge(parts: Sequence[PointedComplex], basepoint: str = "*") -> PointedCompl
     A single part is returned unchanged; an empty sequence yields the
     one-point complex (the unit of the wedge).
     """
-    for part in parts:
-        if part.complex.is_empty:
-            raise ComplexError("cannot wedge an empty complex: it has no basepoint")
     if len(parts) == 1:
         return parts[0]
     facets = []
@@ -337,11 +342,10 @@ def quotient_model(K: SimplicialComplex, A: SimplicialComplex) -> SimplicialComp
 
 
 def sphere_complex(d: int) -> SimplicialComplex:
-    """Boundary of a (d+1)-simplex, a triangulated d-sphere; S^{-1} is empty."""
+    """Boundary of a (d+1)-simplex, a triangulated d-sphere; S^{-1}, the
+    boundary of a point, has only the empty face, so it is the empty complex."""
     if d < -1:
         raise ComplexError("sphere dimension must be >= -1")
-    if d == -1:
-        return empty_complex()
     verts = [f"s{i}" for i in range(d + 2)]
     return SimplicialComplex(combinations(verts, d + 1))
 

@@ -241,15 +241,14 @@ class ChainComplex:
         sign (-1)^i of the removed vertex position i."""
         table = K.face_table()
         counts = {-1: 1}
-        counts.update({d: len(ids) for d, ids in table.faces.items()})
         boundary: dict[int, SparseMatrix] = {}
-        if 0 in counts:
-            n = counts[0]
+        if n := len(table.vertices):
+            counts[0] = n
             boundary[0] = SparseMatrix(
                 1, n, np.arange(n + 1), np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
             )
         for k, rows in table.boundary_rows.items():
-            n = len(rows)
+            counts[k] = n = len(rows)
             signs = np.array([-1 if (k - p) % 2 else 1 for p in range(k + 1)], dtype=np.int64)
             boundary[k] = SparseMatrix(
                 counts[k - 1], n, np.arange(n + 1) * (k + 1), rows.ravel(), np.tile(signs, n)

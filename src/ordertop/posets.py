@@ -39,6 +39,8 @@ def _check_label(label: str) -> str:
         raise PosetError(f"element label must be a nonempty string, got {label!r}")
     if label.split() != [label] or "<" in label:
         raise PosetError(f"element label may not contain whitespace or '<': {label!r}")
+    if "#" in label or ";" in label:
+        raise PosetError(f"element label may not contain '#' or ';' (.poset syntax): {label!r}")
     return label
 
 
@@ -322,8 +324,10 @@ def _chain_table(P: FinitePoset) -> FaceTable:
     Ids are those of ``_chain_levels``, so a chain's row lists it from the
     top down.  Level k holds the k-chains in lexicographic order: each
     (k-1)-chain followed by its extensions by the down-set of its last
-    element, ascending, so no level is sorted.  The extension of a chain x
-    by v sits at ``searchsorted(keys, last[x] * n + v) + shift[x]``, where
+    element, ascending, so no level is sorted.  No chain is built as a row:
+    a level keeps each chain's last element, and its first child and shift
+    while the next two levels are built.  The extension of a chain x by v
+    sits at ``searchsorted(keys, last[x] * n + v) + shift[x]``, where
     ``shift[x]`` is the position of x's first child less that of its last
     element's down-set in ``keys``.  In the boundary of a k-chain
     v_0, ..., v_k, column 0 (drop v_k) is its parent.  Column p >= 1 drops
@@ -336,7 +340,6 @@ def _chain_table(P: FinitePoset) -> FaceTable:
     order, ptr, keys, counts = _chain_levels(P)
     n = len(order)
     vertices = tuple(P.elements[i] for i in order)
-    faces = {0: np.arange(n).reshape(-1, 1)} if counts else {}
     boundary_rows: dict[int, np.ndarray] = {}
     degree = np.diff(ptr)
     lower = keys % n  # the lower element of each pair, by key
@@ -349,7 +352,6 @@ def _chain_table(P: FinitePoset) -> FaceTable:
         parent = np.repeat(np.arange(len(last)), child_count)
         face = np.arange(counts[k])
         added = lower[face - shift[parent]]
-        faces[k] = np.concatenate((faces[k - 1][parent], added[:, None]), axis=1)
         rows = np.empty((counts[k], k + 1), dtype=np.int64)
         rows[:, 0] = parent
         if k == 1:
@@ -364,7 +366,7 @@ def _chain_table(P: FinitePoset) -> FaceTable:
         boundary_rows[k] = rows
         below = (last, first_child, shift)
         last = added
-    return FaceTable(vertices, faces, boundary_rows)
+    return FaceTable(vertices, boundary_rows)
 
 
 class BoundedPoset:

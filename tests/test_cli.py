@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from randgen import projective_plane
 from ordertop import cli, complementation, config, diagrams, grassmann, spheres
 from ordertop.cli import CommandOutcome, run
 from ordertop.complexes import format_cplx, parse_cplx
@@ -64,6 +65,15 @@ class TestHomologyCommand:
     def test_z2(self, triangle_file):
         outcome = run(["homology", triangle_file, "--coeff", "z2"])
         assert "betti 1 1" in outcome.stdout_lines
+
+    def test_torsion_record(self, tmp_path):
+        path = tmp_path / "rp2.cplx"
+        path.write_text(format_cplx(projective_plane()))
+        outcome = run(["homology", str(path)])
+        assert outcome.exit_code == 0
+        assert outcome.stdout_lines == (
+            "betti -1 0", "betti 0 0", "betti 1 0", "betti 2 0", "torsion 1 2"
+        )
 
     def test_missing_file_is_usage_error(self):
         outcome = run(["homology", "missing.cplx"])

@@ -77,8 +77,16 @@ class TestValues:
         with pytest.raises(ComplexError, match="sphere dimension must be >= -1"):
             sphere_complex(-2)
 
+    def test_sphere_minus_one_is_empty(self):
+        K = sphere_complex(-1)
+        assert K == empty_complex() and K.is_empty and K.vertices == ()
+        assert K.dim == -1 and K.face_counts() == {}
+        assert betti(K) == {-1: 1}
 
-BAD_LABELS = {"int": 5, "none": None, "list": ["a"], "empty": "", "space": "a b", "tab": "a\tb"}
+
+BAD_LABELS = {
+    "int": 5, "none": None, "list": ["a"], "empty": "", "space": "a b", "tab": "a\tb", "hash": "a#b"
+}
 
 
 class TestLabels:
@@ -225,15 +233,9 @@ class TestWedge:
         assert betti(W) == {0: 3}
 
     def test_empty_part_rejected(self):
+        # an empty complex has no vertex, so no part of a wedge can be empty
         with pytest.raises(ComplexError, match="basepoint"):
             PointedComplex(empty_complex(), "x")
-        # the constructor refuses it, so only a part made around it reaches
-        # the wedge's own refusal
-        part = object.__new__(PointedComplex)
-        object.__setattr__(part, "complex", empty_complex())
-        object.__setattr__(part, "basepoint", "x")
-        with pytest.raises(ComplexError, match="cannot wedge an empty complex"):
-            wedge([PointedComplex(point_complex(), "pt"), part])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_homology_adds(self, seed):
@@ -331,6 +333,14 @@ class TestCyclicPolytope:
         assert K.euler_reduced() + 1 == 0
 
 
+def test_non_pure_complex_is_no_pseudomanifold():
+    # a 2-sphere beside a circle: every ridge lies in two facets, but the
+    # facets have two sizes
+    K = SimplicialComplex([*combinations("abcd", 3), *combinations("xyz", 2)])
+    assert not is_pseudomanifold(K)
+    assert is_pseudomanifold(sphere_complex(2)) and is_pseudomanifold(sphere_complex(1))
+
+
 class TestCone:
     def test_cone_over_empty_is_point(self):
         assert cone(empty_complex()) == point_complex("apex")
@@ -355,6 +365,23 @@ class TestCplxFormat:
         for seed in range(5):
             K = random_complex(random.Random(seed))
             assert parse_cplx(format_cplx(K)) == K
+
+    def test_roundtrip_of_punctuated_labels(self):
+        K = SimplicialComplex([["a;b", "<", "c,"], ["{x}", "(1)(2)", "a;b"], ["e:f", "!"]])
+        assert parse_cplx(format_cplx(K)) == K
+
+    def test_comment_mark_refused_in_made_labels(self):
+        # '#' starts a .cplx comment, so such a label could not be read back;
+        # facet and vertex labels are in TestLabels
+        K = point_complex()
+        parts = [PointedComplex(K, "pt"), PointedComplex(K, "pt")]
+        for make in (
+            lambda: point_complex("p#"),
+            lambda: cone(K, apex="apex#"),
+            lambda: wedge(parts, basepoint="*#"),
+        ):
+            with pytest.raises(ComplexError, match=r"may not contain '#' \(\.cplx comment\)"):
+                make()
 
 
 class TestFaceTableBound:

@@ -43,6 +43,13 @@ class TestFuchsDimension:
         assert fuchs_dimension(n, k) == expected
         assert oracles.power_of_two_multisets(n, n - k) == expected
 
+    def test_sizes_below_the_range_refused(self):
+        with pytest.raises(ConfigError, match="need n >= 1"):
+            fuchs_dimension(0, 0)
+        with pytest.raises(ConfigError, match="need n >= 0"):
+            binary_partition_count(-1)
+        assert binary_partition_count(0) == 1
+
     def test_out_of_range_degrees(self):
         assert fuchs_dimension(5, -1) == 0
         assert fuchs_dimension(5, 5) == 0

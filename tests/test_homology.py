@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from randgen import projective_plane, random_bounded_poset, random_complex
+from ordertop import homology
 from ordertop.complexes import SimplicialComplex, empty_complex, point_complex
 from ordertop.homology import (
     ChainComplex,
@@ -77,6 +78,24 @@ class TestReducedHomology:
     def test_empty_complex(self):
         profile = reduced_homology(empty_complex())
         assert profile.betti == {-1: 1}
+
+    def test_repr(self):
+        assert repr(reduced_homology(RP2)) == "HomologyProfile[Z](t1=[2])"
+        assert repr(reduced_homology(RP2, "z2")) == "HomologyProfile[Z/2](b1=1, b2=1)"
+        assert repr(reduced_homology(point_complex())) == "HomologyProfile[Z](acyclic)"
+
+    @pytest.mark.parametrize("coeff", ["Z", "Z/2"])
+    def test_euler_check_refuses_a_wrong_rank(self, monkeypatch, coeff):
+        # one unit too many in the invariant factors of a d_{k+1} above the
+        # top lowers only b_k, so the ranks no longer match the face counts
+        factors_by_degree = homology._factors_by_degree
+
+        def one_unit_more(cc, ring):
+            return {**factors_by_degree(cc, ring), cc.dim + 1: (1,)}
+
+        monkeypatch.setattr(homology, "_factors_by_degree", one_unit_more)
+        with pytest.raises(HomologyError, match="homology Euler 0 != face count -1"):
+            reduced_homology(HOLLOW_TRIANGLE, coeff)
 
     def test_point(self):
         assert reduced_homology(point_complex()).is_acyclic

@@ -117,9 +117,37 @@ class TestLabels:
         for c in range(0x110000):
             label = "a" + chr(c)
             if not label[1].isspace():
-                assert complexes._check_label(label) == label
-                if label[1] != "<":
+                if label[1] != "#":
+                    assert complexes._check_label(label) == label
+                if label[1] not in "<#;":
                     assert posets._check_label(label) == label
+
+    @pytest.mark.parametrize("mark", ["#", ";"])
+    def test_format_marks_are_refused(self, mark):
+        # '#' starts a .poset comment and ';' ends a statement
+        pattern = "may not contain '#' or ';'"
+        for label in (mark, "a" + mark, mark + "a", "a" + mark + "b"):
+            with pytest.raises(PosetError, match=pattern):
+                posets._check_label(label)
+            with pytest.raises(PosetError, match=pattern):
+                FinitePoset(["x", label], [("x", label)])
+
+    def test_face_poset_of_a_separator_label_refused(self):
+        # a vertex label may hold ';', the label of its face may not
+        K = SimplicialComplex([["u;v", "w"]])
+        with pytest.raises(PosetError, match=r"may not contain '#' or ';'.*'\{u;v\}'"):
+            face_poset(K)
+
+    @pytest.mark.parametrize("label", ["", 1, None, ("a",)])
+    def test_empty_or_non_string_refused(self, label):
+        with pytest.raises(PosetError, match="must be a nonempty string"):
+            FinitePoset(["a", label])
+
+    def test_format_round_trip_of_punctuated_labels(self):
+        labels = ["a,", ",b", "{x}", "(1)(2)", "e:f", "!", "c>d", "a=b"]
+        P = FinitePoset(labels, [*zip(labels[:5], labels[1:5]), ("!", "c>d"), ("{x}", "a=b")])
+        Q = parse_poset(format_poset(P))
+        assert Q.elements == P.elements and Q.covers == P.covers
 
 
 class TestGenerators:

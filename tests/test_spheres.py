@@ -230,6 +230,8 @@ class TestFamilies:
             partition_type(2)
         with pytest.raises(SphereCalcError):
             exp_circle_type(0)
+        with pytest.raises(SphereCalcError, match="need n >= 2"):
+            oriented_grassmannian_type(1)
 
 
 class TestCrossModule:
