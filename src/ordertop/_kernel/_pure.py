@@ -19,15 +19,16 @@ loop.  Taking pivots out of left-to-right order is still a sequence of
 unimodular column operations, since a pivot column is never changed.
 
 A matrix arrives in compressed columns (``homology.SparseMatrix``) and stays
-in its arrays.  The apparent pivots are three arrays: their lows ascending,
-the column of each, and the other columns.  When there are no other
-columns, as in every degree of the order complexes seen so far, a reducer
-returns the lows as the pivot rows without making a Python object per
-entry.  Otherwise only the other columns, and the pivot columns they meet,
-are sliced out of the arrays; a column becomes a dict (over Z) or a bitset
-(over Z/2) only when its turn comes, and an apparent pivot's low is looked
-up by ``searchsorted`` and its column unpacked the first time some column is
-reduced against it.
+in its arrays; ``cleared`` is an int64 array of its columns, the pivot rows
+of the degree before, or an empty one.  The apparent pivots are three
+arrays: their lows ascending, the column of each, and the other columns.
+Only the other columns, and the pivot columns they meet, are sliced out of
+the arrays; a column becomes a dict (over Z) or a bitset (over Z/2) only
+when its turn comes, and an apparent pivot's low is looked up by
+``searchsorted`` and its column unpacked the first time some column is
+reduced against it.  When there are no other columns, as in every degree of
+the order complexes seen so far, the loops run zero times and the pivot rows
+are the lows, with no Python object made per entry.
 
 The names ``eliminate_unit_pivots`` and ``rank_mod2`` are the kernel entry
 points the benchmark tracer wraps.
@@ -35,16 +36,16 @@ points the benchmark tracer wraps.
 
 from __future__ import annotations
 
-from typing import Collection
-
 import numpy as np
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 def _apparent_pivots(
-    ptr: np.ndarray, rows: np.ndarray, vals: np.ndarray | None, cleared: Collection[int]
+    ptr: np.ndarray, rows: np.ndarray, vals: np.ndarray | None, cleared: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split the nonempty columns that are not ``cleared`` into apparent
-    pivots and the rest.
+    """Split the nonempty columns that are not ``cleared`` (an int64 array
+    of column indices) into apparent pivots and the rest.
 
     Returns ``(lows, owners, rest)``: the apparent pivots' low rows
     ascending, the column that owns each, and the other columns ascending.
@@ -54,10 +55,7 @@ def _apparent_pivots(
     """
     ends = ptr[1:]
     active = ends > ptr[:-1]
-    if len(cleared):
-        if not isinstance(cleared, np.ndarray):
-            cleared = np.fromiter(cleared, np.int64, len(cleared))
-        active[cleared] = False
+    active[cleared] = False
     cols = np.flatnonzero(active)
     last = ends[cols] - 1
     lows, first = np.unique(rows[last], return_index=True)
@@ -85,7 +83,7 @@ def _subtract(col: dict[int, int], q: int, piv: dict[int, int]) -> None:
             del col[r]  # nv == 0 needs r in col, since q and v are nonzero
 
 
-def eliminate_unit_pivots(m, cleared: Collection[int] = ()) -> tuple[int, list, np.ndarray]:
+def eliminate_unit_pivots(m, cleared: np.ndarray = _NO_ROWS) -> tuple[int, list, np.ndarray]:
     """Split a sparse integer matrix into unit pivots and a small residual.
 
     ``m`` is a ``homology.SparseMatrix``.  Only column operations are used,
@@ -99,8 +97,6 @@ def eliminate_unit_pivots(m, cleared: Collection[int] = ()) -> tuple[int, list, 
     are an int64 array.
     """
     lows, owners, rest = _apparent_pivots(m.ptr, m.rows, m.vals, cleared)
-    if not len(rest):
-        return len(lows), [], lows
 
     def column(c: int) -> dict[int, int]:
         start, stop = m.ptr[c], m.ptr[c + 1]
@@ -143,7 +139,7 @@ def eliminate_unit_pivots(m, cleared: Collection[int] = ()) -> tuple[int, list, 
     return len(pivot_rows), sorted(residual), pivot_rows
 
 
-def rank_mod2(m, cleared: Collection[int] = ()) -> tuple[int, list, np.ndarray]:
+def rank_mod2(m, cleared: np.ndarray = _NO_ROWS) -> tuple[int, list, np.ndarray]:
     """Rank over Z/2 of a ``homology.SparseMatrix`` (without the ``cleared``
     columns), as ``(rank, [], pivot rows)``, the pivot rows an int64 array.
     Unless every entry is +-1, the odd entries are picked by one mask; each
@@ -155,8 +151,6 @@ def rank_mod2(m, cleared: Collection[int] = ()) -> tuple[int, list, np.ndarray]:
         ptr = np.concatenate(([0], np.cumsum(odd)))[ptr]
         rows = rows[odd]
     lows, owners, rest = _apparent_pivots(ptr, rows, None, cleared)
-    if not len(rest):
-        return len(lows), [], lows
 
     def bitset(c: int) -> int:
         col = 0

@@ -11,10 +11,12 @@ for every face, the positions of its codimension-one faces (the row indices
 of the boundary matrix, ``homology.ChainComplex``); a face's row is read off
 the first two of those positions.  A complex given by its facets numbers its
 vertices in sorted label order and builds the table top down from the
-facets, with one ``np.unique`` per dimension (``_face_table``); the rows
-then come in the lexicographic order of the label tuples.  An order complex
-(``posets.OrderComplex``) numbers them from the top of its poset down and
-grows the table from the chains instead.  Label tuples are made only by
+facets, with one ``np.unique`` per dimension (``_face_table``): every size,
+the largest too, stacks the faces one size up, each with one vertex dropped,
+on its own facets, and at the largest size that upper stack is empty.  The
+rows then come in the lexicographic order of the label tuples.  An order
+complex (``posets.OrderComplex``) numbers them from the top of its poset
+down and grows the table from the chains instead.  Label tuples are made only by
 ``faces_by_dim``, always from the facets.
 """
 
@@ -112,29 +114,26 @@ def _face_table(vertices: tuple[str, ...], facets: Iterable[frozenset[str]]) -> 
     for f in facets:
         by_size.setdefault(len(f), []).extend(f)
     boundary_rows: dict[int, np.ndarray] = {}
-    upper = None  # the faces with one vertex more, none above the top
     top = max(by_size, default=0)
+    upper = np.empty((0, top + 1), dtype=np.int64)  # the faces with one vertex more
     # The largest facet alone stacks comb(top, size + 1) faces size + 1 times
     # each, so every stack it forces is checked before the first is built.
     for size in range(top, 0, -1):
         _check_stack(size, comb(top, size + 1) * (size + 1) * size + (top if size == top else 0))
     for size in range(top, 0, -1):
         labels = by_size.get(size, ())
-        _check_stack(size, len(labels) + (0 if upper is None else upper.size * size))
+        _check_stack(size, len(labels) + upper.size * size)
         own = np.fromiter(map(id_of, labels), dtype=np.int64, count=len(labels))
         own = np.sort(own.reshape(-1, size), axis=1, kind="stable")
-        if upper is None:
-            stacked = own
-        else:
-            # Copy p of the upper faces drops column size-p, so the copies
-            # come out in ascending order of the face they give.
-            keep = [[c for c in range(size + 1) if c != size - p] for p in range(size + 1)]
-            dropped = upper[:, keep].transpose(1, 0, 2).reshape(-1, size)
-            stacked = np.concatenate((dropped, own))
+        # Copy p of the upper faces drops column size-p, so the copies come
+        # out in ascending order of the face they give.
+        keep = [[c for c in range(size + 1) if c != size - p] for p in range(size + 1)]
+        dropped = upper[:, keep].transpose(1, 0, 2).reshape(-1, size)
+        stacked = np.concatenate((dropped, own))
         _, first, inverse = np.unique(
             _lex_codes(stacked, len(vertices)), return_index=True, return_inverse=True
         )
-        if upper is not None:
+        if len(dropped):  # none at the top
             boundary_rows[size] = inverse.reshape(-1)[: len(dropped)].reshape(size + 1, -1).T
         upper = stacked[first]
     return FaceTable(vertices, dict(sorted(boundary_rows.items())))

@@ -194,6 +194,7 @@ def parse_pdiag(text: str) -> PosetDiagram:
     A ``base:`` block and one ``fiber <q>:`` block per base element, each in
     ``.poset`` syntax; one ``map <q> <q'>: x->y, ...`` line per base cover,
     where x is in the fiber over q' and y is its image in the fiber over q.
+    A line holding ``<`` is a relation of the current block, never a header.
     """
     base_lines: list[str] = []
     fiber_lines: dict[str, list[str]] = {}
@@ -204,16 +205,17 @@ def parse_pdiag(text: str) -> PosetDiagram:
         if not line.strip():
             continue
         stripped = line.strip()
-        if stripped == "base:":
+        header = "" if "<" in stripped else stripped  # "map < x" is a relation
+        if header == "base:":
             current = base_lines
             continue
-        if stripped.startswith("fiber ") and stripped.endswith(":"):
+        if header.startswith("fiber ") and header.endswith(":"):
             q = stripped[len("fiber "):-1].strip()
             if q in fiber_lines:
                 raise DiagramError(f"duplicate fiber block for {q!r}")
             current = fiber_lines.setdefault(q, [])
             continue
-        if stripped.startswith("map "):
+        if header.startswith("map "):
             head, _, body = stripped.partition(":")
             parts = head.split()
             if len(parts) != 3:

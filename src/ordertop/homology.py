@@ -31,7 +31,7 @@ reducer on a single matrix, untransposed and without clearing.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import groupby
 from math import gcd, lcm
@@ -77,10 +77,13 @@ class SparseMatrix:
 
     The entries of column c are ``rows[ptr[c]:ptr[c+1]]`` (strictly
     ascending) with values ``vals[ptr[c]:ptr[c+1]]`` (nonzero).  ``vals`` is
-    int64 when every value fits and an object array of Python ints
-    otherwise.  The constructor checks the layout, so a matrix is always
-    duplicate-free, zero-free and inside its shape.  Triples and dense lists
-    enter through ``from_entries`` and ``from_dense``.
+    int8 for the +-1 signs of ``ChainComplex.from_complex``; a matrix from
+    entries stores int64 when every value fits and an object array of Python
+    ints otherwise.  The kernel reads values through ``tolist()``, so it
+    computes in Python integers whatever the dtype.  The constructor checks
+    the layout, so a matrix is always duplicate-free, zero-free and inside
+    its shape.  Triples and dense lists enter through ``from_entries`` and
+    ``from_dense``.
     """
 
     __slots__ = ("n_rows", "n_cols", "ptr", "rows", "vals")
@@ -245,11 +248,11 @@ class ChainComplex:
         if n := len(table.vertices):
             counts[0] = n
             boundary[0] = SparseMatrix(
-                1, n, np.arange(n + 1), np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+                1, n, np.arange(n + 1), np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int8)
             )
         for k, rows in table.boundary_rows.items():
             counts[k] = n = len(rows)
-            signs = np.array([-1 if (k - p) % 2 else 1 for p in range(k + 1)], dtype=np.int64)
+            signs = np.array([-1 if (k - p) % 2 else 1 for p in range(k + 1)], dtype=np.int8)
             boundary[k] = SparseMatrix(
                 counts[k - 1], n, np.arange(n + 1) * (k + 1), rows.ravel(), np.tile(signs, n)
             )
@@ -277,18 +280,21 @@ def _pairs_cancel(outer: SparseMatrix, inner: SparseMatrix) -> bool:
     ``_face_pairs``: every column of ``inner`` has m entries, every column
     of ``outer`` has m - 1, and for each position pair the two gathered rows
     are equal and the two products negated, column by column.  Then every
-    column of the product is zero.  Products are compared in int64 only
-    when none can pass it; otherwise, and whenever a pair differs, this
-    returns False and decides nothing.
+    column of the product is zero.  Products are formed in the values'
+    common dtype, int8 for the signs of ``from_complex``, and only when
+    none can pass that dtype's range (int64's for other values); otherwise,
+    and whenever a pair differs, this returns False and decides nothing.
     """
     n, nnz = inner.n_cols, len(inner.rows)
     if not n or nnz % n:
         return False
     m = nnz // n
+    kind = np.result_type(inner.vals, outer.vals)  # the dtype of the products
+    top = int(np.iinfo(kind).max) if kind.kind == "i" else _INT64_MAX
     if not (
         np.array_equal(inner.ptr, np.arange(n + 1) * m)
         and np.array_equal(outer.ptr, np.arange(outer.n_cols + 1) * (m - 1))
-        and _max_abs(inner.vals) * _max_abs(outer.vals) <= _INT64_MAX
+        and _max_abs(inner.vals) * _max_abs(outer.vals) <= top
     ):
         return False
     rows, vals = inner.rows.reshape(n, m), inner.vals.reshape(n, m)
@@ -402,7 +408,7 @@ def _factors_by_degree(cc: ChainComplex, ring: str) -> dict[int, tuple[int, ...]
     """
     reduce = _pure.eliminate_unit_pivots if ring == Z else _pure.rank_mod2
     factors: dict[int, tuple[int, ...]] = {}
-    cleared: Collection[int] = ()
+    cleared = np.empty(0, dtype=np.int64)
     for k in sorted(cc.boundary):
         units, residual, cleared = reduce(_coboundary(cc.boundary[k]), cleared)
         factors[k] = (1,) * units + tuple(_dense_snf(residual))

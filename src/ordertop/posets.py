@@ -11,7 +11,8 @@ cover relations only and leave the transitive closure to ``FinitePoset``.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -508,6 +509,7 @@ def boolean_lattice(n: int) -> FinitePoset:
     """All subsets of {1..n}, including the empty set, ordered by inclusion."""
     if n < 0:
         raise PosetError("boolean rank must be >= 0")
+    _check_size(2**n)
     return _subset_poset(c for k in range(n + 1) for c in combinations(range(1, n + 1), k))
 
 
@@ -515,7 +517,17 @@ def exp_discrete_poset(m: int, n: int) -> FinitePoset:
     """Nonempty subsets of {1..m} of cardinality at most n, by inclusion."""
     if not 1 <= n <= m:
         raise PosetError(f"need 1 <= n <= m, got n={n}, m={m}")
+    _check_size(sum(comb(m, k) for k in range(1, n + 1)))
     return _subset_poset(c for k in range(1, n + 1) for c in combinations(range(1, m + 1), k))
+
+
+def _bell(n: int) -> int:
+    """The number of set partitions of {1..n}, n >= 1: the last entry of row
+    n of the Bell triangle, each row starting with the last of the one before."""
+    row = [1]
+    for _ in range(n - 1):
+        row = list(accumulate(row, initial=row[-1]))
+    return row[-1]
 
 
 def set_partitions(n: int) -> list[frozenset[frozenset[int]]]:
@@ -543,6 +555,7 @@ def partition_lattice(n: int) -> FinitePoset:
     """
     if n < 1:
         raise PosetError("partition lattice needs n >= 1")
+    _check_size(_bell(n))
     label = {p: partition_label(p) for p in set_partitions(n)}
     covers = [
         (lab, label[p - {a, b} | {a | b}])
@@ -570,6 +583,7 @@ def label_items(items: Iterable[tuple], label: Callable[..., str], kind: str) ->
 
 def poset_product(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
     """Componentwise order on pairs, labeled (p,q)."""
+    _check_size(len(P) * len(Q))
     lab = label_items(((p, q) for p in P for q in Q), "({},{})".format, "pairs")
     covers = [(lab[a, q], lab[b, q]) for a, b in P.covers for q in Q]
     covers += [(lab[p, a], lab[p, b]) for a, b in Q.covers for p in P]
@@ -605,11 +619,14 @@ def parse_poset(text: str) -> FinitePoset:
 
     ``#`` starts a comment; one ``elements: a b c`` line declares the ground
     set, before any relation; each following statement ``a < b`` declares a
-    relation.  Semicolons separate statements within a line; several
-    relations may share a line, separated by commas, spaced or not.  Labels
-    contain no whitespace and no ``<``, which makes relation statements
-    tokenizable; commas trailing a label are stripped unless the label itself
-    is declared with one.
+    relation, and a statement holding ``<`` is always a relation, even
+    ``elements:x < b``.  Semicolons separate statements within a line;
+    several relations may share a line, separated by a comma with whitespace
+    on at least one side (``a < b, c < d``, ``a < b ,c < d`` or
+    ``a < b , c < d``).  Labels contain no whitespace and no ``<``, which
+    makes relation statements tokenizable; commas at the outer end of a
+    label are stripped unless the label itself is declared with one, so
+    ``a < b,c < d`` names the label ``b,c``.
     """
     statements = []
     for line in text.splitlines():
@@ -633,7 +650,7 @@ def parse_poset(text: str) -> FinitePoset:
         return token
 
     for stmt in statements:
-        if stmt.startswith("elements:"):
+        if stmt.startswith("elements:") and "<" not in stmt:  # a relation may name "elements:x"
             if elements is not None:
                 raise PosetError("multiple 'elements:' declarations")
             elements = stmt[len("elements:"):].split()

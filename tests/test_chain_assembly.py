@@ -351,6 +351,38 @@ def test_boundary_check_memory_stays_below_the_products():
     assert peak < 224 * 1024 < 8 * terms / 2
 
 
+def test_from_complex_stores_the_signs_in_one_byte():
+    # Pi_6's proper part: 27,466 entries in its matrices.  The ids and the
+    # column pointers are int64; the +-1 values take one byte each, so the
+    # matrices hold about 312 KiB, where int64 values would add 215 KiB.
+    K = NAMED["pi6"]
+    K.face_table()
+    tracemalloc.start()
+    try:
+        cc = ChainComplex.from_complex(K)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(m.rows) for m in cc.boundary.values()) == 27_466
+    assert all(m.vals.dtype == np.int8 for m in cc.boundary.values())
+    assert kept < 400 * 1024 < 504 * 1024
+
+
+def test_pairing_keeps_int8_products_in_range():
+    # 100 * 63 and 100 * -1 agree modulo 256, so int8 products would pair the
+    # terms of this nonzero product as if they cancelled; 100 * 1 fits.
+    outer = ChainComplex.from_complex(SimplicialComplex([["a", "b", "c"]])).boundary[1]
+    signs = np.array([100, -100, 100], dtype=np.int8)
+    inner = SparseMatrix(3, 1, np.array([0, 3]), np.array([0, 1, 2]), signs)
+    assert _pairs_cancel(outer, inner)
+    vals = outer.vals.copy()
+    assert vals[0] == -1
+    vals[0] = 63
+    faulty = SparseMatrix(outer.n_rows, outer.n_cols, outer.ptr, outer.rows, vals)
+    assert not _pairs_cancel(faulty, inner)
+    assert not _product_is_zero(faulty, inner)
+
+
 def random_sparse(rng):
     """A random matrix with empty and uneven columns; some values need
     Python integers."""

@@ -486,6 +486,23 @@ class TestDiagramCommand:
             ("(c,d)@hi", "(c,e)@hi"),
         }
 
+    @pytest.mark.parametrize(
+        "fiber",
+        [
+            "elements: map x\nmap < x\nmap 0 1: map->y, x->y\n",
+            "elements: fiber x:\nfiber < x:\nmap 0 1: fiber->y, x:->y\n",
+        ],
+        ids=["map", "fiber"],
+    )
+    def test_relation_naming_a_keyword_is_no_header(self, tmp_path, fiber):
+        path = tmp_path / "keyword.pdiag"
+        path.write_text("base:\nelements: 0 1\n0 < 1\nfiber 0:\nelements: y\nfiber 1:\n" + fiber)
+        outcome = run(["diagram", "check", str(path)])
+        assert (outcome.stdout_lines, outcome.exit_code) == (
+            ("valid true", "cylinder_match true", "verdict pass"),
+            0,
+        )
+
     def test_grothendieck_emits_poset(self, cylinder_file):
         outcome = run(["diagram", "grothendieck", cylinder_file])
         emitted = parse_poset("\n".join(outcome.stdout_lines))

@@ -313,6 +313,21 @@ map 0 1: p->x
         with pytest.raises(DiagramError, match="duplicate element label: 'x'"):
             parse_pdiag(bad)
 
+    # fiber 1 relates elements named like the header keywords
+    KEYWORDS = {
+        "map": "elements: map x\nmap < x\nmap 0 1: map->y, x->y\n",
+        "fiber": "elements: fiber x:\nfiber < x:\nmap 0 1: fiber->y, x:->y\n",
+    }
+
+    @pytest.mark.parametrize("word", sorted(KEYWORDS))
+    def test_relation_naming_a_keyword_is_no_header(self, word):
+        text = "base:\nelements: 0 1\n0 < 1\nfiber 0:\nelements: y\nfiber 1:\n"
+        D = parse_pdiag(text + self.KEYWORDS[word])
+        assert set(D.fibers) == {"0", "1"} and set(D.maps) == {("0", "1")}
+        low, high = sorted(D.fibers["1"].elements)
+        assert D.fibers["1"].covers == {(word, high if low == word else low)}
+        assert validate(D).passed
+
     # fibers labelled like poset_product pairs, with commas inside labels
     PRODUCT = """
 base:

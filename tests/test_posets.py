@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from itertools import product
 from math import comb, factorial
 
@@ -76,6 +77,18 @@ class TestParse:
         P = parse_poset(f"elements: a b c d\na < b{sep}c < d\n")
         assert P.covers == {("a", "b"), ("c", "d")}
 
+    def test_comma_without_a_space_joins_the_labels(self):
+        # "b,c" is read as one label, which is not declared
+        with pytest.raises(PosetError, match="unknown element: 'b,c'"):
+            parse_poset("elements: a b c d\na < b,c < d\n")
+
+    @pytest.mark.parametrize(
+        "relation", [("elements:x", "b"), ("b", "elements:x"), ("elements:", "b")]
+    )
+    def test_elements_prefixed_label_reads_back_on_either_side(self, relation):
+        P = FinitePoset(set(relation), [relation])
+        assert parse_poset(format_poset(P)) == P
+
     def test_declared_comma_label_next_to_a_relation(self):
         # the middle comma belongs to no relation and separates the two
         P = parse_poset("elements: a , b\na < , , , < b\n")
@@ -94,6 +107,49 @@ class TestElementLimit:
             chain_poset(6)
         with pytest.raises(PosetError, match="a poset of 6 elements is above the limit 5"):
             parse_poset("elements: a b c d e f")
+
+    @pytest.mark.parametrize(
+        "build, count",
+        [
+            (lambda: boolean_lattice(14), 2**14),
+            (lambda: exp_discrete_poset(40, 6), sum(comb(40, k) for k in range(1, 7))),
+            (lambda: partition_lattice(10), oracles.bell_number(10)),
+            (lambda: poset_product(chain_poset(101), chain_poset(100)), 10_100),
+        ],
+        ids=["boolean", "exp_discrete", "partition", "product"],
+    )
+    def test_generators_count_before_they_build(self, build, count):
+        # the refusal comes before any element is built: exp_discrete(40, 6)
+        # alone has 4,598,478
+        tracemalloc.start()
+        try:
+            with pytest.raises(PosetError, match=f"a poset of {count} elements is above the limit"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize(
+        "limit, admitted, refused, count",
+        [
+            (32, lambda: boolean_lattice(5), lambda: boolean_lattice(6), 64),
+            (41, lambda: exp_discrete_poset(6, 3), lambda: exp_discrete_poset(6, 4), 56),
+            (52, lambda: partition_lattice(5), lambda: partition_lattice(6), 203),
+            (
+                52,
+                lambda: poset_product(chain_poset(4), chain_poset(13)),
+                lambda: poset_product(chain_poset(53), chain_poset(1)),
+                53,
+            ),
+        ],
+        ids=["boolean", "exp_discrete", "partition", "product"],
+    )
+    def test_generator_counts_on_each_side(self, monkeypatch, limit, admitted, refused, count):
+        monkeypatch.setattr(posets, "MAX_ELEMENTS", limit)
+        assert len(admitted()) == limit
+        with pytest.raises(PosetError, match=f"a poset of {count} elements is above the limit"):
+            refused()
 
     def test_limit_admits_the_partition_lattice_8(self):
         assert posets.MAX_ELEMENTS >= len(set_partitions(8)) == 4140
