@@ -26,9 +26,12 @@ Only the other columns, and the pivot columns they meet, are sliced out of
 the arrays; a column becomes a dict (over Z) or a bitset (over Z/2) only
 when its turn comes, and an apparent pivot's low is looked up by
 ``searchsorted`` and its column unpacked the first time some column is
-reduced against it.  When there are no other columns, as in every degree of
-the order complexes seen so far, the loops run zero times and the pivot rows
-are the lows, with no Python object made per entry.
+reduced against it.  When there are no other columns, the loops run zero
+times and the pivot rows are the lows, with no Python object made per entry.
+That is every degree of the generated partition lattices, Boolean lattices
+and exp_discrete posets under their own labels (``posets._chain_levels``);
+the same posets under random labels leave some hundreds of columns to the
+loops.
 
 The names ``eliminate_unit_pivots`` and ``rank_mod2`` are the kernel entry
 points the benchmark tracer wraps.

@@ -1,18 +1,24 @@
 """Finite posets: parsing, generators, Mobius function, complements, order complexes.
 
 Order data is kept over the canonical (lexicographic) element ordering and
-computed in one topological pass over the given relations: per element, its
-strict up-set and down-set as index bitmasks and its covers as an ascending
-tuple of indices.  Comparability queries, cone extraction, derived posets
-and brute-force meets/joins use the masks as sets; maximal chains, cover
-listings and the dual walk the cover tuples.  The generators emit
-cover relations only and leave the transitive closure to ``FinitePoset``.
+computed in one topological pass over each element's successors: per
+element, its strict up-set and down-set as index bitmasks and its covers as
+an ascending tuple of indices.  Comparability queries, cone extraction and
+brute-force meets/joins use the masks as sets; maximal chains, cover
+listings and the derived posets walk the cover tuples.
+
+Labels are made and checked once, at the edge.  The public constructor maps
+label relations to indices; every builder in this module instead hands its
+sorted labels and integer successor lists straight to the same order core
+(``FinitePoset._from_ids``).  The generators give covers only: Pi_n from
+restricted growth strings with array merges, the subset posets from their
+drop-one covers, products from the factors' covers.  Induced subposets and
+duals are read off the covers of the poset they come from.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, combinations
-from math import comb
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -45,17 +51,26 @@ def _check_label(label: str) -> str:
     return label
 
 
+def _counted() -> int:
+    """The largest element count a refusal names exactly.  The generators
+    stop counting past it, so that a refusal of any argument is quick and
+    its message short."""
+    return MAX_ELEMENTS**2
+
+
 def _check_size(n: int) -> None:
     if n > MAX_ELEMENTS:
-        raise PosetError(f"a poset of {n} elements is above the limit {MAX_ELEMENTS}")
+        shown = n if n <= _counted() else f"more than {_counted()}"
+        raise PosetError(f"a poset of {shown} elements is above the limit {MAX_ELEMENTS}")
 
 
 class FinitePoset:
     """Immutable finite poset on string labels.
 
-    Built from an element list and arbitrary strict relations, each
-    element's distinct successors kept as an index list.  One topological
-    pass (Kahn's order) computes the order: from the top of that order down,
+    Built from an element list and arbitrary strict relations, or inside
+    this module from sorted labels and successor index lists
+    (``_from_ids``).  Both end in one topological pass (Kahn's order) over
+    each element's distinct successors: from the top of that order down,
     each element's up-set is its successors together with their up-sets, and
     its covers are the successors that no other successor lies below (the
     transitive reduction); the down-sets then follow the covers upward.
@@ -72,20 +87,38 @@ class FinitePoset:
             dup = next(lab for lab in labels if labels.count(lab) > 1)
             raise PosetError(f"duplicate element label: {dup!r}")
         self.elements: tuple[str, ...] = tuple(sorted(labels))
-        self._index = {lab: i for i, lab in enumerate(self.elements)}
-        n = len(self.elements)
-        succ = [0] * n  # successors as a mask, to drop repeated relations
-        nexts: list[list[int]] = [[] for _ in range(n)]  # and as an index list
-        indeg = [0] * n  # distinct predecessors not yet placed in the order
+        self._index = index = {lab: i for i, lab in enumerate(self.elements)}
+        nexts: list[list[int]] = [[] for _ in self.elements]
         for a, b in relations:
-            ia, ib = self._idx(a), self._idx(b)
+            try:
+                ia, ib = index[a], index[b]
+            except KeyError:
+                self._idx(a), self._idx(b)  # raises, naming the unknown label
+                raise
             if ia == ib:
                 raise PosetError(f"cycle in relations: {a!r} < {a!r}")
-            if not succ[ia] >> ib & 1:
-                succ[ia] |= 1 << ib
-                nexts[ia].append(ib)
-                indeg[ib] += 1
+            nexts[ia].append(ib)
+        self._order([list(dict.fromkeys(js)) for js in nexts])  # repeated relations dropped
 
+    @classmethod
+    def _from_ids(cls, elements: tuple[str, ...], nexts: list[list[int]]) -> "FinitePoset":
+        """The poset on ``elements``, sorted, distinct and checked, in which
+        ``nexts[i]`` lists the distinct successors of element i by index.
+        Every builder in this module comes here, with no label pair."""
+        _check_size(len(elements))
+        self = object.__new__(cls)
+        self.elements = elements
+        self._index = {lab: i for i, lab in enumerate(elements)}
+        self._order(nexts)
+        return self
+
+    def _order(self, nexts: list[list[int]]) -> None:
+        """Set the up-sets, down-sets and covers from distinct successor lists."""
+        n = len(nexts)
+        indeg = [0] * n  # predecessors not yet placed in the order
+        for js in nexts:
+            for j in js:
+                indeg[j] += 1
         # Kahn's order; the loop also visits the elements it appends.
         order = [i for i in range(n) if not indeg[i]]
         for i in order:
@@ -105,11 +138,12 @@ class FinitePoset:
         up = [0] * n
         cover: list[tuple[int, ...]] = [()] * n
         for i in reversed(order):
-            above = 0
+            above = succ = 0
             for j in nexts[i]:
                 above |= up[j]
-            up[i] = succ[i] | above
-            cover[i] = tuple(sorted(j for j in nexts[i] if not above >> j & 1))
+                succ |= 1 << j
+            up[i] = succ | above
+            cover[i] = tuple(sorted([j for j in nexts[i] if not above >> j & 1]))
         down = [0] * n
         for i in order:
             below = down[i] | 1 << i
@@ -184,13 +218,33 @@ class FinitePoset:
     # -- derived posets -----------------------------------------------------
 
     def _induced(self, keep: int) -> "FinitePoset":
-        """Induced subposet on the index bits set in keep, given by its covers."""
-        E, up, down = self.elements, self._up, self._down
+        """Induced subposet on the index bits set in keep.
+
+        From each kept element the walk goes up the covers, through removed
+        elements only while a kept element lies above them, and stops at
+        kept ones; the covers of the subposet are the minimal kept elements
+        it reaches.
+        """
+        up, down, cover = self._up, self._down, self._cover
         idx = list(_bits(keep))
-        rels = [
-            (E[i], E[j]) for i in idx for j in _bits(up[i] & keep) if not down[j] & up[i] & keep
-        ]
-        return FinitePoset([E[i] for i in idx], rels)
+        new_id = dict(zip(idx, range(len(idx))))
+        nexts = []
+        for x in idx:
+            found, passed = [], 0
+            stack = [x]
+            while stack:
+                for y in cover[stack.pop()]:
+                    if y in new_id:
+                        found.append(y)
+                    elif up[y] & keep and not passed >> y & 1:
+                        passed |= 1 << y
+                        stack.append(y)
+            if passed:  # then some found elements may repeat or lie above others
+                found = set(found)
+                reached = sum(1 << z for z in found)
+                found = [z for z in found if not down[z] & reached]
+            nexts.append([new_id[z] for z in found])
+        return FinitePoset._from_ids(tuple(self.elements[i] for i in idx), nexts)
 
     def subposet(self, labels: Iterable[str]) -> "FinitePoset":
         """Induced subposet on the given elements."""
@@ -207,9 +261,11 @@ class FinitePoset:
         return self.below(y), self.above(y)
 
     def dual(self) -> "FinitePoset":
-        E = self.elements
-        rels = [(E[j], E[i]) for i, cs in enumerate(self._cover) for j in cs]
-        return FinitePoset(E, rels)
+        nexts: list[list[int]] = [[] for _ in self.elements]
+        for i, cs in enumerate(self._cover):
+            for j in cs:
+                nexts[j].append(i)
+        return FinitePoset._from_ids(self.elements, nexts)
 
     def remove(self, labels: Iterable[str]) -> "FinitePoset":
         drop = set(labels)
@@ -285,10 +341,12 @@ def _chain_levels(P: FinitePoset) -> tuple[list[int], np.ndarray, np.ndarray, li
     ``P.elements`` of id i.  Ids go by strict up-set size, smallest first,
     ties in label order: a linear extension of the dual, so every chain
     ascends in ids from its top element down.  (On Pi_4 to Pi_7 and
-    exp_discrete(8, 4) and (11, 4) this numbering makes every pivot of every
-    coboundary apparent; numbering from the bottom up, larger up-sets first,
-    leaves 18 of exp_discrete(11, 4)'s 13,431 to the reduction loop.)  The
-    down-set of id a is
+    exp_discrete(8, 4) and (11, 4), under the generators' labels, this
+    numbering makes every pivot of every coboundary apparent; numbering from
+    the bottom up, larger up-sets first, leaves 18 of exp_discrete(11, 4)'s
+    13,431 to the reduction loop.  The ties make it depend on the labels:
+    relabelled at random, the proper part of Pi_6 leaves about 530 of its
+    6,312 coboundary columns to the loop.)  The down-set of id a is
     ``keys[ptr[a]:ptr[a+1]] - a * n``, ascending: ``keys`` holds a * n + b
     for every pair b < a of P, sorted.  ``counts[k]`` is the number of
     k-chains (chains of k + 1 elements); ``complexes.MAX_STACK_ENTRIES``
@@ -481,15 +539,26 @@ class BoundedPoset:
 
 # -- generators --------------------------------------------------------------
 
-_ELEMENT_CHARS = "123456789abcdefghijklmnopqrstuvwxyz"
+
+def _sorted_ids(labels: list[str]) -> tuple[tuple[str, ...], list[int]]:
+    """The labels in sorted order, and the index there of each label."""
+    perm = sorted(range(len(labels)), key=labels.__getitem__)
+    rank = [0] * len(labels)
+    for r, i in enumerate(perm):
+        rank[i] = r
+    return tuple(labels[i] for i in perm), rank
 
 
 def chain_poset(k: int) -> FinitePoset:
     """Total order on k elements labeled 1..k."""
     if k < 0:
         raise PosetError("chain length must be >= 0")
-    labels = [str(i) for i in range(1, k + 1)]
-    return FinitePoset(labels, zip(labels, labels[1:]))
+    _check_size(k)
+    elements, rank = _sorted_ids([str(i) for i in range(1, k + 1)])
+    nexts: list[list[int]] = [[] for _ in elements]
+    for a, b in zip(rank, rank[1:]):
+        nexts[a].append(b)
+    return FinitePoset._from_ids(elements, nexts)
 
 
 def _subset_poset(sets: Iterable[tuple]) -> FinitePoset:
@@ -501,15 +570,22 @@ def _subset_poset(sets: Iterable[tuple]) -> FinitePoset:
     size-bounded families of the generators below do.
     """
     labels = label_items(sets, lambda *s: "{" + ",".join(map(str, s)) + "}", "sets")
-    drops = ((b[:i] + b[i + 1 :], lab) for b, lab in labels.items() for i in range(len(b)))
-    return FinitePoset(labels.values(), [(labels[f], lab) for f, lab in drops if f in labels])
+    elements, rank = _sorted_ids([_check_label(lab) for lab in labels.values()])
+    ids = dict(zip(labels, rank))
+    nexts: list[list[int]] = [[] for _ in elements]
+    for b, i in ids.items():
+        for x in range(len(b)):
+            f = ids.get(b[:x] + b[x + 1 :])
+            if f is not None:
+                nexts[f].append(i)
+    return FinitePoset._from_ids(elements, nexts)
 
 
 def boolean_lattice(n: int) -> FinitePoset:
     """All subsets of {1..n}, including the empty set, ordered by inclusion."""
     if n < 0:
         raise PosetError("boolean rank must be >= 0")
-    _check_size(2**n)
+    _check_size(2 ** min(n, _counted().bit_length()))
     return _subset_poset(c for k in range(n + 1) for c in combinations(range(1, n + 1), k))
 
 
@@ -517,52 +593,96 @@ def exp_discrete_poset(m: int, n: int) -> FinitePoset:
     """Nonempty subsets of {1..m} of cardinality at most n, by inclusion."""
     if not 1 <= n <= m:
         raise PosetError(f"need 1 <= n <= m, got n={n}, m={m}")
-    _check_size(sum(comb(m, k) for k in range(1, n + 1)))
+    total, term = 0, 1
+    for k in range(1, n + 1):
+        term = term * (m - k + 1) // k  # comb(m, k)
+        total += term
+        if total > _counted():
+            break
+    _check_size(total)
     return _subset_poset(c for k in range(1, n + 1) for c in combinations(range(1, m + 1), k))
 
 
 def _bell(n: int) -> int:
-    """The number of set partitions of {1..n}, n >= 1: the last entry of row
-    n of the Bell triangle, each row starting with the last of the one before."""
+    """The number of set partitions of {1..n}, n >= 1, or a number above
+    ``_counted()`` when that is: the last entry of row n of the Bell
+    triangle, each row starting with the last of the one before."""
     row = [1]
     for _ in range(n - 1):
+        if row[-1] > _counted():
+            break
         row = list(accumulate(row, initial=row[-1]))
     return row[-1]
 
 
-def set_partitions(n: int) -> list[frozenset[frozenset[int]]]:
-    """All set partitions of {1..n}, each a set of blocks."""
-    parts: list[frozenset[frozenset[int]]] = [frozenset()]
-    for item in range(1, n + 1):
-        alone = frozenset((item,))
-        parts = [p - {b} | {b | alone} for p in parts for b in p] + [p | {alone} for p in parts]
-    return parts
+_ITEM_CHARS = np.frombuffer(b"123456789abcdefghijklmnopqrstuvwxyz", dtype=np.uint8)
 
 
-def partition_label(blocks: Iterable[frozenset[int]]) -> str:
-    if any(i > len(_ELEMENT_CHARS) for b in blocks for i in b):
-        raise PosetError("partition labels support ground sets up to 35 elements")
-    return "".join(
-        "(" + "".join(_ELEMENT_CHARS[i - 1] for i in sorted(b)) + ")"
-        for b in sorted(blocks, key=min)
-    )
+def _growth_strings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The restricted growth strings of length n >= 1 as the rows of an int
+    array, in lexicographic order, and each one's number of blocks.
+
+    A set partition of {1..n} is the string s with s[i] the block of item
+    i + 1, blocks numbered by their least item (Knuth, TAOCP 4A, 7.2.1.5):
+    s[0] = 0 and each s[i] is at most 1 + max(s[:i]).
+    """
+    strings = np.zeros((1, 1), dtype=np.int64)
+    top = np.zeros(1, dtype=np.int64)  # the largest entry of each string
+    for _ in range(n - 1):
+        count = top + 2  # the choices for the next entry
+        first = np.cumsum(count) - count
+        entry = np.arange(int(count.sum())) - np.repeat(first, count)
+        strings = np.column_stack((np.repeat(strings, count, axis=0), entry))
+        top = np.maximum(np.repeat(top, count), entry)
+    return strings, top + 1
+
+
+def _partition_labels(strings: np.ndarray) -> list[str]:
+    """The ``(13)(2)`` label of each growth string: blocks by least item,
+    each item one character."""
+    count, n = strings.shape
+    items = np.argsort(strings * n + np.arange(n), axis=1)  # grouped by block
+    blocks = np.take_along_axis(strings, items, axis=1)
+    opens = np.ones((count, n), dtype=bool)
+    opens[:, 1:] = blocks[:, 1:] != blocks[:, :-1]
+    closes = np.ones((count, n), dtype=bool)
+    closes[:, :-1] = opens[:, 1:]
+    chars = np.zeros((count, 3 * n + 1), dtype=np.uint8)  # 0 marks no character
+    chars[:, 0:-1:3] = np.where(opens, ord("("), 0)
+    chars[:, 1:-1:3] = _ITEM_CHARS[items]
+    chars[:, 2:-1:3] = np.where(closes, ord(")"), 0)
+    chars[:, -1] = ord(" ")
+    return chars[chars != 0].tobytes().decode("ascii").split()
 
 
 def partition_lattice(n: int) -> FinitePoset:
     """Partitions of {1..n} ordered by refinement; the discrete one is bottom.
 
-    The covers merge two blocks of a partition.
+    The covers merge two blocks of a partition: merging block b into block
+    a < b of a growth string maps b to a and each later block c to c - 1, and
+    the result is found among the strings by its base-n code.
     """
     if n < 1:
         raise PosetError("partition lattice needs n >= 1")
     _check_size(_bell(n))
-    label = {p: partition_label(p) for p in set_partitions(n)}
-    covers = [
-        (lab, label[p - {a, b} | {a | b}])
-        for p, lab in label.items()
-        for a, b in combinations(p, 2)
-    ]
-    return FinitePoset(label.values(), covers)
+    strings, blocks = _growth_strings(n)
+    elements, rank = _sorted_ids(_partition_labels(strings))
+    weight = n ** np.arange(n - 1, -1, -1)
+    codes = strings @ weight  # ascending, as the strings are
+    none = np.zeros(0, dtype=np.int64)
+    src, tgt = [none], [none]  # the covers, by growth string
+    for b in range(1, n):
+        rows = np.flatnonzero(blocks > b)
+        s = strings[rows]
+        shifted = s - (s > b)
+        for a in range(b):
+            src.append(rows)
+            tgt.append(np.searchsorted(codes, np.where(s == b, a, shifted) @ weight))
+    ids = np.array(rank)
+    src, tgt = ids[np.concatenate(src)], ids[np.concatenate(tgt)]
+    succ = tgt[np.argsort(src, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(src, minlength=len(ids))).tolist()
+    return FinitePoset._from_ids(elements, [succ[a:b] for a, b in zip([0, *ends], ends)])
 
 
 def face_poset(K: SimplicialComplex) -> FinitePoset:
@@ -585,9 +705,14 @@ def poset_product(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
     """Componentwise order on pairs, labeled (p,q)."""
     _check_size(len(P) * len(Q))
     lab = label_items(((p, q) for p in P for q in Q), "({},{})".format, "pairs")
-    covers = [(lab[a, q], lab[b, q]) for a, b in P.covers for q in Q]
-    covers += [(lab[p, a], lab[p, b]) for a, b in Q.covers for p in P]
-    return FinitePoset(lab.values(), covers)
+    elements, rank = _sorted_ids(list(lab.values()))
+    m = len(Q)
+    nexts: list[list[int]] = [[] for _ in elements]
+    for i, p_covers in enumerate(P._cover):
+        for j, q_covers in enumerate(Q._cover):
+            along_p = [rank[a * m + j] for a in p_covers]
+            nexts[rank[i * m + j]] = along_p + [rank[i * m + b] for b in q_covers]
+    return FinitePoset._from_ids(elements, nexts)
 
 
 def generate(kind: str, *params) -> FinitePoset:

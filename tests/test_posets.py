@@ -1,7 +1,8 @@
 import random
 import re
+import time
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
@@ -23,7 +24,6 @@ from ordertop.posets import (
     parse_poset,
     partition_lattice,
     poset_product,
-    set_partitions,
 )
 from ordertop.complexes import SimplicialComplex
 
@@ -151,8 +151,53 @@ class TestElementLimit:
         with pytest.raises(PosetError, match=f"a poset of {count} elements is above the limit"):
             refused()
 
+    REFUSED = [
+        ("boolean", boolean_lattice, (14_285, 20_000, 10**5, 10**6)),
+        ("partition", partition_lattice, (2_000, 3_000, 20_000, 10**6)),
+        ("chain", chain_poset, (20_000, 10**6)),
+        ("exp_discrete-1", lambda m: exp_discrete_poset(m, 1), (20_000, 10**6)),
+        ("exp_discrete-2", lambda m: exp_discrete_poset(m, 2), (20_000, 10**6)),
+        ("exp_discrete-half", lambda m: exp_discrete_poset(m, m // 2), (20_000, 10**6)),
+        ("exp_discrete-all", lambda m: exp_discrete_poset(m, m), (20_000, 10**6)),
+    ]
+
+    @pytest.mark.parametrize(
+        "build, n", [pytest.param(b, n, id=f"{name}-{n}") for name, b, ns in REFUSED for n in ns]
+    )
+    def test_any_argument_is_refused_quickly(self, build, n):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(PosetError, match="elements is above the limit 10000$"):
+                build(n)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 64 * 1024
+
+    @pytest.mark.parametrize(
+        "exact, bounded, count",
+        [
+            (lambda: chain_poset(25), lambda: chain_poset(26), 25),
+            (lambda: boolean_lattice(4), lambda: boolean_lattice(5), 16),
+            (lambda: exp_discrete_poset(6, 2), lambda: exp_discrete_poset(6, 3), 21),
+            (lambda: partition_lattice(4), lambda: partition_lattice(5), 15),
+        ],
+        ids=["chain", "boolean", "exp_discrete", "partition"],
+    )
+    def test_counts_past_the_square_of_the_limit_are_not_named(
+        self, monkeypatch, exact, bounded, count
+    ):
+        monkeypatch.setattr(posets, "MAX_ELEMENTS", 5)
+        with pytest.raises(PosetError, match=f"^a poset of {count} elements is above the limit 5$"):
+            exact()
+        bound = "^a poset of more than 25 elements is above the limit 5$"
+        with pytest.raises(PosetError, match=bound):
+            bounded()
+
     def test_limit_admits_the_partition_lattice_8(self):
-        assert posets.MAX_ELEMENTS >= len(set_partitions(8)) == 4140
+        assert posets.MAX_ELEMENTS >= oracles.bell_number(8) == 4140
 
 
 class TestLabels:
@@ -300,7 +345,7 @@ class TestGenerators:
             partition_lattice(n), oracles.set_partitions_by_label(n), oracles.strictly_refines
         )
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_partition_covers_merge_two_blocks(self, n):
         parts = oracles.set_partitions_by_label(n).values()
         assert len(partition_lattice(n).covers) == sum(comb(len(p), 2) for p in parts)
@@ -355,14 +400,13 @@ class TestInducedFromCovers:
         B = bounded(lattice)
         y = sorted(lattice.elements, key=lambda e: (len(lattice.downset(e)), e))[len(lattice) // 2]
         passed = []
-        original = FinitePoset.__init__
+        original = FinitePoset._order
 
-        def init(self, elements, relations=()):
-            relations = list(relations)
-            passed.append(len(relations))
-            original(self, elements, relations)
+        def order(self, nexts):
+            passed.append(sum(map(len, nexts)))
+            original(self, nexts)
 
-        monkeypatch.setattr(FinitePoset, "__init__", init)
+        monkeypatch.setattr(FinitePoset, "_order", order)
         derived = {
             "truncate": B.truncate,
             "remove": lambda: lattice.remove([y]),
@@ -375,6 +419,113 @@ class TestInducedFromCovers:
             assert passed == [len(result.covers)], name
             inherited = [(a, b) for a in result for b in lattice.upset(a) if b in result]
             assert result == FinitePoset(result.elements, inherited), name
+
+
+def assert_same_poset(P, expected):
+    assert P.elements == expected.elements
+    assert (P._up, P._down, P._cover) == (expected._up, expected._down, expected._cover)
+
+
+class TestIndexBuilders:
+    """Each builder that hands integer covers to the order core gives the
+    poset that the label constructor makes from the oracle's label pairs."""
+
+    @staticmethod
+    def induced(less, keep):
+        kept = set(keep)
+        return FinitePoset(kept, [(a, b) for a, b in less if a in kept and b in kept])
+
+    def check_derived(self, P, rng):
+        less = oracles.strict_closure(P.elements, P.covers)
+        for _ in range(6):
+            keep = [e for e in P.elements if rng.random() < 0.5]
+            assert_same_poset(P.subposet(keep), self.induced(less, keep))
+            dropped = set(P.elements) - set(keep)
+            assert_same_poset(P.remove(keep), self.induced(less, dropped))
+        for y in P.elements:
+            lower = self.induced(less, [a for a, b in less if b == y])
+            upper = self.induced(less, [b for a, b in less if a == y])
+            assert_same_poset(P.below(y), lower)
+            assert_same_poset(P.above(y), upper)
+            cones = P.cones(y)
+            assert_same_poset(cones[0], lower)
+            assert_same_poset(cones[1], upper)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_derived_posets_of_random_posets(self, seed):
+        rng = random.Random(4000 + seed)
+        self.check_derived(random_poset(rng, max_elements=12, max_height=5), rng)
+
+    def test_removed_elements_stacked_between_kept_ones(self):
+        # a, b and c are minimal; r1 < r2 and r3 are removed.  a reaches d
+        # both directly and through r1 < r2, and reaches e only above x.
+        rels = [("a", "r1"), ("b", "r1"), ("r1", "r2"), ("r2", "x"), ("r2", "d"), ("a", "d"),
+                ("x", "r3"), ("r3", "e"), ("c", "r3"), ("c", "e")]
+        P = FinitePoset({e for r in rels for e in r}, rels)
+        less = oracles.strict_closure(P.elements, rels)
+        result = P.remove(["r1", "r2", "r3"])
+        assert_same_poset(result, self.induced(less, set(P.elements) - {"r1", "r2", "r3"}))
+        assert result.covers == {("a", "x"), ("b", "x"), ("a", "d"), ("b", "d"), ("x", "e"),
+                                 ("c", "e")}
+        self.check_derived(P, random.Random(4100))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_truncate(self, seed):
+        B = random_bounded_poset(random.Random(4200 + seed))
+        P = B.poset
+        less = oracles.strict_closure(P.elements, P.covers)
+        assert_same_poset(B.truncate(), self.induced(less, set(P.elements) - {"bot", "top"}))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dual_and_product(self, seed):
+        rng = random.Random(4300 + seed)
+        P, Q = random_poset(rng, max_elements=6), random_poset(rng, max_elements=6)
+        less_p = oracles.strict_closure(P.elements, P.covers)
+        less_q = oracles.strict_closure(Q.elements, Q.covers)
+        assert_same_poset(P.dual(), FinitePoset(P.elements, [(b, a) for a, b in less_p]))
+        leq_p = less_p | {(p, p) for p in P}
+        leq_q = less_q | {(q, q) for q in Q}
+        pairs = [
+            (f"({p},{q})", f"({p2},{q2})")
+            for (p, p2), (q, q2) in product(leq_p, leq_q)
+            if p != p2 or q != q2
+        ]
+        labels = [f"({p},{q})" for p in P for q in Q]
+        assert_same_poset(poset_product(P, Q), FinitePoset(labels, pairs))
+
+    @staticmethod
+    def inclusion(sets):
+        pairs = [(a, b) for a, b in product(sets, repeat=2) if sets[a] < sets[b]]
+        return FinitePoset(sets, pairs)
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_boolean_lattice(self, n):
+        sets = oracles.subset_family(range(1, n + 1), range(n + 1))
+        assert_same_poset(boolean_lattice(n), self.inclusion(sets))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_exp_discrete_poset(self, m):
+        for n in range(1, m + 1):
+            sets = oracles.subset_family(range(1, m + 1), range(1, n + 1))
+            assert_same_poset(exp_discrete_poset(m, n), self.inclusion(sets))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_face_poset(self, seed):
+        K = random_complex(random.Random(4400 + seed))
+        faces = [f for fs in oracles.faces_of(K.facets).values() for f in fs]
+        sets = {"{" + ",".join(f) + "}": frozenset(f) for f in faces}
+        assert_same_poset(face_poset(K), self.inclusion(sets))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_partition_lattice(self, n):
+        parts = oracles.set_partitions_by_label(n)
+        pairs = [(a, b) for a, b in product(parts, repeat=2)
+                 if oracles.strictly_refines(parts[a], parts[b])]
+        assert_same_poset(partition_lattice(n), FinitePoset(parts, pairs))
+
+    def test_chain_poset(self):
+        labels = [str(i) for i in range(1, 13)]
+        assert_same_poset(chain_poset(12), FinitePoset(labels, combinations(labels, 2)))
 
 
 class TestMaximalChainBound:
