@@ -36,17 +36,13 @@ MAX_N = 400
 MAX_CIRCLE_FACES = 200_000
 
 
-def _check_max_n(n: int) -> None:
-    if n > MAX_N:
-        raise ConfigError(f"need n <= {MAX_N}, got {n}")
-
-
 def _binary_partitions(n: int) -> list[int]:
     """Entry p is b(n, p): the number of multisets of exactly p powers of two
     summing to n.  Rows are built forward from b(s, p) = b(s-1, p-1) +
     [s even] b(s/2, p): a multiset with a part 1 loses it, one without has
     every part halved (Churchhouse's halving recurrence, refined by parts)."""
-    _check_max_n(n)
+    if n > MAX_N:
+        raise ConfigError(f"need n <= {MAX_N}, got {n}")
     rows = [[1]]
     for s in range(1, n + 1):
         row = [0] + rows[s - 1]
@@ -57,13 +53,11 @@ def _binary_partitions(n: int) -> list[int]:
     return rows[n]
 
 
-def fuchs_dimension(n: int, k: int) -> int:
-    """Z/2 dimension of H^k of the space of n distinct unordered points in the
-    plane: the number of multisets of n-k powers of two summing to n."""
+def _fuchs_row(n: int) -> list[int]:
+    """The row b(n, p) for a configuration of n >= 1 points."""
     if n < 1:
         raise ConfigError("need n >= 1")
-    row = _binary_partitions(n)
-    return row[n - k] if 0 <= k < n else 0
+    return _binary_partitions(n)
 
 
 def binary_partition_count(n: int) -> int:
@@ -85,10 +79,14 @@ class FuchsTable:
 
 
 def fuchs_table(n: int) -> FuchsTable:
-    if n < 1:
-        raise ConfigError("need n >= 1")
-    row = _binary_partitions(n)
+    row = _fuchs_row(n)
     return FuchsTable(n, {k: row[n - k] for k in range(n)})
+
+
+def fuchs_dimension(n: int, k: int) -> int:
+    """Z/2 dimension of H^k of the space of n distinct unordered points in the
+    plane: the number of multisets of n-k powers of two summing to n."""
+    return fuchs_table(n).dim(k)
 
 
 @dataclass(frozen=True)
@@ -110,9 +108,7 @@ def predicted_betti_exp2(n: int) -> PredictedBetti:
     """Reduced Betti numbers (Z/2) of the order complex for at most n points
     on the 2-sphere: degree p receives the planar configuration cohomology in
     degree 3n - p - 1."""
-    if n < 1:
-        raise ConfigError("need n >= 1")
-    row = _binary_partitions(n)
+    row = _fuchs_row(n)
     # b(n, q) is the rank in cohomological degree n - q, so in degree 2n - 1 + q
     betti = {2 * n - 1 + q: row[q] for q in range(1, n + 1) if row[q]}
     return PredictedBetti(n, betti)
@@ -121,8 +117,6 @@ def predicted_betti_exp2(n: int) -> PredictedBetti:
 def neighborly_bound(n: int) -> int:
     """Lower bound 3n for the ambient dimension of an n-neighborly embedding
     of the 2-sphere, valid because the degree 3n-1 predicted rank is nonzero."""
-    if n < 1:
-        raise ConfigError("need n >= 1")
     top = predicted_betti_exp2(n).betti_number(3 * n - 1)
     if top == 0:
         raise ConfigError(f"internal failure: degree {3 * n - 1} rank is zero")

@@ -686,8 +686,11 @@ def partition_lattice(n: int) -> FinitePoset:
 
 
 def face_poset(K: SimplicialComplex) -> FinitePoset:
-    """Nonempty faces of a complex ordered by inclusion."""
-    return _subset_poset(f for fs in K.faces_by_dim().values() for f in fs)
+    """Nonempty faces of a complex ordered by inclusion; the face count is
+    checked before any label is made."""
+    faces = K.faces_by_dim().values()
+    _check_size(sum(map(len, faces)))
+    return _subset_poset(f for fs in faces for f in fs)
 
 
 def label_items(items: Iterable[tuple], label: Callable[..., str], kind: str) -> dict:

@@ -7,6 +7,13 @@ and Empty is S^{-1}, the map {-1: 1}.  The rewrite rules (S^a * S^b =
 S^{a+b+1}, S^a ^ S^b = S^{a+b}, distribution over wedges, Empty as join unit,
 Point as wedge unit and smash zero) are homotopy equivalences for this class
 only; nothing here applies to arbitrary spaces.
+
+Three closed families satisfy one recurrence, X_k = A_k ^ Sigma(X_{k-1}):
+Vassiliev's Grassmannian posets (A_k = S^{d(k-1)}), their oriented variant
+(A_k = S^{k-1} v S^{k-1}) and the proper parts of the partition lattices
+(A_k = k-1 copies of S^0).  Each family is a base case and its factor A_k;
+``_unrolled`` evaluates the recurrence and returns the closed form only when
+the two agree.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .complexes import PointedComplex, SimplicialComplex, sphere_complex, wedge as complex_wedge
 
@@ -25,10 +32,12 @@ class SphereCalcError(ValueError):
 
 
 # Largest n evaluated.  The multiplicities (n-1)! and 2^(n-2) stay well below
-# the 4300-digit int-to-str limit the CLI output would hit, the partition
-# recurrence (O(n^2) big-integer additions) stays fast, and so does the
-# grassmannian one, which ORIENTED_MAX_N also bounds.  ORIENTED_MAX_N also
-# bounds exp_circle_type, whose sphere dimension 2n-1 is printed in full.
+# the 4300-digit int-to-str limit the CLI output would hit.  Each step of a
+# recurrence is one smash (a big-integer multiplication for the partition
+# lattice), so at the largest n the partition type takes about 3 ms and either
+# grassmannian type 65-70 ms (best of 7 on a 2-CPU x86 VM).  ORIENTED_MAX_N
+# bounds both grassmannian families and exp_circle_type, whose sphere
+# dimension 2n-1 is printed in full.
 PARTITION_MAX_N = 500
 ORIENTED_MAX_N = 10_000
 
@@ -140,68 +149,52 @@ def combine(operator: str, operands: Sequence[SphereWedge]) -> SphereWedge:
 # -- closed families -----------------------------------------------------------
 
 
+def _check_n(n: int, low: int, high: int = ORIENTED_MAX_N) -> None:
+    if n < low:
+        raise SphereCalcError(f"need n >= {low}")
+    if n > high:
+        raise SphereCalcError(f"need n <= {high}, got {n}")
+
+
+def _unrolled(
+    n: int, low: int, x: SphereWedge, factor: Callable[[int], SphereWedge], closed: SphereWedge
+) -> SphereWedge:
+    """X_n by the recurrence X_k = factor(k) ^ Sigma(X_{k-1}) from X_low = x,
+    returned only if it equals the closed form."""
+    for k in range(low + 1, n + 1):
+        x = _smash2(factor(k), suspend(x))
+    if x != closed:
+        raise SphereCalcError(f"internal check failed: {x} disagrees with closed form {closed}")
+    return closed
+
+
 def grassmannian_type(n: int, d: int = 1) -> SphereWedge:
     """Homotopy type of the truncated subspace-inclusion poset over a field of
-    real dimension d: a single sphere S^{C(n,2) d + n - 2}.
-
-    Evaluates the recurrence X_n = S^{d(n-1)} ^ Sigma(X_{n-1}) from the base
-    X_2 = S^d and cross-checks it against the closed form.
-    """
-    if n < 2:
-        raise SphereCalcError("need n >= 2")
-    if n > ORIENTED_MAX_N:
-        raise SphereCalcError(f"need n <= {ORIENTED_MAX_N}, got {n}")
+    real dimension d: a single sphere S^{C(n,2) d + n - 2}, from X_2 = S^d
+    with the factor A_k = S^{d(k-1)}."""
+    _check_n(n, 2)
     if d not in (1, 2, 4):
         raise SphereCalcError("field dimension must be 1, 2 or 4")
-    current = sphere(d)
-    for k in range(3, n + 1):
-        current = _smash2(sphere(d * (k - 1)), suspend(current))
     closed = sphere(comb(n, 2) * d + n - 2)
-    if current != closed:
-        raise SphereCalcError(
-            f"recurrence {current} disagrees with closed form {closed}"
-        )
-    return closed
+    return _unrolled(n, 2, sphere(d), lambda k: sphere(d * (k - 1)), closed)
 
 
 def oriented_grassmannian_type(n: int) -> SphereWedge:
-    """Oriented variant: a wedge of 2^{n-2} spheres of dimension C(n,2)+n-2.
-
-    Recurrence X_n = (S^{n-1} v S^{n-1}) ^ Sigma(X_{n-1}) from X_2 = S^1.
-    """
-    if n < 2:
-        raise SphereCalcError("need n >= 2")
-    if n > ORIENTED_MAX_N:
-        raise SphereCalcError(f"need n <= {ORIENTED_MAX_N}, got {n}")
-    current = sphere(1)
-    for k in range(3, n + 1):
-        current = _smash2(wedge_of([k - 1, k - 1]), suspend(current))
+    """Oriented variant: a wedge of 2^{n-2} spheres of dimension C(n,2)+n-2,
+    from X_2 = S^1 with the factor A_k = S^{k-1} v S^{k-1}."""
+    _check_n(n, 2)
     closed = SphereWedge({comb(n, 2) + n - 2: 2 ** (n - 2)})
-    if current != closed:
-        raise SphereCalcError(
-            f"recurrence {current} disagrees with closed form {closed}"
-        )
-    return closed
+    return _unrolled(n, 2, sphere(1), lambda k: SphereWedge({k - 1: 2}), closed)
 
 
 def partition_type(n: int) -> SphereWedge:
     """Homotopy type of the proper part of the partition lattice: a wedge of
-    (n-1)! spheres of dimension n-3, by unrolling the recurrence
-    X_n = wedge of (n-1) copies of Sigma(X_{n-1}) from X_3 = S^0 v S^0.
-    """
-    if n < 3:
-        raise SphereCalcError("need n >= 3")
-    if n > PARTITION_MAX_N:
-        raise SphereCalcError(f"need n <= {PARTITION_MAX_N}, got {n}")
-    current = wedge_of([0, 0])
-    for k in range(4, n + 1):
-        current = combine("wedge", [suspend(current)] * (k - 1))
+    (n-1)! spheres of dimension n-3, from X_3 = S^0 v S^0 with the factor
+    A_k = k-1 copies of S^0, since the wedge of k-1 copies of Sigma(X_{k-1})
+    is (S^0 v ... v S^0) ^ Sigma(X_{k-1})."""
+    _check_n(n, 3, PARTITION_MAX_N)
     closed = SphereWedge({n - 3: factorial(n - 1)})
-    if current != closed:
-        raise SphereCalcError(
-            f"internal check failed: the recurrence for n={n} is not (n-1)! spheres"
-        )
-    return closed
+    return _unrolled(n, 3, SphereWedge({0: 2}), lambda k: SphereWedge({0: k - 1}), closed)
 
 
 def exp_circle_type(n: int) -> SphereWedge:
@@ -209,10 +202,7 @@ def exp_circle_type(n: int) -> SphereWedge:
     a circle: S^n smashed with the boundary-collapsed simplex model, which is
     S^{n-1}, giving S^{2n-1}.
     """
-    if n < 1:
-        raise SphereCalcError("need n >= 1")
-    if n > ORIENTED_MAX_N:
-        raise SphereCalcError(f"need n <= {ORIENTED_MAX_N}, got {n}")
+    _check_n(n, 1)
     collapsed_simplex = sphere(n - 1)
     return _smash2(sphere(n), collapsed_simplex)
 

@@ -72,6 +72,12 @@ class TestFuchsDimension:
     def test_table(self):
         assert fuchs_table(3).dims == {0: 1, 1: 1, 2: 0}
 
+    def test_dimension_reads_the_table(self):
+        for n in range(1, 41):
+            table = fuchs_table(n)
+            for k in range(-1, n + 2):
+                assert fuchs_dimension(n, k) == table.dim(k), (n, k)
+
 
 # OEIS A018819, the binary partition function, for n = 0..33
 A018819 = [

@@ -176,6 +176,30 @@ class TestElementLimit:
             tracemalloc.stop()
         assert elapsed < 0.1 and peak < 64 * 1024
 
+    def test_face_poset_is_refused_before_any_label(self):
+        # 70,240 faces, counted before any label is made: the refusal costs
+        # about what listing them does
+        K = complexes.cyclic_polytope_boundary(40, 6)
+
+        def measured(call):
+            tracemalloc.start()
+            try:
+                start = time.perf_counter()
+                call()
+                elapsed = time.perf_counter() - start
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return elapsed, peak
+
+        def refuse():
+            with pytest.raises(PosetError, match="a poset of 70240 elements is above the limit"):
+                face_poset(K)
+
+        listed, listed_peak = measured(K.faces_by_dim)
+        refused, refused_peak = measured(refuse)
+        assert refused < 3 * listed + 0.05 and refused_peak < 1.2 * listed_peak
+
     @pytest.mark.parametrize(
         "exact, bounded, count",
         [

@@ -205,6 +205,53 @@ class TestFamilies:
         with pytest.raises(SphereCalcError, match="internal check failed"):
             partition_type(4)
 
+    # family, its closed form computed here, and its range of n
+    FAMILIES = {
+        "grassmannian-1": (
+            lambda n: grassmannian_type(n, 1), lambda n: {comb(n, 2) + n - 2: 1}, 2, 10_000
+        ),
+        "grassmannian-2": (
+            lambda n: grassmannian_type(n, 2), lambda n: {2 * comb(n, 2) + n - 2: 1}, 2, 10_000
+        ),
+        "grassmannian-4": (
+            lambda n: grassmannian_type(n, 4), lambda n: {4 * comb(n, 2) + n - 2: 1}, 2, 10_000
+        ),
+        "oriented": (
+            oriented_grassmannian_type, lambda n: {comb(n, 2) + n - 2: 2 ** (n - 2)}, 2, 10_000
+        ),
+        "partition": (partition_type, lambda n: {n - 3: factorial(n - 1)}, 3, 500),
+        "exp-circle": (exp_circle_type, lambda n: {2 * n - 1: 1}, 1, 10_000),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_equals_closed_form_on_its_range(self, name):
+        family, closed_form, low, high = self.FAMILIES[name]
+        for n in [*range(low, 61), high]:
+            assert family(n).dims == closed_form(n), n
+        with pytest.raises(SphereCalcError, match=f"^need n >= {low}$"):
+            family(low - 1)
+        with pytest.raises(SphereCalcError, match=f"^need n <= {high}, got {high + 1}$"):
+            family(high + 1)
+
+    def test_n_is_checked_before_d(self):
+        with pytest.raises(SphereCalcError, match="^need n >= 2$"):
+            grassmannian_type(1, 3)
+        with pytest.raises(SphereCalcError, match="^need n <= 10000, got 10001$"):
+            grassmannian_type(10_001, 3)
+        with pytest.raises(SphereCalcError, match="^field dimension must be 1, 2 or 4$"):
+            grassmannian_type(2, 3)
+
+    @pytest.mark.parametrize(
+        "family", [grassmannian_type, oriented_grassmannian_type, partition_type]
+    )
+    def test_one_cross_check_message(self, monkeypatch, family):
+        monkeypatch.setattr(spheres, "comb", lambda n, k: 0)
+        monkeypatch.setattr(spheres, "factorial", lambda n: 1)
+        with pytest.raises(
+            SphereCalcError, match="^internal check failed: .* disagrees with closed form "
+        ):
+            family(5)
+
     def test_partition_3_realization(self):
         assert reduced_homology(realize(partition_type(3))).betti == {0: 2}
 
