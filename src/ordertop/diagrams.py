@@ -42,6 +42,9 @@ class PosetDiagram:
         for q in base:
             if q not in self.fibers:
                 raise DiagramError(f"missing fiber for base element {q!r}")
+        for q in self.fibers:
+            if q not in base:
+                raise DiagramError(f"fiber for {q!r}, which is not a base element")
         for q, q2 in self.maps:
             if not base.lt(q, q2):
                 raise DiagramError(f"map pair ({q!r}, {q2!r}) is not a base relation")

@@ -169,8 +169,9 @@ def _dense_snf(entries: Sequence[tuple[int, int, int]]) -> list[int]:
     column and its row by integer division.  A nonzero remainder is smaller
     than the pivot and becomes the next pivot; once the pivot's row and
     column are clear, the pivot joins the diagonal and both are dropped.
-    One pairwise (gcd, lcm) pass then puts the diagonal in the order
-    d1 | d2 | ..., which keeps the Smith normal form of the diagonal matrix.
+    One pairwise (gcd, lcm) pass (``_divisor_chain``) then puts the diagonal
+    in the order d1 | d2 | ..., which keeps the Smith normal form of the
+    diagonal matrix.
     """
     row_ids = {r: i for i, r in enumerate(sorted({r for r, _, _ in entries}))}
     col_ids = {c: j for j, c in enumerate(sorted({c for _, c, _ in entries}))}
@@ -197,6 +198,13 @@ def _dense_snf(entries: Sequence[tuple[int, int, int]]) -> list[int]:
             del a[i]
             for row in a:
                 del row[j]
+    return _divisor_chain(diagonal)
+
+
+def _divisor_chain(diagonal: list[int]) -> list[int]:
+    """Put a diagonal in the order d1 | d2 | ... by one pairwise (gcd, lcm)
+    pass, in place; the Smith normal form of the diagonal matrix is kept, so
+    Z/2 + Z/3 becomes Z/1 + Z/6."""
     for s in range(len(diagonal)):
         for t in range(s + 1, len(diagonal)):
             diagonal[s], diagonal[t] = gcd(diagonal[s], diagonal[t]), lcm(diagonal[s], diagonal[t])

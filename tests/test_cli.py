@@ -465,6 +465,17 @@ class TestDiagramCommand:
             "error: pairs ('a', 'b@c') and ('a@b', 'c') both get the label 'a@b@c'",
         )
 
+    @pytest.mark.parametrize("subcommand", ["check", "grothendieck"])
+    def test_fiber_over_no_base_element_exits_2(self, tmp_path, subcommand):
+        path = tmp_path / "extra.pdiag"
+        path.write_text(
+            "base:\nelements: 0 1\n0 < 1\nfiber 0:\nelements: y\nfiber 1:\nelements: x\n"
+            "fiber 2:\nelements: w\nmap 0 1: x->y\n"
+        )
+        outcome = run(["diagram", subcommand, str(path)])
+        assert (outcome.exit_code, outcome.stdout_lines) == (2, ())
+        assert outcome.stderr_lines == ("error: fiber for '2', which is not a base element",)
+
     def test_map_lines_take_comma_labels(self, tmp_path):
         path = tmp_path / "product.pdiag"
         path.write_text(

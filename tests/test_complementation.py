@@ -3,14 +3,21 @@ import random
 import pytest
 
 import oracles
-from randgen import random_antichain, random_closure_lattice, random_poset
-from ordertop import complementation
+from randgen import (
+    moore_space,
+    projective_plane,
+    random_antichain,
+    random_closure_lattice,
+    random_poset,
+)
+from ordertop import complementation, complexes
 from ordertop.complementation import AntichainError, quotient_wedge_check, verify, wedge_side
-from ordertop.complexes import SimplicialComplex
-from ordertop.homology import reduced_homology
+from ordertop.complexes import SimplicialComplex, join, suspension_pointed, wedge
+from ordertop.homology import HomologyProfile, reduced_homology
 from ordertop.posets import (
     BoundedPoset,
     FinitePoset,
+    OrderComplex,
     boolean_lattice,
     chain_poset,
     face_poset,
@@ -77,21 +84,21 @@ class TestWedgeDecomposition:
         report = verify(B, "{1}")
         right = wedge_side(B.truncate(), report.complements)
         assert report.wedge_match
-        assert reduced_homology(right).betti == {1: 1}  # one suspended S^0
+        assert right.betti == {1: 1}  # one suspended S^0
 
     def test_partition_4_coatom(self):
         B = bounded(partition_lattice(4))
         report = verify(B, "(123)(4)")
         right = wedge_side(B.truncate(), report.complements)
         assert len(report.complements) == 3
-        assert reduced_homology(right).betti == {1: 6}
+        assert right.betti == {1: 6}
         assert report.wedge_match
 
     def test_boolean_2_smallest(self):
         B = bounded(boolean_lattice(2))
         report = verify(B, "{1}")
         right = wedge_side(B.truncate(), report.complements)
-        assert reduced_homology(right).betti == {0: 1}  # suspension of empty
+        assert right.betti == {0: 1}  # suspension of empty
         assert report.wedge_match
 
     def test_empty_antichain_means_contractible(self):
@@ -99,7 +106,7 @@ class TestWedgeDecomposition:
         report = verify(B, "2")
         right = wedge_side(B.truncate(), report.complements)
         assert report.complements == frozenset()
-        assert reduced_homology(right).is_acyclic
+        assert right.is_acyclic
         assert report.wedge_match
 
     def test_non_antichain_rejected(self):
@@ -135,7 +142,7 @@ class TestVerify:
         # the formula holds on every lattice, so only a wrong wedge side
         # can make the two profiles differ
         monkeypatch.setattr(
-            complementation, "wedge_side", lambda trunc, co: SimplicialComplex([["a"], ["b"]])
+            complementation, "wedge_side", lambda trunc, co, coeff: HomologyProfile("Z", {0: 1})
         )
         report = verify(bounded(boolean_lattice(3)), "{1}")
         assert report.antichain and report.removed_acyclic
@@ -220,3 +227,129 @@ class TestRandomLattices:
                 assert verify(L, z, coeff).passed, (z, coeff)
         for _ in range(3):
             assert quotient_wedge_check(trunc, random_antichain(rng, trunc)).passed
+
+
+def label_wedge(trunc, antichain):
+    """The wedge over the antichain built from labels: each summand is the
+    suspension of the join of the two cones' order complexes, pointed at its
+    north pole, and the poles are glued.  An oracle for ``wedge_side`` that
+    shares none of its path after the order complexes."""
+    parts = []
+    for y in sorted(antichain):
+        lower, upper = trunc.cones(y)
+        parts.append(suspension_pointed(join(lower.order_complex(), upper.order_complex())))
+    return wedge(parts).complex
+
+
+def assert_matches_label_wedge(trunc, antichain):
+    for coeff in ("Z", "Z/2"):
+        got = wedge_side(trunc, antichain, coeff)
+        want = reduced_homology(label_wedge(trunc, antichain), coeff)
+        assert (got.coeff, got.betti, got.torsion, got.dim) == (
+            want.coeff, want.betti, want.torsion, want.dim
+        ), (sorted(antichain), coeff)
+
+
+def under_two_tops(K, L):
+    """The face posets of K and L, disjoint, under two incomparable tops
+    ``ya`` and ``yb``: the link of ``ya`` is the barycentric subdivision of
+    K, that of ``yb`` the one of L."""
+    elements, relations = ["ya", "yb"], []
+    for top, tag, M in (("ya", "a", K), ("yb", "b", L)):
+        faces = face_poset(M)
+        elements += [tag + e for e in faces]
+        relations += [(tag + a, tag + b) for a, b in faces.covers]
+        relations += [(tag + e, top) for e in faces]
+    return FinitePoset(elements, relations)
+
+
+class TestAgainstLabelWedge:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_antichain_complement_set_of_partition_lattice(self, n):
+        L = bounded(partition_lattice(n))
+        trunc = L.truncate()
+        antichains = {co for co in map(L.complements, trunc) if trunc.is_antichain(co)}
+        assert len(antichains) > 1
+        for co in antichains:
+            assert_matches_label_wedge(trunc, co)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_z_of_boolean_lattice(self, n):
+        L = bounded(boolean_lattice(n))
+        trunc = L.truncate()
+        for z in trunc:
+            assert_matches_label_wedge(trunc, L.complements(z))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_closure_lattices(self, seed):
+        # the lattices of TestRandomLattices
+        L = random_closure_lattice(random.Random(1100 + seed))
+        trunc = L.truncate()
+        for z in trunc:
+            co = L.complements(z)
+            if trunc.is_antichain(co):
+                assert_matches_label_wedge(trunc, co)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_posets(self, seed):
+        rng = random.Random(2300 + seed)
+        P = random_poset(rng, max_elements=12)
+        assert_matches_label_wedge(P, random_antichain(rng, P))
+
+    def test_no_summands_is_a_point(self):
+        point = wedge_side(chain_poset(3), frozenset())
+        assert point.is_acyclic and point.dim == 0
+        assert_matches_label_wedge(chain_poset(3), frozenset())
+
+    @pytest.mark.parametrize("coeff", ["Z", "Z/2"])
+    def test_checks_build_no_label_construction(self, monkeypatch, coeff):
+        def refuse(*args, **kwargs):
+            raise AssertionError("label construction called")
+
+        for name in ("join", "suspension_pointed", "wedge"):
+            monkeypatch.setattr(complexes, name, refuse)
+        built = []
+        original = SimplicialComplex.__init__
+
+        def recorded(self, *args, **kwargs):
+            built.append(type(self))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimplicialComplex, "__init__", recorded)
+        B = bounded(boolean_lattice(4))
+        for z in B.truncate():
+            report = verify(B, z, coeff)
+            assert report.passed and report.wedge_match
+        L = bounded(partition_lattice(4))
+        report = verify(L, "(123)(4)", coeff)
+        assert report.passed and report.wedge_match
+        assert set(built) == {OrderComplex}
+        built.clear()
+        coatoms = ["{1,2,3}", "{1,2,4}", "{1,3,4}", "{2,3,4}"]
+        assert quotient_wedge_check(B.truncate(), coatoms, coeff).passed
+        # quotient_model's subcomplex test and the model itself
+        assert built.count(SimplicialComplex) == 2
+
+
+class TestMixedTorsion:
+    """Z/2 from RP^2 and Z/3 from the Moore space M(Z/3, 1), each suspended
+    once, meet in degree 2 of one wedge."""
+
+    P = under_two_tops(projective_plane(), moore_space(3))
+
+    def test_torsion_factors_divide(self):
+        profile = wedge_side(self.P, {"ya", "yb"}, "Z")
+        assert profile.betti == {}
+        assert profile.torsion == {2: (6,)}
+        assert_matches_label_wedge(self.P, frozenset({"ya", "yb"}))
+
+    def test_z2_sees_only_the_projective_plane(self):
+        profile = wedge_side(self.P, {"ya", "yb"}, "Z/2")
+        assert profile.betti == {2: 1, 3: 1}
+        assert profile.torsion == {}
+
+    @pytest.mark.parametrize("coeff", ["Z", "Z/2"])
+    def test_quotient_wedge_check(self, coeff):
+        report = quotient_wedge_check(self.P, ["ya", "yb"], coeff)
+        assert report.passed
+        assert report.quotient_profile == wedge_side(self.P, {"ya", "yb"}, coeff)

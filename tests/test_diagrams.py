@@ -296,6 +296,12 @@ map 0 1: p->x
         with pytest.raises(DiagramError, match="missing fiber|unknown"):
             parse_pdiag(bad)
 
+    def test_fiber_over_no_base_element(self):
+        with pytest.raises(DiagramError, match="fiber for '2', which is not a base element"):
+            parse_pdiag(self.GOOD + "fiber 2:\nelements: w\n")
+        with pytest.raises(DiagramError, match="not a base element"):
+            PosetDiagram(FinitePoset(["q"]), {"q": chain_poset(1), "r": chain_poset(1)}, {})
+
     def test_missing_base(self):
         with pytest.raises(DiagramError, match="base"):
             parse_pdiag("fiber 0:\nelements: x\n")
