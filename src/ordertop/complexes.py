@@ -16,8 +16,11 @@ the largest too, stacks the faces one size up, each with one vertex dropped,
 on its own facets, and at the largest size that upper stack is empty.  The
 rows then come in the lexicographic order of the label tuples.  An order
 complex (``posets.OrderComplex``) numbers them from the top of its poset
-down and grows the table from the chains instead.  Label tuples are made only by
-``faces_by_dim``, always from the facets.
+down and grows the table from the chains instead; the face table is the
+only method it overrides.  Every reader of faces (face counts, the Euler
+characteristic, the boundary matrices) goes through ``FaceTable.rows``,
+which starts at degree 0, each vertex bounded by the empty face.  Label
+tuples are made only by ``faces_by_dim``, always from the facets.
 """
 
 from __future__ import annotations
@@ -68,17 +71,23 @@ class FaceTable(NamedTuple):
     An id is a position in ``vertices``: the sorted labels for a complex
     given by its facets; for an order complex, the poset's elements from
     the top down (by strict up-set size, ties in label order), so a chain's
-    row lists it from its top element.  The 0-faces are the ids, so f_0 is
-    ``len(vertices)``.  ``boundary_rows[k]``, for k >= 1, has shape
-    (f_k, k+1), one row per k-face in lexicographic order of the faces' id
-    rows: entry [j, p] is the position among the (k-1)-faces of face j with
-    its vertex in column k-p removed, so each row ascends.  The id row of
-    face j is that of its face in column 0 followed by the last id of its
-    face in column 1.
+    row lists it from its top element.  The 0-faces are the ids.
+    ``boundary_rows[k]``, for k >= 1, has shape (f_k, k+1), one row per
+    k-face in lexicographic order of the faces' id rows: entry [j, p] is the
+    position among the (k-1)-faces of face j with its vertex in column k-p
+    removed, so each row ascends.  The id row of face j is that of its face
+    in column 0 followed by the last id of its face in column 1.  ``rows``
+    adds degree 0, where the one face below every vertex is the empty face.
     """
 
     vertices: tuple[str, ...]
     boundary_rows: dict[int, np.ndarray]
+
+    def rows(self) -> dict[int, np.ndarray]:
+        """The boundary rows of every dimension from 0: each vertex's row is
+        [0], the position of the empty face.  Empty for the empty complex."""
+        ground = np.zeros((len(self.vertices), 1), dtype=np.int64)
+        return {0: ground, **self.boundary_rows} if self.vertices else {}
 
 
 def _lex_codes(rows: np.ndarray, base: int) -> np.ndarray:
@@ -226,9 +235,7 @@ class SimplicialComplex:
         return {d: tuple(map(tuple, labels[ids].tolist())) for d, ids in faces.items()}
 
     def face_counts(self) -> dict[int, int]:
-        table = self.face_table()
-        sizes = [len(table.vertices), *map(len, table.boundary_rows.values())]
-        return dict(enumerate(sizes)) if table.vertices else {}
+        return {k: len(rows) for k, rows in self.face_table().rows().items()}
 
     def euler_reduced(self) -> int:
         """Reduced Euler characteristic: alternating face count minus 1."""

@@ -234,11 +234,15 @@ def parse_pdiag(text: str) -> PosetDiagram:
 
     if not base_lines:
         raise DiagramError("missing base: block")
-    try:
-        base = parse_poset("\n".join(base_lines))
-        fibers = {q: parse_poset("\n".join(lines)) for q, lines in fiber_lines.items()}
-    except PosetError as exc:
-        raise DiagramError(str(exc)) from exc
+
+    def block(name: str, lines: list[str]) -> FinitePoset:
+        try:
+            return parse_poset("\n".join(lines))
+        except PosetError as exc:
+            raise DiagramError(f"{name}: {exc}") from exc
+
+    base = block("base", base_lines)
+    fibers = {q: block(f"fiber {q!r}", lines) for q, lines in fiber_lines.items()}
     maps = {
         (q, q2): _map_entries(body, fibers.get(q2, ()), fibers.get(q, ()))
         for (q, q2), body in map_bodies.items()
@@ -250,11 +254,21 @@ def _map_entries(body: str, upper, lower) -> dict[str, str]:
     """The ``x->y, ...`` entries of a map body, x declared in ``upper`` and y
     in ``lower``.  Commas separate entries, except that a piece naming no
     declared pair is joined to the next pieces when they together name one,
-    so labels declared with commas, like ``poset_product``'s, stay whole."""
+    so labels declared with commas, like ``poset_product``'s, stay whole.
+    An entry is split at its first arrow whose two sides name a declared
+    pair, so labels declared with ``->`` stay whole too, and at its first
+    arrow when none does."""
 
-    def names_pair(item: str) -> bool:
-        x, arrow, y = item.partition("->")
-        return bool(arrow) and x.strip() in upper and y.strip() in lower
+    # the left side of a declared pair holds no more arrows than a label of upper
+    arrows = 1 + max((lab.count("->") for lab in upper), default=0)
+
+    def splits(item: str) -> list[tuple[str, str]]:
+        parts = item.split("->", arrows)  # "->" cannot overlap itself
+        join = "->".join
+        return [(join(parts[:i]).strip(), join(parts[i:]).strip()) for i in range(1, len(parts))]
+
+    def names_pair(item: str) -> tuple[str, str] | None:
+        return next(((x, y) for x, y in splits(item) if x in upper and y in lower), None)
 
     # an entry spans one piece more than the commas in its two labels
     reach = 1 + sum(max((lab.count(",") for lab in P), default=0) for P in (upper, lower))
@@ -266,8 +280,8 @@ def _map_entries(body: str, upper, lower) -> dict[str, str]:
         item = next((j for j in joins if names_pair(j)), pieces[i]).strip()
         i += item.count(",") + 1
         if item:
-            x, arrow, y = item.partition("->")
-            if not arrow:
+            pair = names_pair(item) or next(iter(splits(item)), None)
+            if pair is None:
                 raise DiagramError(f"malformed map entry: {item!r}")
-            mapping[x.strip()] = y.strip()
+            mapping[pair[0]] = pair[1]
     return mapping

@@ -247,18 +247,13 @@ class ChainComplex:
 
     @classmethod
     def from_complex(cls, K: SimplicialComplex) -> "ChainComplex":
-        """Boundary matrices straight from the face table: column j of d_k
-        holds the k+1 codimension-one faces of face j, ascending, with the
-        sign (-1)^i of the removed vertex position i."""
-        table = K.face_table()
+        """Boundary matrices d_0, ..., d_dim straight from the face table's
+        rows: column j of d_k holds the k+1 codimension-one faces of face j,
+        ascending, with the sign (-1)^i of the removed vertex position i; a
+        vertex's one face is the empty face, with sign +1."""
         counts = {-1: 1}
         boundary: dict[int, SparseMatrix] = {}
-        if n := len(table.vertices):
-            counts[0] = n
-            boundary[0] = SparseMatrix(
-                1, n, np.arange(n + 1), np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int8)
-            )
-        for k, rows in table.boundary_rows.items():
+        for k, rows in K.face_table().rows().items():
             counts[k] = n = len(rows)
             signs = np.array([-1 if (k - p) % 2 else 1 for p in range(k + 1)], dtype=np.int8)
             boundary[k] = SparseMatrix(

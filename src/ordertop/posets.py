@@ -313,9 +313,10 @@ class OrderComplex(SimplicialComplex):
     """The order complex of a poset: its faces are the chains of ``poset``.
 
     It is the complex of the maximal chains, equal to the plain
-    ``SimplicialComplex`` of those facets; only its face table and face
-    counts are read off the order of ``poset`` (``_chain_table``) instead of
-    the facet labels.
+    ``SimplicialComplex`` of those facets.  It overrides only its face
+    table, read off the order of ``poset`` (``_chain_table``) instead of the
+    facet labels; face counts and boundary matrices come from that table's
+    rows from degree 0 up, as for any complex.
     """
 
     __slots__ = ("poset",)
@@ -327,9 +328,6 @@ class OrderComplex(SimplicialComplex):
     def face_table(self) -> FaceTable:
         """The chains as integer arrays, ids numbered from the top of the poset down."""
         return _chain_table(self.poset)
-
-    def face_counts(self) -> dict[int, int]:
-        return dict(enumerate(_chain_levels(self.poset)[3]))
 
 
 def _chain_levels(P: FinitePoset) -> tuple[list[int], np.ndarray, np.ndarray, list[int]]:

@@ -368,6 +368,32 @@ def test_from_complex_stores_the_signs_in_one_byte():
     assert kept < 400 * 1024 < 504 * 1024
 
 
+@pytest.mark.parametrize("facets", [[], [["a"]], [["a"], ["b"]]], ids=["empty", "point", "two"])
+def test_d0_bounds_every_vertex_by_the_empty_face(facets):
+    K = SimplicialComplex(facets)
+    n = len(facets)
+    table = K.face_table()
+    assert list(table.rows()) == ([0] if n else [])
+    cc = ChainComplex.from_complex(K)
+    assert cc.counts == ({-1: 1, 0: n} if n else {-1: 1})
+    assert list(cc.boundary) == ([0] if n else [])
+    if n:
+        d0 = cc.boundary[0]
+        assert (d0.n_rows, d0.n_cols) == (1, n)
+        for got, want in zip((d0.ptr, d0.rows, d0.vals), (np.arange(n + 1), [0] * n, [1] * n)):
+            assert got.tolist() == list(want)
+        assert (d0.ptr.dtype, d0.rows.dtype, d0.vals.dtype) == (np.int64, np.int64, np.int8)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_rows_add_degree_0_to_the_boundary_rows(name):
+    table = NAMED[name].face_table()
+    rows = table.rows()
+    assert rows[0].tolist() == [[0]] * len(table.vertices)
+    assert list(rows)[1:] == list(table.boundary_rows)
+    assert all(rows[k] is table.boundary_rows[k] for k in table.boundary_rows)
+
+
 def test_pairing_keeps_int8_products_in_range():
     # 100 * 63 and 100 * -1 agree modulo 256, so int8 products would pair the
     # terms of this nonzero product as if they cancelled; 100 * 1 fits.

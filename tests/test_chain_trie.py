@@ -86,6 +86,16 @@ class TestChainTrie:
         assert reduced_homology(K, coeff) == reduced_homology(SimplicialComplex(K.facets), coeff)
 
 
+def test_an_order_complex_overrides_only_its_face_table():
+    # the members it defines beside its docstring, module and slot names
+    own = {
+        name
+        for name, member in vars(OrderComplex).items()
+        if callable(member) or isinstance(member, type(OrderComplex.poset))
+    }
+    assert own == {"__init__", "face_table", "poset"}
+
+
 def test_an_order_complex_is_the_complex_of_its_maximal_chains():
     P = proper_part(partition_lattice(4))
     K = P.order_complex()

@@ -476,6 +476,37 @@ class TestDiagramCommand:
         assert (outcome.exit_code, outcome.stdout_lines) == (2, ())
         assert outcome.stderr_lines == ("error: fiber for '2', which is not a base element",)
 
+    @pytest.mark.parametrize(
+        "fiber, message",
+        [
+            ("", "error: fiber '1': missing 'elements:' line"),
+            ("elements: x\n0 < 1\n", "error: fiber '1': unknown element: '0'"),
+        ],
+        ids=["no-elements-line", "base-elements"],
+    )
+    def test_fiber_poset_error_names_the_fiber(self, tmp_path, fiber, message):
+        path = tmp_path / "fiber.pdiag"
+        path.write_text(
+            "base:\nelements: 0 1\n0 < 1\nfiber 0:\nelements: y\nfiber 1:\n"
+            + fiber
+            + "map 0 1: x->y\n"
+        )
+        outcome = run(["diagram", "check", str(path)])
+        assert (outcome.exit_code, outcome.stdout_lines) == (2, ())
+        assert outcome.stderr_lines == (message,)
+
+    def test_map_lines_take_arrow_labels(self, tmp_path):
+        path = tmp_path / "arrow.pdiag"
+        path.write_text(
+            "base:\nelements: 0 1\n0 < 1\nfiber 0:\nelements: y\n"
+            "fiber 1:\nelements: a->b\nmap 0 1: a->b->y\n"
+        )
+        outcome = run(["diagram", "check", str(path)])
+        assert (outcome.stdout_lines, outcome.exit_code) == (
+            ("valid true", "cylinder_match true", "verdict pass"),
+            0,
+        )
+
     def test_map_lines_take_comma_labels(self, tmp_path):
         path = tmp_path / "product.pdiag"
         path.write_text(
@@ -556,7 +587,7 @@ class TestFileRefusals:
             (
                 CHECK,
                 "base:\nelements: 0\nfiber 0:\nelements: x x\n",
-                "duplicate element label: 'x'",
+                "fiber '0': duplicate element label: 'x'",
             ),
             (
                 CHECK,

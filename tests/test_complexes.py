@@ -423,9 +423,9 @@ FACE_TABLE_READERS = {
 
 class TestFaceTableBuilds:
     """A complex is its vertices and facets; each check builds the face
-    table of each complex it reads once.  A reader asks for a face table, or
-    for an order complex's face counts; a build runs the label builder or
-    counts a poset's chain levels, which the chain trie starts with."""
+    table of each complex it reads once.  A reader asks for a face table,
+    the one way to the faces; a build runs the label builder or counts a
+    poset's chain levels, which the chain trie starts with."""
 
     def test_a_complex_keeps_no_table(self):
         assert SimplicialComplex.__slots__ == ("vertices", "facets")
@@ -441,7 +441,6 @@ class TestFaceTableBuilds:
 
         spy(SimplicialComplex, "face_table", readers)
         spy(OrderComplex, "face_table", readers)
-        spy(OrderComplex, "face_counts", readers)
         spy(complexes, "_face_table", builds)
         spy(posets, "_chain_levels", builds)
         FACE_TABLE_READERS[name]()

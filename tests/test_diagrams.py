@@ -319,6 +319,42 @@ map 0 1: p->x
         with pytest.raises(DiagramError, match="duplicate element label: 'x'"):
             parse_pdiag(bad)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "base:\nelements: 0 1\n0 < 1\nfiber 0:\nelements: y\nfiber 1:\nmap 0 1: x->y\n",
+                "fiber '1': missing 'elements:' line",
+            ),
+            (
+                "base:\nelements: 0 1\n0 < 1\nfiber 0:\nelements: y\n"
+                "fiber 1:\nelements: x\n0 < 1\nmap 0 1: x->y\n",
+                "fiber '1': unknown element: '0'",
+            ),
+            ("base:\nelements: 0\n0 < x\nfiber 0:\nelements: y\n", "base: unknown element: 'x'"),
+        ],
+        ids=["fiber-without-elements", "fiber-naming-base-elements", "base"],
+    )
+    def test_poset_error_names_its_block(self, text, message):
+        with pytest.raises(DiagramError) as info:
+            parse_pdiag(text)
+        assert str(info.value) == message
+
+    ARROWS = "base:\nelements: 0 1\n0 < 1\nfiber 0:\nelements: y\nfiber 1:\nelements: a->b\n"
+
+    def test_map_entries_keep_declared_arrow_labels(self):
+        D = parse_pdiag(self.ARROWS + "map 0 1: a->b->y\n")
+        assert D.maps[("0", "1")] == {"a->b": "y"}
+        assert validate(D).passed
+
+    def test_undeclared_arrow_entry_splits_at_its_first_arrow(self):
+        D = parse_pdiag(self.ARROWS + "map 0 1: a->b->z\n")
+        assert D.maps[("0", "1")] == {"a": "b->z"}
+        assert not validate(D).passed
+        # only as many arrows as a declared label holds are tried, not every one
+        D = parse_pdiag(self.ARROWS + "map 0 1: " + "a->" * 100_000 + "y\n")
+        assert D.maps[("0", "1")] == {"a": "a->" * 99_999 + "y"}
+
     # fiber 1 relates elements named like the header keywords
     KEYWORDS = {
         "map": "elements: map x\nmap < x\nmap 0 1: map->y, x->y\n",
