@@ -186,10 +186,11 @@ class FinitePoset:
         return bool(self._up[self._idx(a)] >> self._idx(b) & 1)
 
     def leq(self, a: str, b: str) -> bool:
-        return a == b or self.lt(a, b)
+        i, j = self._idx(a), self._idx(b)
+        return i == j or bool(self._up[i] >> j & 1)
 
     def comparable(self, a: str, b: str) -> bool:
-        return a == b or self.lt(a, b) or self.lt(b, a)
+        return self.leq(a, b) or self.lt(b, a)
 
     @property
     def covers(self) -> frozenset[tuple[str, str]]:
@@ -513,22 +514,36 @@ class BoundedPoset:
 
         mu(x, z) = -sum(mu(x, w) for x <= w < z) is evaluated for every z of
         the interval [x, y] in a linear extension (by down-set size), without
-        recursion; the sums run over the order bitmasks.
+        recursion.  Only the w with mu(x, w) != 0 count, and those met so far
+        are kept in value classes: one bitmask per value v.  When there are
+        fewer classes than such w below z, the sum is read as
+        sum(v * popcount(below & class_v)); otherwise it adds mu(x, w) one w
+        at a time.  So no z costs more than its per-element sum and one
+        popcount, and the classes stay few where they matter: two on a
+        Boolean lattice, at most one per layer on an ordinal sum of
+        antichains.
         """
-        if x == y:
-            return 1
         P = self.poset
-        if not P.lt(x, y):
-            return 0
         ix, iy = P._idx(x), P._idx(y)
+        if ix == iy:
+            return 1
+        if not P._up[ix] >> iy & 1:
+            return 0
         interval = P._up[ix] & (P._down[iy] | 1 << iy)
-        mu = {ix: 1}
-        nonzero = 1 << ix  # the z in [x, y] with mu(x, z) != 0 so far
+        mu = {ix: 1}  # the z in [x, y] with mu(x, z) != 0 so far
+        nonzero = 1 << ix
+        classes = {1: nonzero}  # value v -> the z with mu(x, z) = v so far
         for z in sorted(_bits(interval), key=lambda j: P._down[j].bit_count()):
-            mu[z] = -sum(mu[w] for w in _bits(P._down[z] & nonzero))
-            if mu[z]:
+            below = P._down[z] & nonzero
+            if len(classes) < below.bit_count():
+                m = -sum(v * (below & zs).bit_count() for v, zs in classes.items())
+            else:
+                m = -sum(mu[w] for w in _bits(below))
+            if m:
+                mu[z] = m
                 nonzero |= 1 << z
-        return mu[iy]
+                classes[m] = classes.get(m, 0) | 1 << z
+        return mu.get(iy, 0)
 
     def mobius(self) -> int:
         """The Mobius number mu(bottom, top)."""

@@ -3,7 +3,7 @@ import re
 import time
 import tracemalloc
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -591,6 +591,87 @@ class TestBounds:
             BoundedPoset(chain_poset(1), "1", "1")
 
 
+def ordinal_sum_of_antichains(sizes):
+    """bot < A_1 < ... < A_k < top, the layer A_i an antichain of sizes[i]
+    elements and every element of a layer below every element of the next."""
+    layers = [["bot"], *([f"l{i}.{j}" for j in range(a)] for i, a in enumerate(sizes)), ["top"]]
+    rels = [(a, b) for lower, upper in zip(layers, layers[1:]) for a in lower for b in upper]
+    return BoundedPoset(FinitePoset([e for layer in layers for e in layer], rels), "bot", "top")
+
+
+def many_value_classes(atoms=1001, chain=1099, cheap=6800):
+    """A 9,902-element bounded poset with 1,001 Mobius values, most of whose
+    elements have at most 3 nonzero values below them.
+
+    Over bot lie the atoms a0..; c<k> covers a0..a<k-1>, so mu(bot, c<k>) =
+    k - 1 for k = 2..atoms.  A chain of zero values d0 < d1 < ... starts on
+    a0, and ``cheap`` elements cover its last link; every second one covers a
+    further atom as well.  The chain is long enough for the cheap elements to
+    come after every c<k> in a linear extension by down-set size, so each of
+    them meets all the value classes but only 2 or 3 nonzero values.
+    """
+    a = [f"a{i}" for i in range(atoms)]
+    c = [f"c{k}" for k in range(2, atoms + 1)]
+    d = [f"d{j}" for j in range(chain)]
+    e = [f"e{i}" for i in range(cheap)]
+    rels = [("bot", x) for x in a] + [(a[i], f"c{k}") for k in range(2, atoms + 1) for i in range(k)]
+    rels += [(a[0], d[0]), *zip(d, d[1:])] + [(d[-1], x) for x in e]
+    rels += [(a[1 + i % (atoms - 1)], x) for i, x in enumerate(e[1::2])]
+    rels += [(x, "top") for x in a[1:] + c + e]
+    return BoundedPoset(FinitePoset(["bot", "top", *a, *c, *d, *e], rels), "bot", "top")
+
+
+def per_element_mobius(B):
+    """mu(bottom, top) with every sum over w below z taken one w at a time."""
+    P = B.poset
+    ix, iy = P.elements.index(B.bottom), P.elements.index(B.top)
+    mu, nonzero = {ix: 1}, 1 << ix
+    for z in sorted(range(len(P)), key=lambda j: P._down[j].bit_count()):
+        if z == ix:
+            continue
+        below, m = P._down[z] & nonzero, 0
+        while below:
+            low = below & -below
+            m -= mu[low.bit_length() - 1]
+            below ^= low
+        if m:
+            mu[z], nonzero = m, nonzero | 1 << z
+    return mu.get(iy, 0)
+
+
+def assert_every_interval_against_oracle(B):
+    P = B.poset
+    for x, y in product(P.elements, repeat=2):
+        if not P.lt(x, y):
+            assert B.mobius_pair(x, y) == (1 if x == y else 0)
+            continue
+        interval = [z for z in P.elements if P.leq(x, z) and P.leq(z, y)]
+        assert B.mobius_pair(x, y) == oracles.brute_mobius(interval, P.leq), (x, y)
+
+
+def best_time(f, repeat=3):
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        value = f()
+        times.append(time.perf_counter() - start)
+    return value, min(times)
+
+
+class TestUnknownLabels:
+    @pytest.mark.parametrize("method", ["lt", "leq", "comparable"])
+    @pytest.mark.parametrize("pair", [("nope", "nope"), ("nope", "1"), ("1", "nope")])
+    def test_order_queries(self, method, pair):
+        with pytest.raises(PosetError, match="unknown element: 'nope'"):
+            getattr(chain_poset(2), method)(*pair)
+
+    @pytest.mark.parametrize("method", ["meet", "join", "mobius_pair"])
+    @pytest.mark.parametrize("pair", [("nope", "nope"), ("nope", "1"), ("1", "nope")])
+    def test_bounded_queries(self, method, pair):
+        with pytest.raises(PosetError, match="unknown element: 'nope'"):
+            getattr(bounded(chain_poset(2)), method)(*pair)
+
+
 class TestMobius:
     def test_boolean_3(self):
         B = bounded(boolean_lattice(3))
@@ -612,14 +693,7 @@ class TestMobius:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_every_interval_against_oracle(self, seed):
-        B = random_bounded_poset(random.Random(50 + seed))
-        P = B.poset
-        for x, y in product(P.elements, repeat=2):
-            if not P.lt(x, y):
-                assert B.mobius_pair(x, y) == (1 if x == y else 0)
-                continue
-            interval = [z for z in P.elements if P.leq(x, z) and P.leq(z, y)]
-            assert B.mobius_pair(x, y) == oracles.brute_mobius(interval, P.leq)
+        assert_every_interval_against_oracle(random_bounded_poset(random.Random(50 + seed)))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_partition_lattice_closed_form(self, n):
@@ -627,6 +701,39 @@ class TestMobius:
 
     def test_long_chain_needs_no_recursion(self):
         assert bounded(chain_poset(3000)).mobius() == 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_interval_of_closure_lattices(self, seed):
+        assert_every_interval_against_oracle(random_closure_lattice(random.Random(700 + seed)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_interval_of_larger_posets(self, seed):
+        # up to 16 elements: more values, and more of them below each z, than
+        # on the 10-element posets above
+        B = random_bounded_poset(random.Random(750 + seed), max_inner=14)
+        assert_every_interval_against_oracle(B)
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_boolean_lattice_closed_form(self, n):
+        assert bounded(boolean_lattice(n)).mobius() == (-1) ** n
+
+    @pytest.mark.parametrize(
+        "sizes", [(), (1,), (5,), (2, 2), (3, 1, 4), (4, 3, 5, 2), (7,) * 6, (100,) * 50]
+    )
+    def test_ordinal_sum_of_antichains_closed_form(self, sizes):
+        # mu is the reduced Euler characteristic of a join of discrete sets
+        expected = (-1) ** (len(sizes) - 1) * prod(a - 1 for a in sizes)
+        assert ordinal_sum_of_antichains(sizes).mobius() == expected
+
+    def test_many_value_classes_cost_no_more_than_the_per_element_sum(self):
+        B = many_value_classes()
+        assert len(B) == 9902
+        # 1 - 1001 + (1 + ... + 1000) + 3,400 cheap elements with mu = 1
+        expected = -(1 - 1001 + 1000 * 1001 // 2 + 3400)
+        reference, per_element_s = best_time(lambda: per_element_mobius(B))
+        mu, mobius_s = best_time(B.mobius)
+        assert mu == reference == expected
+        assert mobius_s < 2 * per_element_s, (mobius_s, per_element_s)
 
 
 class TestComplements:
