@@ -198,7 +198,7 @@ def parse_pdiag(text: str) -> PosetDiagram:
     where x is in the fiber over q' and y is its image in the fiber over q.
     A line holding ``<`` is a relation of the current block, never a header.
     """
-    base_lines: list[str] = []
+    base_lines: list[str] | None = None
     fiber_lines: dict[str, list[str]] = {}
     map_bodies: dict[tuple[str, str], str] = {}
     current: list[str] | None = None
@@ -209,7 +209,9 @@ def parse_pdiag(text: str) -> PosetDiagram:
         stripped = line.strip()
         header = "" if "<" in stripped else stripped  # "map < x" is a relation
         if header == "base:":
-            current = base_lines
+            if base_lines is not None:
+                raise DiagramError("duplicate base: block")
+            current = base_lines = []
             continue
         if header.startswith("fiber ") and header.endswith(":"):
             q = stripped[len("fiber "):-1].strip()

@@ -2,31 +2,62 @@
 
 Chain complexes are augmented: degree -1 carries the empty simplex, so the
 empty complex reports one unit of homology in degree -1 and all conventions
-for joins and suspensions of the empty complex compose correctly.
+for joins and suspensions of the empty complex compose correctly.  The stage
+runs from the face table to the invariant factors in these steps.
 
-Every matrix is a ``SparseMatrix`` in compressed columns (``ptr``, ``rows``,
-``vals``), the layout of PHAT (Bauer-Kerber-Reininghaus-Wagner, J. Symb.
-Comput. 2017).  ``ChainComplex.from_complex`` builds d_k from the face table
-of ``ordertop.complexes`` with array operations only, and the constructor
-checks d_k o d_{k+1} = 0 for every consecutive pair on the same arrays,
-exactly.  The check first pairs the terms of every column of the product:
-dropping two vertices in either order reaches the same face with opposite
-signs, so when every pair has equal rows and negated products the product
-is zero, with no array as long as all of its terms (``_pairs_cancel``).
-This decides every pair that ``from_complex`` builds.  Any other pair is
-multiplied out one column at a time in Python integers.
+Face table to compressed columns.  Every matrix is a ``SparseMatrix`` in
+compressed columns (``ptr``, ``rows``, ``vals``), the layout of PHAT
+(Bauer-Kerber-Reininghaus-Wagner, J. Symb. Comput. 2017).
+``ChainComplex.from_complex`` builds d_k from the face table of
+``ordertop.complexes`` with array operations only.
 
-``reduced_homology`` reduces the coboundaries d_k^T, degree 0 upward, with
-a column reducer of ``ordertop._kernel._pure``, which returns ``(units,
-residual, pivot rows)`` over either ring.  Each coboundary has its rows and
-columns numbered backwards (``_coboundary``, one in-place sort of the
-unique int64 keys row * nnz + entry), so the low of a column is its
-lexicographically first coface, and the pivot rows of one degree are cleared
-from the columns of the next.  Over Z only +-1 lows become pivots, which
-keeps clearing exact; the residual goes to ``_dense_snf``, which pivots on
+d o d pairing.  The ``ChainComplex`` constructor checks d_k o d_{k+1} = 0
+for every consecutive pair on the same arrays, exactly.  The check first
+pairs the terms of every column of the product: dropping two vertices in
+either order reaches the same face with opposite signs, so when every pair
+has equal rows and negated products the product is zero, with no array as
+long as all of its terms (``_pairs_cancel``).  This decides every pair that
+``from_complex`` builds.  Any other pair is multiplied out one column at a
+time in Python integers.
+
+Coboundary.  ``reduced_homology`` reduces the coboundaries d_k^T, degree 0
+upward.  Each has its rows and columns numbered backwards (``_coboundary``,
+one in-place sort of the unique int64 keys row * nnz + entry), so the low of
+a column, its lowest nonzero row, is its lexicographically first coface.
+
+Apparent pivots.  Before any reduction, one array pass finds the apparent
+pivots (Bauer, *Ripser*, J. Appl. Comput. Topol. 2021): the first active
+column with a given initial low owns that row, over Z only when its low
+entry is +-1 (``_apparent_pivots``).  No column has to be reduced to find
+them.  Taking pivots out of left-to-right order is still a sequence of
+unimodular column operations, since a pivot column is never changed.
+
+Clearing.  The pivot rows found in one degree are the ``cleared`` columns
+of the next (the "twist" of Chen-Kerber, *Persistent homology computation
+with a twist*, 2011).  A cleared column never has to be reduced: over Z/2 it
+is a combination of the other columns, and over Z it is an integer one
+because only +-1 lows become pivots.
+
+Reducer.  ``eliminate_unit_pivots`` (over Z) and ``rank_mod2`` (over Z/2)
+reduce the columns that are neither apparent pivots nor cleared, left to
+right, each against the pivot columns until its low is a row no pivot owns.
+Both return ``(units, residual, pivot rows)``, the residual empty over Z/2
+and the pivot rows an int64 array.  Only those columns, and the pivot
+columns they meet, are sliced out of the arrays; a column becomes a dict
+(over Z) or a bitset (over Z/2) only when its turn comes.  When there are no
+such columns, the loops run zero times and the pivot rows are the lows, with
+no Python object made per entry.  That is every degree of the generated
+partition lattices, Boolean lattices and exp_discrete posets under their
+own labels (``posets._chain_levels``); the same posets under random labels
+leave some hundreds of columns to the loops.  The benchmark tracer wraps
+both reducers by replacing these module globals, so every caller reads them
+from the module when it runs and none binds them under another name at
+import.
+
+Dense SNF.  Over Z the residual goes to ``_dense_snf``, which pivots on
 entries of least absolute value and ends with one (gcd, lcm) pass over the
-diagonal.  ``smith_normal_form`` and ``invariant_factors`` run the Z
-reducer on a single matrix, untransposed and without clearing.
+diagonal.  ``smith_normal_form`` and ``invariant_factors`` run the Z reducer
+on a single matrix, untransposed and without clearing.
 """
 
 from __future__ import annotations
@@ -39,7 +70,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._kernel import _pure
 from .complexes import SimplicialComplex
 from .posets import BoundedPoset, PosetError
 
@@ -47,6 +77,7 @@ Z = "Z"
 Z2 = "Z/2"
 _COEFF_ALIASES = {"z": Z, "Z": Z, "z2": Z2, "Z2": Z2, "Z/2": Z2, "z/2": Z2}
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 class HomologyError(ValueError):
@@ -79,8 +110,8 @@ class SparseMatrix:
     ascending) with values ``vals[ptr[c]:ptr[c+1]]`` (nonzero).  ``vals`` is
     int8 for the +-1 signs of ``ChainComplex.from_complex``; a matrix from
     entries stores int64 when every value fits and an object array of Python
-    ints otherwise.  The kernel reads values through ``tolist()``, so it
-    computes in Python integers whatever the dtype.  The constructor checks
+    ints otherwise.  The reducers read values through ``tolist()``, so they
+    compute in Python integers whatever the dtype.  The constructor checks
     the layout, so a matrix is always duplicate-free, zero-free and inside
     its shape.  Triples and dense lists enter through ``from_entries`` and
     ``from_dense``.
@@ -162,6 +193,142 @@ class Entries:
         return zip(m.rows.tolist(), cols.tolist(), m.vals.tolist())
 
 
+def _apparent_pivots(
+    ptr: np.ndarray, rows: np.ndarray, vals: np.ndarray | None, cleared: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split the nonempty columns that are not ``cleared`` (an int64 array
+    of column indices) into apparent pivots and the rest.
+
+    Returns ``(lows, owners, rest)``: the apparent pivots' low rows
+    ascending, the column that owns each, and the other columns ascending.
+    A column is an apparent pivot when no earlier one of these columns has
+    the same initial low and, unless ``vals`` is None (over Z/2), that low
+    entry is +-1.
+    """
+    ends = ptr[1:]
+    active = ends > ptr[:-1]
+    active[cleared] = False
+    cols = np.flatnonzero(active)
+    last = ends[cols] - 1
+    lows, first = np.unique(rows[last], return_index=True)
+    if vals is not None:
+        unit = np.abs(vals[last[first]]) == 1
+        lows, first = lows[unit], first[unit]
+    rest = np.ones(len(cols), dtype=bool)
+    rest[first] = False
+    return lows, cols[first], cols[rest]
+
+
+def _owner(lows: np.ndarray, owners: np.ndarray, row: int) -> int | None:
+    """The apparent pivot column whose low is ``row``, or None."""
+    i = int(lows.searchsorted(row))
+    return int(owners[i]) if i < len(lows) and lows[i] == row else None
+
+
+def _subtract(col: dict[int, int], q: int, piv: dict[int, int]) -> None:
+    """col -= q * piv, dropping entries that become zero."""
+    for r, v in piv.items():
+        nv = col.get(r, 0) - q * v
+        if nv:
+            col[r] = nv
+        else:
+            del col[r]  # nv == 0 needs r in col, since q and v are nonzero
+
+
+def eliminate_unit_pivots(m, cleared: np.ndarray = _NO_ROWS) -> tuple[int, list, np.ndarray]:
+    """Split a sparse integer matrix into unit pivots and a small residual.
+
+    ``m`` is a ``SparseMatrix``.  Only column operations are used, and a
+    column becomes a pivot only when its low entry is +-1.  A column whose
+    low is not a unit is set aside; once every pivot is known it is reduced
+    against them until it is zero on all pivot rows.  Returns
+    ``(units, residual, pivot rows)``: the invariant factors of the matrix
+    (without the ``cleared`` columns) are ``[1] * units`` followed by those
+    of the ``residual`` (row, col, value) triples, because the pivot block is
+    unimodular and the residual columns vanish on its rows.  The pivot rows
+    are an int64 array.
+    """
+    lows, owners, rest = _apparent_pivots(m.ptr, m.rows, m.vals, cleared)
+
+    def column(c: int) -> dict[int, int]:
+        start, stop = m.ptr[c], m.ptr[c + 1]
+        return dict(zip(m.rows[start:stop].tolist(), m.vals[start:stop].tolist()))
+
+    def pivot(low: int) -> dict[int, int] | None:
+        """The pivot column on row ``low``, unpacking an apparent one."""
+        piv = pivots.get(low)
+        if piv is None:
+            a = _owner(lows, owners, low)
+            if a is not None:
+                piv = pivots[low] = column(a)
+        return piv
+
+    pivots: dict[int, dict[int, int]] = {}  # low row -> column, +-1 there
+    found: list[int] = []  # the pivot rows that are not apparent
+    set_aside: list[tuple[int, dict[int, int]]] = []
+    for c in rest.tolist():
+        col = column(c)
+        while col:
+            low = max(col)
+            piv = pivot(low)
+            if piv is None:
+                if col[low] in (1, -1):
+                    pivots[low] = col
+                    found.append(low)
+                else:
+                    set_aside.append((c, col))
+                break
+            _subtract(col, col[low] * piv[low], piv)
+
+    residual = []
+    for c, col in set_aside:
+        while hits := [r for r in col if r in pivots or _owner(lows, owners, r) is not None]:
+            low = max(hits)
+            piv = pivot(low)
+            _subtract(col, col[low] * piv[low], piv)
+        residual += [(r, c, v) for r, v in col.items()]
+    pivot_rows = np.concatenate((lows, np.array(found, dtype=np.int64)))
+    return len(pivot_rows), sorted(residual), pivot_rows
+
+
+def rank_mod2(m, cleared: np.ndarray = _NO_ROWS) -> tuple[int, list, np.ndarray]:
+    """Rank over Z/2 of a ``SparseMatrix`` (without the ``cleared``
+    columns), as ``(rank, [], pivot rows)``, the pivot rows an int64 array.
+    Unless every entry is +-1, the odd entries are picked by one mask; each
+    column is packed into a Python integer, bit r for row r, only when its
+    turn comes, so at most the pivots are held as bitsets."""
+    ptr, rows, vals = m.ptr, m.rows, m.vals
+    if len(vals) and (vals.min() < -1 or vals.max() > 1):
+        odd = vals % 2 != 0
+        ptr = np.concatenate(([0], np.cumsum(odd)))[ptr]
+        rows = rows[odd]
+    lows, owners, rest = _apparent_pivots(ptr, rows, None, cleared)
+
+    def bitset(c: int) -> int:
+        col = 0
+        for r in rows[ptr[c] : ptr[c + 1]].tolist():
+            col |= 1 << r
+        return col
+
+    pivots: dict[int, int] = {}  # low row -> pivot column as a bitset
+    found: list[int] = []  # the pivot rows that are not apparent
+    for c in rest.tolist():
+        col = bitset(c)
+        while col:
+            low = col.bit_length() - 1
+            piv = pivots.get(low)
+            if piv is None:
+                a = _owner(lows, owners, low)
+                if a is None:
+                    pivots[low] = col
+                    found.append(low)
+                    break
+                piv = pivots[low] = bitset(a)
+            col ^= piv
+    pivot_rows = np.concatenate((lows, np.array(found, dtype=np.int64)))
+    return len(pivot_rows), [], pivot_rows
+
+
 def _dense_snf(entries: Sequence[tuple[int, int, int]]) -> list[int]:
     """Invariant factors of a small residual matrix, exact integers.
 
@@ -213,7 +380,7 @@ def _divisor_chain(diagonal: list[int]) -> list[int]:
 
 def invariant_factors(m: SparseMatrix) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... of an integer matrix (d_i > 0)."""
-    units, residual, _ = _pure.eliminate_unit_pivots(m)
+    units, residual, _ = eliminate_unit_pivots(m)
     return (1,) * units + tuple(_dense_snf(residual))
 
 
@@ -407,11 +574,11 @@ def _factors_by_degree(cc: ChainComplex, ring: str) -> dict[int, tuple[int, ...]
     unit of rank), from the coboundaries reduced degree 0 upward.
 
     The pivot rows of the coboundary of d_k are cleared from the columns of
-    the coboundary of d_{k+1} (see ``ordertop._kernel._pure``).
+    the coboundary of d_{k+1}.
     """
-    reduce = _pure.eliminate_unit_pivots if ring == Z else _pure.rank_mod2
+    reduce = eliminate_unit_pivots if ring == Z else rank_mod2
     factors: dict[int, tuple[int, ...]] = {}
-    cleared = np.empty(0, dtype=np.int64)
+    cleared = _NO_ROWS
     for k in sorted(cc.boundary):
         units, residual, cleared = reduce(_coboundary(cc.boundary[k]), cleared)
         factors[k] = (1,) * units + tuple(_dense_snf(residual))

@@ -22,7 +22,6 @@ from ordertop import (
     partition_lattice,
     quotient_model,
 )
-from ordertop._kernel import _pure
 from ordertop.complexes import SimplicialComplex
 from ordertop.homology import (
     ChainComplex,
@@ -33,6 +32,7 @@ from ordertop.homology import (
     _pairs_cancel,
     _product_is_zero,
     invariant_factors,
+    rank_mod2,
     reduced_homology,
 )
 from ordertop.posets import face_poset
@@ -78,7 +78,7 @@ def triples_profile(mats, counts, ring):
             factors[k] = invariant_factors(m)
             ranks[k] = len(factors[k])
         else:
-            ranks[k], _, _ = _pure.rank_mod2(m)
+            ranks[k], _, _ = rank_mod2(m)
     betti, torsion = {}, {}
     for k in range(-1, max(counts) + 1):
         b = counts.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0)

@@ -10,12 +10,13 @@ import pytest
 from randgen import projective_plane
 from ordertop import cli, complementation, config, diagrams, grassmann, spheres
 from ordertop.cli import CommandOutcome, run
-from ordertop.complexes import format_cplx, parse_cplx
+from ordertop.complexes import ComplexError, format_cplx, parse_cplx
 from ordertop.homology import reduced_homology
 from ordertop.posets import (
     MAX_ELEMENTS,
     BoundedPoset,
     boolean_lattice,
+    chain_poset,
     format_poset,
     parse_poset,
     partition_lattice,
@@ -123,6 +124,22 @@ class TestPosetCommands:
         outcome = run(["ordercomplex", b3_file])
         expected = format_cplx(parse_poset(B3_POSET).order_complex())
         assert "\n".join(outcome.stdout_lines) + "\n" == expected
+
+    def test_ordercomplex_of_a_long_chain_is_its_one_facet(self, tmp_path):
+        # The order complex of a chain is one simplex, so the command prints
+        # one facet, though that simplex's face table is past the id limit.
+        path = tmp_path / "chain25.poset"
+        path.write_text(format_poset(chain_poset(25)))
+        outcome = run(["ordercomplex", str(path)])
+        assert outcome.exit_code == 0
+        assert outcome.stdout_lines == (" ".join(sorted(str(i) for i in range(1, 26))),)
+
+    def test_homology_of_a_long_chain_is_refused_at_the_face_table(self):
+        with pytest.raises(ComplexError) as refusal:
+            reduced_homology(chain_poset(25).order_complex())
+        assert str(refusal.value) == (
+            "the 7-faces need a table of 8652600 vertex ids, above the limit 8000000"
+        )
 
     def test_chain_table_over_the_limit_is_refused_before_any_chain(self, tmp_path):
         # six layers of 20 with every cover between adjacent layers: 20^6
@@ -608,6 +625,12 @@ class TestFileRefusals:
                 ("complementation", "verify", "FILE", "--z", "c"),
                 NON_LATTICE,
                 "meet of 'd' and 'c' does not exist",
+            ),
+            (
+                CHECK,
+                "base:\nelements: 0 1\nfiber 0:\nelements: a\nfiber 1:\nelements: b\n"
+                "base:\n0 < 1\nmap 0 1: b->a\n",
+                "duplicate base: block",
             ),
         ],
     )
