@@ -56,7 +56,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # that size.  The peak memory of ``ordertop homology`` grows with the
 # largest stack (one fresh process each, 2-CPU x86 VM): the order complex of
 # the full partition lattice Pi_7, read from its facets, stacks 7.19 M ids
-# and peaks at about 425 MB over either ring; the 18-vertex simplex stacks
+# and peaks at about 390 MB over either ring; the 18-vertex simplex stacks
 # 3.94 M and peaks at 207 MB; the 19-vertex simplex would stack 8.31 M (not
 # measured) and the 20-vertex simplex 18.5 M, which peaked at 1.1 GB and
 # took 8.9 s without this limit.  The chain trie of an order complex
@@ -397,14 +397,17 @@ def is_pseudomanifold(K: SimplicialComplex) -> bool:
 def parse_cplx(text: str) -> SimplicialComplex:
     """Parse the ``.cplx`` format: one facet per line, whitespace-separated
     vertex labels; ``#`` starts a comment; an empty file is the empty complex.
+
+    The facets are streamed into the constructor in one pass over the
+    lines, each label one string object however many facets name it.
     """
-    facets = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        facets.append(line.split())
-    return SimplicialComplex(facets)
+    vertex: dict[str, str] = {}
+
+    def facet(line: str) -> Iterable[str]:
+        labels = line.split("#", 1)[0].split()
+        return map(vertex.setdefault, labels, labels)
+
+    return SimplicialComplex(map(facet, text.splitlines()))
 
 
 def format_cplx(K: SimplicialComplex) -> str:

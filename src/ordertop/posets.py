@@ -7,10 +7,14 @@ an ascending tuple of indices.  Comparability queries, cone extraction and
 brute-force meets/joins use the masks as sets; maximal chains, cover
 listings and the derived posets walk the cover tuples.
 
-Labels are made and checked once, at the edge.  The public constructor maps
+Labels are made and checked once, at the edge, and one helper
+(``_sorted_labels``) checks and sorts a declared label list for both the
+public constructor and the ``.poset`` reader.  The public constructor maps
 label relations to indices; every builder in this module instead hands its
 sorted labels and integer successor lists straight to the same order core
-(``FinitePoset._from_ids``).  The generators give covers only: Pi_n from
+(``FinitePoset._from_ids``).  The ``.poset`` reader is one of them: it maps
+each label to its id once, at the ``elements:`` line, and appends the ids
+of each relation as it reads it.  The generators give covers only: Pi_n from
 restricted growth strings with array merges, the subset posets from their
 drop-one covers, products from the factors' covers.  Induced subposets and
 duals are read off the covers of the poset they come from.
@@ -18,6 +22,7 @@ duals are read off the covers of the poset they come from.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate, combinations
 from typing import Callable, Iterable, Iterator
 
@@ -64,6 +69,19 @@ def _check_size(n: int) -> None:
         raise PosetError(f"a poset of {shown} elements is above the limit {MAX_ELEMENTS}")
 
 
+def _sorted_labels(labels: list[str]) -> tuple[str, ...]:
+    """The labels, each checked, in sorted order; a label given twice is
+    refused, naming the first in the given order that repeats."""
+    for lab in labels:
+        _check_label(lab)
+    _check_size(len(labels))
+    if len(set(labels)) != len(labels):
+        counts = Counter(labels)
+        dup = next(lab for lab in labels if counts[lab] > 1)
+        raise PosetError(f"duplicate element label: {dup!r}")
+    return tuple(sorted(labels))
+
+
 class FinitePoset:
     """Immutable finite poset on string labels.
 
@@ -81,12 +99,7 @@ class FinitePoset:
     __slots__ = ("elements", "_index", "_up", "_down", "_cover")
 
     def __init__(self, elements: Iterable[str], relations: Iterable[tuple[str, str]] = ()):
-        labels = [_check_label(e) for e in elements]
-        _check_size(len(labels))
-        if len(set(labels)) != len(labels):
-            dup = next(lab for lab in labels if labels.count(lab) > 1)
-            raise PosetError(f"duplicate element label: {dup!r}")
-        self.elements: tuple[str, ...] = tuple(sorted(labels))
+        self.elements: tuple[str, ...] = _sorted_labels(list(elements))
         self._index = index = {lab: i for i, lab in enumerate(self.elements)}
         nexts: list[list[int]] = [[] for _ in self.elements]
         for a, b in relations:
@@ -768,20 +781,25 @@ def parse_poset(text: str) -> FinitePoset:
     makes relation statements tokenizable; commas at the outer end of a
     label are stripped unless the label itself is declared with one, so
     ``a < b,c < d`` names the label ``b,c``.
+
+    The text is read in one pass, and each label is mapped to its id once:
+    the ``elements:`` labels are sorted and numbered, each relation appends
+    its upper id to the successor list of its lower one, and the lists go to
+    ``FinitePoset._from_ids``, so no label pair is kept.  A line of two
+    declared labels around `` < ``, as ``format_poset`` writes it, is taken
+    as it stands; any other goes through the tokenizer.  Refusals come in
+    the order statement errors (in file order), a missing ``elements:``
+    line, a duplicate label, the first unknown label or ``a < a`` (in file
+    order), and cycles: a label fault is kept until every statement has
+    been read.
     """
-    statements = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        for stmt in line.split(";"):
-            stmt = stmt.strip()
-            if stmt:
-                statements.append(stmt)
-    elements: list[str] | None = None
-    declared: set[str] = set()
-    relations = []
+    elements: tuple[str, ...] | None = None
+    index: dict[str, int] = {}
+    nexts: list[list[int]] = []
+    fault: PosetError | None = None
 
     def clean(token: str, side: str) -> str:
-        while token not in declared:
+        while token not in index:
             if side == "right" and token.endswith(","):
                 token = token[:-1]
             elif side == "left" and token.startswith(","):
@@ -790,36 +808,62 @@ def parse_poset(text: str) -> FinitePoset:
                 break
         return token
 
-    for stmt in statements:
-        if stmt.startswith("elements:") and "<" not in stmt:  # a relation may name "elements:x"
-            if elements is not None:
-                raise PosetError("multiple 'elements:' declarations")
-            elements = stmt[len("elements:"):].split()
-            _check_size(len(elements))
-            declared = set(elements)
+    for line in text.splitlines():
+        # A declared label holds no whitespace, '#' or ';', so a line of two
+        # of them around " < " is that one relation.
+        a, _, b = line.partition(" < ")
+        ia, ib = index.get(a), index.get(b)
+        if ia is not None and ib is not None and ia != ib:
+            nexts[ia].append(ib)
             continue
-        if elements is None:
-            raise PosetError("the 'elements:' line must come before relations")
-        tokens = stmt.replace("<", " < ").split()
-        positions = [i for i, t in enumerate(tokens) if t == "<"]
-        if not positions:
-            raise PosetError(f"malformed relation statement: {stmt!r}")
-        used = set()
-        for i in positions:
-            if i == 0 or i + 1 >= len(tokens):
+        for stmt in line.split("#", 1)[0].split(";"):
+            stmt = stmt.strip()
+            if not stmt:
+                continue
+            if stmt.startswith("elements:") and "<" not in stmt:  # a relation may name "elements:x"
+                if elements is not None:
+                    raise PosetError("multiple 'elements:' declarations")
+                labels = stmt[len("elements:"):].split()
+                _check_size(len(labels))
+                try:
+                    elements = _sorted_labels(labels)
+                except PosetError as err:  # raised after the last statement: statement errors win
+                    fault, elements = err, tuple(sorted(labels))
+                index = {lab: i for i, lab in enumerate(elements)}
+                nexts = [[] for _ in elements]
+                continue
+            if elements is None:
+                raise PosetError("the 'elements:' line must come before relations")
+            tokens = stmt.replace("<", " < ").split()
+            positions = [i for i, t in enumerate(tokens) if t == "<"]
+            if not positions:
                 raise PosetError(f"malformed relation statement: {stmt!r}")
-            used.update((i - 1, i, i + 1))
-            relations.append(
-                (clean(tokens[i - 1], "left"), clean(tokens[i + 1], "right"))
-            )
-        # a token of commas alone that belongs to no relation separates two relations
-        if len(used) != len(tokens) and any(
-            i not in used and t.strip(",") for i, t in enumerate(tokens)
-        ):
-            raise PosetError(f"malformed relation statement: {stmt!r}")
+            used = set()
+            for i in positions:
+                if i == 0 or i + 1 >= len(tokens):
+                    raise PosetError(f"malformed relation statement: {stmt!r}")
+                used.update((i - 1, i, i + 1))
+                a, b = clean(tokens[i - 1], "left"), clean(tokens[i + 1], "right")
+                ia, ib = index.get(a), index.get(b)
+                if ia is not None and ib is not None and ia != ib:
+                    nexts[ia].append(ib)
+                elif fault is None:
+                    unknown = a if ia is None else b if ib is None else None
+                    fault = PosetError(
+                        f"cycle in relations: {a!r} < {a!r}"
+                        if unknown is None
+                        else f"unknown element: {unknown!r}"
+                    )
+            # a token of commas alone that belongs to no relation separates two relations
+            if len(used) != len(tokens) and any(
+                i not in used and t.strip(",") for i, t in enumerate(tokens)
+            ):
+                raise PosetError(f"malformed relation statement: {stmt!r}")
     if elements is None:
         raise PosetError("missing 'elements:' line")
-    return FinitePoset(elements, relations)
+    if fault is not None:
+        raise fault
+    return FinitePoset._from_ids(elements, [list(dict.fromkeys(js)) for js in nexts])
 
 
 def format_poset(P: FinitePoset) -> str:

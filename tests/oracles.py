@@ -10,7 +10,8 @@ grown one element at a time), exhaustive enumeration for counting problems,
 pairwise inclusion and refinement tests for the generated orders, set
 operations for complements in closure systems, the quadratic maximal-face
 scan for facet normalization, the sphere calculus on fully expanded
-multisets, and the flag-map battery one matrix at a time.
+multisets, the flag-map battery one matrix at a time, and the ``.poset``
+reader that collects statements and label pairs before it builds.
 """
 
 from fractions import Fraction
@@ -19,6 +20,8 @@ from itertools import combinations
 import numpy as np
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
+
+from ordertop.posets import FinitePoset, PosetError, _check_size
 
 
 def faces_of(facets):
@@ -242,6 +245,61 @@ def set_partitions_by_label(n):
 
     grow([])
     return out
+
+
+def parse_poset_by_statements(text):
+    """The ``.poset`` reader as it stood before the one-pass reader: every
+    statement collected first, then every relation as a label pair, then
+    the label constructor ``FinitePoset(elements, relations)``, which
+    checks the labels and maps each pair to ids."""
+    statements = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0]
+        for stmt in line.split(";"):
+            stmt = stmt.strip()
+            if stmt:
+                statements.append(stmt)
+    elements = None
+    declared = set()
+    relations = []
+
+    def clean(token, side):
+        while token not in declared:
+            if side == "right" and token.endswith(","):
+                token = token[:-1]
+            elif side == "left" and token.startswith(","):
+                token = token[1:]
+            else:
+                break
+        return token
+
+    for stmt in statements:
+        if stmt.startswith("elements:") and "<" not in stmt:
+            if elements is not None:
+                raise PosetError("multiple 'elements:' declarations")
+            elements = stmt[len("elements:"):].split()
+            _check_size(len(elements))
+            declared = set(elements)
+            continue
+        if elements is None:
+            raise PosetError("the 'elements:' line must come before relations")
+        tokens = stmt.replace("<", " < ").split()
+        positions = [i for i, t in enumerate(tokens) if t == "<"]
+        if not positions:
+            raise PosetError(f"malformed relation statement: {stmt!r}")
+        used = set()
+        for i in positions:
+            if i == 0 or i + 1 >= len(tokens):
+                raise PosetError(f"malformed relation statement: {stmt!r}")
+            used.update((i - 1, i, i + 1))
+            relations.append((clean(tokens[i - 1], "left"), clean(tokens[i + 1], "right")))
+        if len(used) != len(tokens) and any(
+            i not in used and t.strip(",") for i, t in enumerate(tokens)
+        ):
+            raise PosetError(f"malformed relation statement: {stmt!r}")
+    if elements is None:
+        raise PosetError("missing 'elements:' line")
+    return FinitePoset(elements, relations)
 
 
 def strictly_refines(p, q):

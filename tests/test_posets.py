@@ -26,6 +26,7 @@ from ordertop.posets import (
     poset_product,
 )
 from ordertop.complexes import SimplicialComplex
+from ordertop.diagrams import DiagramError, parse_pdiag
 
 
 def bounded(P):
@@ -97,6 +98,132 @@ class TestParse:
     def test_roundtrip(self):
         P = boolean_lattice(3)
         assert parse_poset(format_poset(P)) == P
+
+    def test_duplicate_is_refused_in_linear_time(self):
+        labels = [f"x{i}" for i in range(posets.MAX_ELEMENTS - 1)]
+        labels.append(labels[-1])  # the only repeat, last
+        text = "elements: " + " ".join(labels)
+        for refuse in (lambda: parse_poset(text), lambda: FinitePoset(labels)):
+            start = time.perf_counter()
+            with pytest.raises(PosetError, match=f"^duplicate element label: '{labels[-1]}'$"):
+                refuse()
+            assert time.perf_counter() - start < 0.2
+
+
+# Labels of the fuzzed texts: commas inside and at the end of a label, a
+# label of one comma, and one that starts with "elements:".
+FUZZ_LABELS = ["a", "b", "c", "d", "e,", "f,g", ",", "elements:x"]
+FUZZ_FAULTS = [
+    "duplicate", "missing", "late", "twice", "size", "unknown", "self", "cycle", "malformed",
+]
+FUZZ_MALFORMED = ["a <", "< b", "a b", "a < b c", "<", "a < b ,, c"]
+FUZZ_SEPARATORS = ["\n", "\r\n", "; ", ";", ", ", " ,", " , ", " "]
+FUZZ_REFUSALS = [
+    "malformed relation statement: ",
+    "multiple 'elements:' declarations",
+    "the 'elements:' line must come before relations",
+    "missing 'elements:' line",
+    "duplicate element label: ",
+    "a poset of 7 elements is above the limit 6",
+    "unknown element: ",
+    "cycle in relations: ",
+    "cycle in relations through ",
+]
+
+
+def fuzz_poset_text(rng: random.Random, faults: set[str]) -> str:
+    """A ``.poset`` text over some of ``FUZZ_LABELS`` with the given faults
+    planted, written with comments, blank lines and every separator."""
+    pool = rng.sample(FUZZ_LABELS, rng.randint(1, 5))
+    declared = list(pool)
+    if "duplicate" in faults:
+        declared.insert(rng.randrange(len(declared) + 1), rng.choice(pool))
+    if "size" in faults:
+        declared += [f"s{i}" for i in range(7 - len(declared))]
+    rng.shuffle(declared)
+    up = list(pool)  # the relations go up this order unless a cycle is planted
+    rng.shuffle(up)
+    relations = []
+    for _ in range(rng.randint(0, 6)):
+        chain = sorted(rng.sample(up, min(len(up), rng.choice([2, 2, 3]))), key=up.index)
+        if len(chain) > 1:
+            relations.append(" < ".join(chain))
+    if relations and rng.random() < 0.3:
+        relations.append(rng.choice(relations))  # a repeated relation
+    planted = {
+        "unknown": lambda: f"{rng.choice(pool)} < {rng.choice(['z', 'z,', 'b,c', '<'])}",
+        "self": lambda: "{0} < {0}".format(rng.choice(pool)),
+        "cycle": lambda: f"{up[-1]} < {up[0]}" if len(up) > 1 else f"{up[0]} < {up[0]}",
+        "malformed": lambda: rng.choice(FUZZ_MALFORMED),
+    }
+    for fault, make in planted.items():
+        if fault in faults:
+            relations.insert(rng.randrange(len(relations) + 1), make())
+    statements = list(relations)
+    elements = "elements:" + rng.choice([" ", "  ", ""]) + " ".join(declared)
+    if "missing" not in faults:
+        where = rng.randint(1, len(statements)) if "late" in faults and statements else 0
+        statements.insert(where, elements)
+        if "twice" in faults:
+            statements.insert(rng.randint(where + 1, len(statements)), elements)
+    text = ""
+    for i, stmt in enumerate(statements):
+        if i:
+            sep = rng.choice(FUZZ_SEPARATORS)
+            if "elements:" in stmt or "elements:" in statements[i - 1]:
+                sep = rng.choice(["\n", ";"])  # a comma would join it to a relation
+            text += sep
+        if rng.random() < 0.1:
+            text += "# a comment; with < and elements: z\n"
+        text += rng.choice(["", " ", "\t"]) + stmt
+        if rng.random() < 0.1:
+            text += " # trailing < comment"
+        if rng.random() < 0.05:
+            text += "\n\n"
+    return text + rng.choice(["", "\n"])
+
+
+def parse_outcome(parse, text):
+    """The poset read from ``text``, or the type and message of its refusal."""
+    try:
+        return parse(text)
+    except PosetError as err:
+        return type(err), str(err)
+
+
+class TestParseAgainstOracle:
+    """The one-pass reader against the statement-list reader kept in
+    ``oracles``: the same poset, or the same refusal."""
+
+    def test_fuzzed_texts(self, monkeypatch):
+        monkeypatch.setattr(posets, "MAX_ELEMENTS", 6)
+        rng = random.Random(2027)
+        seen, alone, combined, read = set(), set(), 0, 0
+        for _ in range(400):
+            faults = {f for f in FUZZ_FAULTS if rng.random() < 0.12}
+            text = fuzz_poset_text(rng, faults)
+            expected = parse_outcome(oracles.parse_poset_by_statements, text)
+            got = parse_outcome(parse_poset, text)
+            if isinstance(expected, tuple):
+                assert got == expected, text
+                message = expected[1]
+                seen.add(next(p for p in FUZZ_REFUSALS if message.startswith(p)))
+                pdiag = "base:\nelements: q\nfiber q:\n" + text
+                with pytest.raises(DiagramError) as refused:
+                    parse_pdiag(pdiag)
+                assert str(refused.value) == f"fiber 'q': {message}", pdiag
+            else:
+                assert isinstance(got, FinitePoset), (text, got)
+                assert got == expected and got.covers == expected.covers, text
+                assert sorted(got.maximal_chains()) == sorted(expected.maximal_chains()), text
+                read += 1
+            if len(faults) == 1:
+                alone |= faults
+            combined += len(faults) > 1
+        assert alone == set(FUZZ_FAULTS)
+        assert combined >= 50
+        assert seen == set(FUZZ_REFUSALS)
+        assert read >= 100
 
 
 class TestElementLimit:
