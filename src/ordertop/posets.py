@@ -8,16 +8,18 @@ brute-force meets/joins use the masks as sets; maximal chains, cover
 listings and the derived posets walk the cover tuples.
 
 Labels are made and checked once, at the edge, and one helper
-(``_sorted_labels``) checks and sorts a declared label list for both the
-public constructor and the ``.poset`` reader.  The public constructor maps
-label relations to indices; every builder in this module instead hands its
-sorted labels and integer successor lists straight to the same order core
-(``FinitePoset._from_ids``).  The ``.poset`` reader is one of them: it maps
-each label to its id once, at the ``elements:`` line, and appends the ids
-of each relation as it reads it.  The generators give covers only: Pi_n from
-restricted growth strings with array merges, the subset posets from their
-drop-one covers, products from the factors' covers.  Induced subposets and
-duals are read off the covers of the poset they come from.
+(``_checked_labels``) checks a declared label list for both the public
+constructor and the ``.poset`` reader.  Every poset, from either of those or
+from a generator, a derived poset or a dual, is built by one order core
+(``FinitePoset._from_ids``) from its labels in any order and integer
+successor lists by position; it is the one place that sorts the labels and
+renumbers the successors, and labels already sorted cost it one comparison
+pass.  The public constructor and the ``.poset`` reader number the labels
+as declared and map each relation's labels to those numbers once.  The
+generators give covers only, in generation order: Pi_n from restricted
+growth strings with array merges, the subset posets from their drop-one
+covers, products from the factors' covers.  Induced subposets and duals are
+read off the covers of the poset they come from.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ def _check_size(n: int) -> None:
         raise PosetError(f"a poset of {shown} elements is above the limit {MAX_ELEMENTS}")
 
 
-def _sorted_labels(labels: list[str]) -> tuple[str, ...]:
-    """The labels, each checked, in sorted order; a label given twice is
+def _checked_labels(labels: list[str]) -> tuple[str, ...]:
+    """The labels, each checked, in the given order; a label given twice is
     refused, naming the first in the given order that repeats."""
     for lab in labels:
         _check_label(lab)
@@ -79,49 +81,64 @@ def _sorted_labels(labels: list[str]) -> tuple[str, ...]:
         counts = Counter(labels)
         dup = next(lab for lab in labels if counts[lab] > 1)
         raise PosetError(f"duplicate element label: {dup!r}")
-    return tuple(sorted(labels))
+    return tuple(labels)
 
 
 class FinitePoset:
     """Immutable finite poset on string labels.
 
     Built from an element list and arbitrary strict relations, or inside
-    this module from sorted labels and successor index lists
-    (``_from_ids``).  Both end in one topological pass (Kahn's order) over
-    each element's distinct successors: from the top of that order down,
-    each element's up-set is its successors together with their up-sets, and
-    its covers are the successors that no other successor lies below (the
-    transitive reduction); the down-sets then follow the covers upward.
-    Up-sets and down-sets are index bitmasks, covers ascending index tuples.
-    Cycles (including a < a) are rejected, naming an element on one.
+    this module from labels and successor index lists (``_from_ids``).  The
+    constructor numbers the labels as given and hands over to ``_from_ids``,
+    which sorts them into ``elements`` and ends in one topological pass
+    (Kahn's order) over each element's distinct successors: from the top of
+    that order down, each element's up-set is its successors together with
+    their up-sets, and its covers are the successors that no other successor
+    lies below (the transitive reduction); the down-sets then follow the
+    covers upward.  Up-sets and down-sets are index bitmasks, covers
+    ascending index tuples.  Cycles (including a < a) are rejected, naming
+    an element on one.
     """
 
     __slots__ = ("elements", "_index", "_up", "_down", "_cover")
 
     def __init__(self, elements: Iterable[str], relations: Iterable[tuple[str, str]] = ()):
-        self.elements: tuple[str, ...] = _sorted_labels(list(elements))
-        self._index = index = {lab: i for i, lab in enumerate(self.elements)}
-        nexts: list[list[int]] = [[] for _ in self.elements]
+        labels = _checked_labels(list(elements))
+        index = {lab: i for i, lab in enumerate(labels)}
+        nexts: list[list[int]] = [[] for _ in labels]
         for a, b in relations:
-            try:
-                ia, ib = index[a], index[b]
-            except KeyError:
-                self._idx(a), self._idx(b)  # raises, naming the unknown label
-                raise
-            if ia == ib:
+            if a not in index or b not in index:
+                raise PosetError(f"unknown element: {a if a not in index else b!r}")
+            if a == b:
                 raise PosetError(f"cycle in relations: {a!r} < {a!r}")
-            nexts[ia].append(ib)
-        self._order([list(dict.fromkeys(js)) for js in nexts])  # repeated relations dropped
+            nexts[index[a]].append(index[b])
+        built = self._from_ids(labels, [list(dict.fromkeys(js)) for js in nexts])  # no repeats
+        for name in self.__slots__:
+            setattr(self, name, getattr(built, name))
 
     @classmethod
-    def _from_ids(cls, elements: tuple[str, ...], nexts: list[list[int]]) -> "FinitePoset":
-        """The poset on ``elements``, sorted, distinct and checked, in which
-        ``nexts[i]`` lists the distinct successors of element i by index.
-        Every builder in this module comes here, with no label pair."""
-        _check_size(len(elements))
+    def _from_ids(cls, labels: Iterable[str], nexts: list[list[int]]) -> "FinitePoset":
+        """The poset on ``labels``, distinct and checked, in any order, in
+        which ``nexts[i]``, a list of its own, holds the distinct successors
+        of ``labels[i]`` by position.  Every poset is built here, with no
+        label pair.  This is the one place that sorts labels into
+        ``elements`` and renumbers the successors to match, in the given
+        lists; labels already sorted cost one comparison pass (the sort
+        finds a single run) and no renumbering."""
+        labels = tuple(labels)
+        _check_size(len(labels))
+        elements = tuple(sorted(labels))
+        index = {lab: i for i, lab in enumerate(elements)}
+        if elements != labels:
+            rank = [index[lab] for lab in labels]
+            ordered: list[list[int]] = [[]] * len(labels)
+            for js, r in zip(nexts, rank):
+                js[:] = map(rank.__getitem__, js)  # in place: the lists are not held twice
+                ordered[r] = js
+            nexts = ordered
         self = object.__new__(cls)
         self.elements = elements
-        self._index = {lab: i for i, lab in enumerate(elements)}
+        self._index = index
         self._order(nexts)
         return self
 
@@ -223,11 +240,14 @@ class FinitePoset:
     def maximal_elements(self) -> tuple[str, ...]:
         return tuple(e for i, e in enumerate(self.elements) if not self._up[i])
 
+    def _mask(self, labels: Iterable[str]) -> int:
+        """The index bits of the given elements, each one known."""
+        return sum(1 << i for i in {self._idx(lab) for lab in labels})
+
     def is_antichain(self, labels: Iterable[str]) -> bool:
         """True iff no two distinct members of the set are comparable."""
-        idx = {self._idx(lab) for lab in labels}
-        mask = sum(1 << i for i in idx)
-        return not any(self._up[i] & mask for i in idx)
+        mask = self._mask(labels)
+        return not any(self._up[i] & mask for i in _bits(mask))
 
     # -- derived posets -----------------------------------------------------
 
@@ -262,7 +282,7 @@ class FinitePoset:
 
     def subposet(self, labels: Iterable[str]) -> "FinitePoset":
         """Induced subposet on the given elements."""
-        return self._induced(sum(1 << i for i in {self._idx(lab) for lab in labels}))
+        return self._induced(self._mask(labels))
 
     def below(self, y: str) -> "FinitePoset":
         return self._induced(self._down[self._idx(y)])
@@ -282,8 +302,8 @@ class FinitePoset:
         return FinitePoset._from_ids(self.elements, nexts)
 
     def remove(self, labels: Iterable[str]) -> "FinitePoset":
-        drop = set(labels)
-        return self._induced(sum(1 << i for i, e in enumerate(self.elements) if e not in drop))
+        """Induced subposet without the given elements."""
+        return self._induced((1 << len(self)) - 1 & ~self._mask(labels))
 
     # -- chains and the order complex --------------------------------------
 
@@ -566,25 +586,13 @@ class BoundedPoset:
 # -- generators --------------------------------------------------------------
 
 
-def _sorted_ids(labels: list[str]) -> tuple[tuple[str, ...], list[int]]:
-    """The labels in sorted order, and the index there of each label."""
-    perm = sorted(range(len(labels)), key=labels.__getitem__)
-    rank = [0] * len(labels)
-    for r, i in enumerate(perm):
-        rank[i] = r
-    return tuple(labels[i] for i in perm), rank
-
-
 def chain_poset(k: int) -> FinitePoset:
     """Total order on k elements labeled 1..k."""
     if k < 0:
         raise PosetError("chain length must be >= 0")
     _check_size(k)
-    elements, rank = _sorted_ids([str(i) for i in range(1, k + 1)])
-    nexts: list[list[int]] = [[] for _ in elements]
-    for a, b in zip(rank, rank[1:]):
-        nexts[a].append(b)
-    return FinitePoset._from_ids(elements, nexts)
+    nexts = [[i + 1] if i + 1 < k else [] for i in range(k)]
+    return FinitePoset._from_ids([str(i) for i in range(1, k + 1)], nexts)
 
 
 def _subset_poset(sets: Iterable[tuple]) -> FinitePoset:
@@ -596,8 +604,8 @@ def _subset_poset(sets: Iterable[tuple]) -> FinitePoset:
     size-bounded families of the generators below do.
     """
     labels = label_items(sets, lambda *s: "{" + ",".join(map(str, s)) + "}", "sets")
-    elements, rank = _sorted_ids([_check_label(lab) for lab in labels.values()])
-    ids = dict(zip(labels, rank))
+    elements = [_check_label(lab) for lab in labels.values()]
+    ids = dict(zip(labels, range(len(labels))))
     nexts: list[list[int]] = [[] for _ in elements]
     for b, i in ids.items():
         for x in range(len(b)):
@@ -692,7 +700,6 @@ def partition_lattice(n: int) -> FinitePoset:
         raise PosetError("partition lattice needs n >= 1")
     _check_size(_bell(n))
     strings, blocks = _growth_strings(n)
-    elements, rank = _sorted_ids(_partition_labels(strings))
     weight = n ** np.arange(n - 1, -1, -1)
     codes = strings @ weight  # ascending, as the strings are
     none = np.zeros(0, dtype=np.int64)
@@ -704,11 +711,11 @@ def partition_lattice(n: int) -> FinitePoset:
         for a in range(b):
             src.append(rows)
             tgt.append(np.searchsorted(codes, np.where(s == b, a, shifted) @ weight))
-    ids = np.array(rank)
-    src, tgt = ids[np.concatenate(src)], ids[np.concatenate(tgt)]
+    src, tgt = np.concatenate(src), np.concatenate(tgt)
     succ = tgt[np.argsort(src, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(src, minlength=len(ids))).tolist()
-    return FinitePoset._from_ids(elements, [succ[a:b] for a, b in zip([0, *ends], ends)])
+    ends = np.cumsum(np.bincount(src, minlength=len(strings))).tolist()
+    nexts = [succ[a:b] for a, b in zip([0, *ends], ends)]
+    return FinitePoset._from_ids(_partition_labels(strings), nexts)
 
 
 def face_poset(K: SimplicialComplex) -> FinitePoset:
@@ -734,14 +741,13 @@ def poset_product(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
     """Componentwise order on pairs, labeled (p,q)."""
     _check_size(len(P) * len(Q))
     lab = label_items(((p, q) for p in P for q in Q), "({},{})".format, "pairs")
-    elements, rank = _sorted_ids(list(lab.values()))
     m = len(Q)
-    nexts: list[list[int]] = [[] for _ in elements]
-    for i, p_covers in enumerate(P._cover):
-        for j, q_covers in enumerate(Q._cover):
-            along_p = [rank[a * m + j] for a in p_covers]
-            nexts[rank[i * m + j]] = along_p + [rank[i * m + b] for b in q_covers]
-    return FinitePoset._from_ids(elements, nexts)
+    nexts = [
+        [a * m + j for a in p_covers] + [i * m + b for b in q_covers]
+        for i, p_covers in enumerate(P._cover)
+        for j, q_covers in enumerate(Q._cover)
+    ]
+    return FinitePoset._from_ids(lab.values(), nexts)
 
 
 def generate(kind: str, *params) -> FinitePoset:
@@ -783,15 +789,15 @@ def parse_poset(text: str) -> FinitePoset:
     ``a < b,c < d`` names the label ``b,c``.
 
     The text is read in one pass, and each label is mapped to its id once:
-    the ``elements:`` labels are sorted and numbered, each relation appends
-    its upper id to the successor list of its lower one, and the lists go to
-    ``FinitePoset._from_ids``, so no label pair is kept.  A line of two
-    declared labels around `` < ``, as ``format_poset`` writes it, is taken
-    as it stands; any other goes through the tokenizer.  Refusals come in
-    the order statement errors (in file order), a missing ``elements:``
-    line, a duplicate label, the first unknown label or ``a < a`` (in file
-    order), and cycles: a label fault is kept until every statement has
-    been read.
+    the ``elements:`` labels are numbered as declared, each relation appends
+    its upper id to the successor list of its lower one, and the labels and
+    lists go to ``FinitePoset._from_ids``, which sorts them, so no label
+    pair is kept.  A line of two declared labels around `` < ``, as
+    ``format_poset`` writes it, is taken as it stands; any other goes
+    through the tokenizer.  Refusals come in the order statement errors (in
+    file order), a missing ``elements:`` line, a duplicate label, the first
+    unknown label or ``a < a`` (in file order), and cycles: a label fault is
+    kept until every statement has been read.
     """
     elements: tuple[str, ...] | None = None
     index: dict[str, int] = {}
@@ -826,9 +832,9 @@ def parse_poset(text: str) -> FinitePoset:
                 labels = stmt[len("elements:"):].split()
                 _check_size(len(labels))
                 try:
-                    elements = _sorted_labels(labels)
+                    elements = _checked_labels(labels)
                 except PosetError as err:  # raised after the last statement: statement errors win
-                    fault, elements = err, tuple(sorted(labels))
+                    fault, elements = err, tuple(labels)
                 index = {lab: i for i, lab in enumerate(elements)}
                 nexts = [[] for _ in elements]
                 continue

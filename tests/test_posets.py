@@ -5,6 +5,7 @@ import tracemalloc
 from itertools import combinations, product
 from math import comb, factorial, prod
 
+import numpy as np
 import pytest
 
 import oracles
@@ -679,6 +680,47 @@ class TestIndexBuilders:
         assert_same_poset(chain_poset(12), FinitePoset(labels, combinations(labels, 2)))
 
 
+class TestBuildOrder:
+    """``FinitePoset._from_ids`` takes its labels in any order: given them
+    shuffled, with the successors renumbered to match, it builds the same
+    poset as from the sorted labels, down to its chain table."""
+
+    @staticmethod
+    def check(P, rng):
+        perm = rng.sample(range(len(P)), len(P))  # sorted index of each shuffled label
+        position = {i: k for k, i in enumerate(perm)}
+        labels = [P.elements[i] for i in perm]
+        nexts = [rng.sample([position[j] for j in P._cover[i]], len(P._cover[i])) for i in perm]
+        shuffled = FinitePoset._from_ids(labels, nexts)
+        assert shuffled == P
+        assert_same_poset(shuffled, P)
+        table, expected = posets._chain_table(shuffled), posets._chain_table(P)
+        assert table.vertices == expected.vertices
+        assert table.boundary_rows.keys() == expected.boundary_rows.keys()
+        for k, rows in expected.boundary_rows.items():
+            assert np.array_equal(table.boundary_rows[k], rows), k
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("chain", (12,)),
+            ("boolean", (4,)),
+            ("exp_discrete", (6, 3)),
+            ("partition", (5,)),
+            ("face_poset", (random_complex(random.Random(4500)),)),
+            ("product", (partition_lattice(3), chain_poset(11))),
+            ("dual", (partition_lattice(4),)),
+        ],
+    )
+    def test_generators(self, kind, params):
+        self.check(generate(kind, *params), random.Random(kind))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_posets(self, seed):
+        rng = random.Random(4600 + seed)
+        self.check(random_poset(rng, max_elements=12, max_height=5), rng)
+
+
 class TestMaximalChainBound:
     """The chains are counted before any is built, against the face-table
     limit; the total is the number of element ids in all of them."""
@@ -797,6 +839,25 @@ class TestUnknownLabels:
     def test_bounded_queries(self, method, pair):
         with pytest.raises(PosetError, match="unknown element: 'nope'"):
             getattr(bounded(chain_poset(2)), method)(*pair)
+
+    @pytest.mark.parametrize("method", ["upset", "downset", "below", "above", "cones"])
+    def test_element_queries(self, method):
+        with pytest.raises(PosetError, match="unknown element: 'nope'"):
+            getattr(chain_poset(2), method)("nope")
+
+    @pytest.mark.parametrize("method", ["subposet", "remove", "is_antichain"])
+    def test_element_sets(self, method):
+        with pytest.raises(PosetError, match="unknown element: 'nope'"):
+            getattr(chain_poset(3), method)(["1", "nope"])
+
+    @pytest.mark.parametrize("bounds", [("nope", "2"), ("1", "nope")])
+    def test_bounds(self, bounds):
+        with pytest.raises(PosetError, match="unknown element: 'nope'"):
+            BoundedPoset(chain_poset(2), *bounds)
+
+    def test_complements(self):
+        with pytest.raises(PosetError, match="unknown element: 'nope'"):
+            bounded(chain_poset(3)).complements("nope")
 
 
 class TestMobius:
