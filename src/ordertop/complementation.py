@@ -12,8 +12,15 @@ The elements comparable to y form the ordinal sum L~_{<y} + L~_{>y}, whose
 order complex is the join of the two cones' complexes, that is, the link of
 y in Delta(L~).  The reduced homology of a wedge of suspensions is the
 direct sum of the summands' reduced homology one degree up, so the wedge
-side is read from one order complex per y, each a subposet of L~, and no
-wedge is built (``wedge_side``).
+side is read from the links and no wedge is built (``wedge_side``).
+
+The chains of an induced subposet are the chains of the poset inside it
+(Wachs, *Poset topology: tools and applications*, 2007), so every complex
+here is read off one chain trie of the poset (``posets._chain_table``): the
+order complex of L~ minus Co(z) and each link are full subcomplexes of it
+(``FaceTable.restrict``), and the quotient model of ``quotient_wedge_check``
+is that table with a cone over one of them (``FaceTable.cone``).  No
+subposet, label facet or ``SimplicialComplex`` is built.
 
 ``verify`` checks both statements on one Co(z) and one proper part, each
 computed once per call.  Acyclicity is certified at the homology level only;
@@ -24,9 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import quotient_model
+import numpy as np
+
+from .complexes import FaceTable, fresh_label
 from .homology import HomologyProfile, _divisor_chain, normalize_coeff, reduced_homology
-from .posets import BoundedPoset, FinitePoset, PosetError
+from .posets import BoundedPoset, FinitePoset, PosetError, _chain_table
 
 
 class AntichainError(PosetError):
@@ -52,20 +61,18 @@ class ComplementationReport:
         return self.removed_acyclic and self.wedge_match is not False
 
 
-def wedge_side(trunc: FinitePoset, antichain: frozenset[str], coeff: str = "Z") -> HomologyProfile:
-    """Reduced homology of the wedge over the antichain of the suspended links
-    Sigma(Delta(trunc_{<y}) * Delta(trunc_{>y})).
+def _ids(table: FaceTable, labels: frozenset[str]) -> np.ndarray:
+    """The bool array over the table's ids that marks the given labels."""
+    return np.fromiter((v in labels for v in table.vertices), dtype=bool, count=len(table.vertices))
 
-    Each summand is the link of y, the order complex of the elements
-    comparable to y, one degree up: Betti numbers add, torsion factors are
-    brought to d1 | d2 | ... per degree.  A link with both cones empty is the
-    empty complex, whose suspension is two points; no summands give a point.
-    """
+
+def _wedge_side(trunc: FinitePoset, table: FaceTable, antichain, coeff: str) -> HomologyProfile:
+    """``wedge_side`` with each link read off ``table``, the chain trie of trunc."""
     betti: dict[int, int] = {}
     factors: dict[int, list[int]] = {}
     dim = -1
     for y in sorted(antichain):
-        link = trunc.subposet(trunc.downset(y) | trunc.upset(y)).order_complex()
+        link = table.restrict(_ids(table, trunc.downset(y) | trunc.upset(y)))
         profile = reduced_homology(link, coeff)
         for k, b in profile.betti.items():
             betti[k + 1] = betti.get(k + 1, 0) + b
@@ -76,17 +83,31 @@ def wedge_side(trunc: FinitePoset, antichain: frozenset[str], coeff: str = "Z") 
     return HomologyProfile(normalize_coeff(coeff), betti, torsion, dim + 1)
 
 
+def wedge_side(trunc: FinitePoset, antichain: frozenset[str], coeff: str = "Z") -> HomologyProfile:
+    """Reduced homology of the wedge over the antichain of the suspended links
+    Sigma(Delta(trunc_{<y}) * Delta(trunc_{>y})).
+
+    Each summand is the link of y, the full subcomplex of Delta(trunc) on
+    the elements comparable to y, one degree up: Betti numbers add, torsion
+    factors are brought to d1 | d2 | ... per degree.  A link with both cones
+    empty is the empty complex, whose suspension is two points; no summands
+    give a point.
+    """
+    return _wedge_side(trunc, _chain_table(trunc), antichain, coeff)
+
+
 def verify(L: BoundedPoset, z: str, coeff: str = "Z") -> ComplementationReport:
     """Full report for one z: acyclicity always, wedge comparison when Co(z)
-    is an antichain."""
+    is an antichain.  Every complex is read off one chain trie of L~."""
     co = L.complements(z)
     trunc = L.truncate()
-    removed = reduced_homology(trunc.remove(co).order_complex(), coeff)
+    table = _chain_table(trunc)
+    removed = reduced_homology(table.restrict(~_ids(table, co)), coeff)
     antichain = trunc.is_antichain(co)
     wedge_fields = {}
     if antichain:
-        left = reduced_homology(trunc.order_complex(), coeff)
-        right = wedge_side(trunc, co, coeff)
+        left = reduced_homology(table, coeff)
+        right = _wedge_side(trunc, table, co, coeff)
         wedge_fields = dict(left_profile=left, right_profile=right, wedge_match=left == right)
     return ComplementationReport(
         z=z,
@@ -116,7 +137,9 @@ class QuotientWedgeReport:
 def quotient_wedge_check(P: FinitePoset, C, coeff: str = "Z") -> QuotientWedgeReport:
     """For an antichain C in P, compare the homology of Delta(P) with the
     subcomplex Delta(P minus C) collapsed against the wedge over C of
-    suspended links (``wedge_side``).
+    suspended links (``wedge_side``).  The collapse is modelled by a cone
+    over that subcomplex, attached to the chain trie of P, whose links give
+    the wedge side.
 
     C empty is a documented degenerate case: the collapse is by everything,
     the wedge is a point, and both sides are acyclic; the report is marked
@@ -125,12 +148,11 @@ def quotient_wedge_check(P: FinitePoset, C, coeff: str = "Z") -> QuotientWedgeRe
     C = frozenset(C)
     if not P.is_antichain(C):
         raise AntichainError(f"{sorted(C)} is not an antichain")
-    K = P.order_complex()
-    A = P.remove(C).order_complex()
-    quotient = quotient_model(K, A)
+    table = _chain_table(P)
+    quotient = table.cone(~_ids(table, C), fresh_label("q*", table.vertices))
     return QuotientWedgeReport(
         antichain=tuple(sorted(C)),
         applicable=bool(C),
         quotient_profile=reduced_homology(quotient, coeff),
-        wedge_profile=wedge_side(P, C, coeff),
+        wedge_profile=_wedge_side(P, table, C, coeff),
     )

@@ -21,6 +21,12 @@ only method it overrides.  Every reader of faces (face counts, the Euler
 characteristic, the boundary matrices) goes through ``FaceTable.rows``,
 which starts at degree 0, each vertex bounded by the empty face.  Label
 tuples are made only by ``faces_by_dim``, always from the facets.
+
+A table also gives, with array operations only, the full subcomplex on a
+set of its ids (``FaceTable.restrict``) and the complex with a cone over
+such a subcomplex (``FaceTable.cone``), which models the quotient; the
+complementation checks read every complex they need off one chain trie
+this way.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ class FaceTable(NamedTuple):
     removed, so each row ascends.  The id row of face j is that of its face
     in column 0 followed by the last id of its face in column 1.  ``rows``
     adds degree 0, where the one face below every vertex is the empty face.
+    ``restrict`` and ``cone`` derive tables that keep this contract.
     """
 
     vertices: tuple[str, ...]
@@ -88,6 +95,67 @@ class FaceTable(NamedTuple):
         [0], the position of the empty face.  Empty for the empty complex."""
         ground = np.zeros((len(self.vertices), 1), dtype=np.int64)
         return {0: ground, **self.boundary_rows} if self.vertices else {}
+
+    def _kept(self, keep: np.ndarray) -> list[np.ndarray]:
+        """Per dimension from 0, which faces have all their vertices in
+        ``keep`` (a bool array over the ids), up to the last dimension that
+        keeps any.  A k-face is kept when its faces in columns 0 and 1 are:
+        together they hold all of its vertices."""
+        masks = []
+        mask = np.asarray(keep, dtype=bool)
+        while mask.any():
+            masks.append(mask)
+            rows = self.boundary_rows.get(len(masks))
+            if rows is None:
+                break
+            mask = mask[rows[:, 0]] & mask[rows[:, 1]]
+        return masks
+
+    def restrict(self, keep: np.ndarray) -> "FaceTable":
+        """The full subcomplex on the ids marked in the bool array ``keep``.
+
+        The kept faces of each dimension are renumbered in order (their
+        rank among the kept ones), so rows stay ascending and in
+        lexicographic order, and the kept vertices keep their order.
+        """
+        masks = self._kept(keep)
+        ranks = [np.cumsum(m, dtype=np.int64) - 1 for m in masks]
+        boundary_rows = {
+            k: ranks[k - 1][self.boundary_rows[k][masks[k]]] for k in range(1, len(masks))
+        }
+        vertices = tuple(v for v, m in zip(self.vertices, keep) if m)
+        return FaceTable(vertices, boundary_rows)
+
+    def cone(self, keep: np.ndarray, apex: str) -> "FaceTable":
+        """The complex with a cone attached over the full subcomplex on the
+        ids marked in ``keep``; it has the homology of the quotient by that
+        subcomplex.  With nothing kept the apex is an isolated vertex.
+
+        The apex, a label not among the vertices, takes id 0 and the others
+        move up by one.  Each dimension lists first the apex faces, apex
+        with a kept face sigma one dimension down, in sigma's order, then
+        the complex's own faces.  An apex face's row is the ranks among the
+        apex faces of sigma's own row, then the position of sigma; an own
+        row moves up by the apex faces one dimension down.  Each
+        dimension's table is checked against ``MAX_STACK_ENTRIES`` before
+        it is built.
+        """
+        masks = self._kept(keep)
+        rows = self.rows()
+        ranks = [np.zeros(1, dtype=np.int64)]  # dimension -1: the empty face
+        ranks += [np.cumsum(m, dtype=np.int64) - 1 for m in masks]
+        boundary_rows: dict[int, np.ndarray] = {}
+        below = 1  # the apex faces one dimension down; in dimension 0, the apex
+        for k in range(1, max(len(rows), len(masks) + 1)):
+            sigma = np.flatnonzero(masks[k - 1]) if k <= len(masks) else np.empty(0, np.int64)
+            own = rows.get(k, np.empty((0, k + 1), dtype=np.int64))
+            _check_stack(k + 1, (k + 1) * (len(sigma) + len(own)))
+            apex_rows = np.concatenate(
+                (ranks[k - 1][rows[k - 1][sigma]], (below + sigma)[:, None]), axis=1
+            )
+            boundary_rows[k] = np.concatenate((apex_rows, own + below))
+            below = len(sigma)
+        return FaceTable((apex, *self.vertices), boundary_rows)
 
 
 def _lex_codes(rows: np.ndarray, base: int) -> np.ndarray:

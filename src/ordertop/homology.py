@@ -70,7 +70,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .complexes import SimplicialComplex
+from .complexes import FaceTable, SimplicialComplex
 from .posets import BoundedPoset, PosetError
 
 Z = "Z"
@@ -413,14 +413,16 @@ class ChainComplex:
                 raise HomologyError(f"boundary composition {k} o {k + 1} is nonzero")
 
     @classmethod
-    def from_complex(cls, K: SimplicialComplex) -> "ChainComplex":
+    def from_complex(cls, K: SimplicialComplex | FaceTable) -> "ChainComplex":
         """Boundary matrices d_0, ..., d_dim straight from the face table's
-        rows: column j of d_k holds the k+1 codimension-one faces of face j,
-        ascending, with the sign (-1)^i of the removed vertex position i; a
-        vertex's one face is the empty face, with sign +1."""
+        rows (K's own, or K itself when it is a ``FaceTable``): column j of
+        d_k holds the k+1 codimension-one faces of face j, ascending, with
+        the sign (-1)^i of the removed vertex position i; a vertex's one
+        face is the empty face, with sign +1."""
+        table = K if isinstance(K, FaceTable) else K.face_table()
         counts = {-1: 1}
         boundary: dict[int, SparseMatrix] = {}
-        for k, rows in K.face_table().rows().items():
+        for k, rows in table.rows().items():
             counts[k] = n = len(rows)
             signs = np.array([-1 if (k - p) % 2 else 1 for p in range(k + 1)], dtype=np.int8)
             boundary[k] = SparseMatrix(
@@ -585,8 +587,9 @@ def _factors_by_degree(cc: ChainComplex, ring: str) -> dict[int, tuple[int, ...]
     return factors
 
 
-def reduced_homology(K: SimplicialComplex, coeff: str = Z) -> HomologyProfile:
-    """Reduced simplicial homology of K over Z or Z/2.
+def reduced_homology(K: SimplicialComplex | FaceTable, coeff: str = Z) -> HomologyProfile:
+    """Reduced simplicial homology of K, a complex or a face table, over Z
+    or Z/2.
 
     Every rank and invariant factor comes from the coboundaries, reduced
     degree 0 upward with clearing (``_factors_by_degree``).

@@ -87,8 +87,9 @@ def _checked_labels(labels: list[str]) -> tuple[str, ...]:
 class FinitePoset:
     """Immutable finite poset on string labels.
 
-    Built from an element list and arbitrary strict relations, or inside
-    this module from labels and successor index lists (``_from_ids``).  The
+    Built from a collection of labels (a bare string is refused) and
+    arbitrary strict relations, each a pair of labels, or inside this
+    module from labels and successor index lists (``_from_ids``).  The
     constructor numbers the labels as given and hands over to ``_from_ids``,
     which sorts them into ``elements`` and ends in one topological pass
     (Kahn's order) over each element's distinct successors: from the top of
@@ -103,10 +104,18 @@ class FinitePoset:
     __slots__ = ("elements", "_index", "_up", "_down", "_cover")
 
     def __init__(self, elements: Iterable[str], relations: Iterable[tuple[str, str]] = ()):
+        if isinstance(elements, str):
+            raise PosetError(f"elements must be a collection of labels, not a string: {elements!r}")
         labels = _checked_labels(list(elements))
         index = {lab: i for i, lab in enumerate(labels)}
         nexts: list[list[int]] = [[] for _ in labels]
-        for a, b in relations:
+        for rel in relations:
+            try:
+                a, b = rel
+            except (TypeError, ValueError):
+                a = b = None
+            if isinstance(rel, str) or not (isinstance(a, str) and isinstance(b, str)):
+                raise PosetError(f"a relation must be a pair of labels, got {rel!r}")
             if a not in index or b not in index:
                 raise PosetError(f"unknown element: {a if a not in index else b!r}")
             if a == b:

@@ -1,6 +1,8 @@
 """The face table of an order complex, grown from the chains of its poset
 (``posets._chain_table``), against the all-chains oracle and against the
-label builder that numbers vertices in sorted label order."""
+label builder that numbers vertices in sorted label order; and the full
+subcomplexes and cones read off it (``FaceTable.restrict`` and ``cone``)
+against the order complexes of subposets and ``complexes.quotient_model``."""
 
 import random
 import tracemalloc
@@ -10,10 +12,10 @@ import numpy as np
 import pytest
 
 import oracles
-from randgen import random_poset
+from randgen import random_antichain, random_poset
 from ordertop import complexes, posets
-from ordertop.complexes import ComplexError, SimplicialComplex
-from ordertop.homology import reduced_homology
+from ordertop.complexes import ComplexError, SimplicialComplex, quotient_model
+from ordertop.homology import ChainComplex, reduced_homology
 from ordertop.posets import (
     BoundedPoset,
     OrderComplex,
@@ -162,3 +164,160 @@ def test_the_trie_stores_no_chain_rows():
         tracemalloc.stop()
     assert peak < 810 * 1024
     assert table._fields == ("vertices", "boundary_rows")
+
+
+def assert_face_table(table):
+    """The ``FaceTable`` contract: per dimension, ascending id rows in
+    lexicographic order, and column p of a boundary row names the face
+    without the vertex in column k - p."""
+    faces = face_rows(table)
+    assert set(table.boundary_rows) == set(faces) - {0}
+    for k, ids in faces.items():
+        assert ids.shape[1] == k + 1
+        assert (np.diff(ids, axis=1) > 0).all()
+        assert sorted(map(tuple, ids.tolist())) == list(map(tuple, ids.tolist()))
+        for p in range(k + 1) if k else ():
+            lower = faces[k - 1][table.boundary_rows[k][:, p]]
+            assert (lower == np.delete(ids, k - p, axis=1)).all()
+    return faces
+
+
+def label_faces(table):
+    """Every face of the table as a frozenset of labels, by dimension."""
+    return {
+        k: {frozenset(table.vertices[i] for i in row) for row in ids.tolist()}
+        for k, ids in face_rows(table).items()
+    }
+
+
+def mask_of(table, labels):
+    return np.array([v in labels for v in table.vertices], dtype=bool)
+
+
+RESTRICTED = {f"pi{n}": lambda n=n: proper_part(partition_lattice(n)) for n in (4, 5)}
+RESTRICTED.update({f"b{n}": lambda n=n: proper_part(boolean_lattice(n)) for n in (4, 5)})
+RESTRICTED.update(
+    {f"random{seed}": lambda seed=seed: random_poset(random.Random(900 + seed), 12, 5)
+     for seed in range(30)}
+)
+
+
+@pytest.mark.parametrize("name", sorted(RESTRICTED))
+class TestRestrict:
+    """The full subcomplex of the trie on a set of elements is the order
+    complex of the subposet on them."""
+
+    @staticmethod
+    def element_sets(P, seed: str):
+        rng = random.Random(seed)
+        random_sets = [{e for e in P.elements if rng.random() < q} for q in (0.3, 0.6, 0.85)]
+        return [set(), set(P.elements), *random_sets]
+
+    def test_faces_are_the_subposet_chains(self, name):
+        P = RESTRICTED[name]()
+        table = posets._chain_table(P)
+        for kept in self.element_sets(P, name):
+            sub = table.restrict(mask_of(table, kept))
+            K = P.subposet(kept).order_complex()
+            assert set(sub.vertices) == kept
+            assert [v for v in table.vertices if v in kept] == list(sub.vertices)
+            assert {k: len(ids) for k, ids in assert_face_table(sub).items()} == K.face_counts()
+            assert label_faces(sub) == {
+                k: set(map(frozenset, faces)) for k, faces in K.faces_by_dim().items()
+            }
+
+    @pytest.mark.parametrize("coeff", ["Z", "Z/2"])
+    def test_profile_is_the_subposet_profile(self, name, coeff):
+        P = RESTRICTED[name]()
+        table = posets._chain_table(P)
+        for kept in self.element_sets(P, name + coeff):
+            got = reduced_homology(table.restrict(mask_of(table, kept)), coeff)
+            expected = reduced_homology(P.subposet(kept).order_complex(), coeff)
+            assert got == expected and got.dim == expected.dim
+
+
+class TestCone:
+    """The trie with a cone over the full subcomplex off an antichain C has
+    the homology of Delta(P) / Delta(P - C), as the label model has."""
+
+    @staticmethod
+    def profiles(P, C, coeff):
+        table = posets._chain_table(P)
+        model = table.cone(~mask_of(table, C), "q*")
+        expected = reduced_homology(
+            quotient_model(P.order_complex(), P.remove(C).order_complex()), coeff
+        )
+        return reduced_homology(model, coeff), expected
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_profile_is_the_quotient_model_profile(self, seed):
+        rng = random.Random(1700 + seed)
+        P = random_poset(rng, 10, 4)
+        # the empty antichain every tenth seed, else a random one
+        C = frozenset() if seed % 10 == 0 else random_antichain(rng, P)
+        for coeff in ("Z", "Z/2"):
+            got, expected = self.profiles(P, C, coeff)
+            assert got == expected and got.dim == expected.dim
+
+    @pytest.mark.parametrize("coeff", ["Z", "Z/2"])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_the_whole_antichain_leaves_an_isolated_apex(self, n, coeff):
+        P = posets.FinitePoset([f"a{i}" for i in range(n)])
+        got, expected = self.profiles(P, frozenset(P.elements), coeff)
+        assert got == expected and got.betti == {0: n}
+        table = posets._chain_table(P)
+        cone = table.cone(np.zeros(n, dtype=bool), "q*")
+        assert cone.vertices == ("q*", *table.vertices) and cone.boundary_rows == {}
+
+    def test_empty_poset_is_the_apex(self):
+        table = posets._chain_table(chain_poset(0))
+        cone = table.cone(np.zeros(0, dtype=bool), "q*")
+        assert cone.vertices == ("q*",) and cone.rows()[0].tolist() == [[0]]
+
+    @pytest.mark.parametrize("name", ["pi4", "b4", "random3", "random11"])
+    def test_apex_faces_come_first(self, name):
+        P = RESTRICTED[name]()
+        table = posets._chain_table(P)
+        keep = mask_of(table, set(P.elements[::2]))
+        cone = table.cone(keep, "apex")
+        assert cone.vertices == ("apex", *table.vertices)
+        faces = label_faces(cone)
+        sub = label_faces(table.restrict(keep))
+        own = label_faces(table)
+        for k, ids in assert_face_table(cone).items():
+            apex = {f - {"apex"} for f in faces[k] if "apex" in f}
+            assert apex == (sub.get(k - 1, set()) if k else {frozenset()})
+            assert faces[k] - {f | {"apex"} for f in apex} == own.get(k, set())
+            assert (ids[: len(apex), 0] == 0).all() and (ids[len(apex):, 0] > 0).all()
+
+    def test_a_face_table_is_a_chain_complex_source(self):
+        P = proper_part(partition_lattice(4))
+        table = posets._chain_table(P)
+        from_table = ChainComplex.from_complex(table)
+        from_complex = ChainComplex.from_complex(P.order_complex())
+        assert from_table.counts == from_complex.counts
+        for k, d in from_table.boundary.items():
+            assert np.array_equal(d.rows, from_complex.boundary[k].rows)
+
+
+class TestConeBound:
+    """Each dimension of the cone is checked against ``MAX_STACK_ENTRIES``
+    before it is built.  The cone over a 4-element chain's whole complex is
+    the 4-simplex on 5 vertices, whose 2-faces take the most ids, 3 * 10."""
+
+    LARGEST = 30
+
+    def cone(self, monkeypatch, limit):
+        table = posets._chain_table(chain_poset(4))
+        monkeypatch.setattr(complexes, "MAX_STACK_ENTRIES", limit)
+        return table.cone(np.ones(4, dtype=bool), "q*")
+
+    def test_at_the_limit_is_built(self, monkeypatch):
+        cone = self.cone(monkeypatch, self.LARGEST)
+        assert {k: len(ids) for k, ids in cone.rows().items()} == {
+            k: comb(5, k + 1) for k in range(5)
+        }
+
+    def test_past_the_limit_is_refused(self, monkeypatch):
+        with pytest.raises(ComplexError, match=f"2-faces need a table of {self.LARGEST} vertex ids"):
+            self.cone(monkeypatch, self.LARGEST - 1)

@@ -396,6 +396,23 @@ class TestLabels:
         with pytest.raises(PosetError, match="must be a nonempty string"):
             FinitePoset(["a", label])
 
+    @pytest.mark.parametrize(
+        "relation",
+        [(["a"], "b"), ("a", ["b"]), ("a",), ("a", "b", "c"), (), "ab", None, 1, ("a", 1)],
+    )
+    def test_relation_not_a_pair_of_labels_refused(self, relation):
+        with pytest.raises(PosetError, match="a relation must be a pair of labels"):
+            FinitePoset(["a", "b"], [relation])
+
+    def test_relation_pairs_of_any_sequence_type(self):
+        P = FinitePoset(["a", "b", "c"], [["a", "b"], iter(("b", "c"))])
+        assert P.covers == {("a", "b"), ("b", "c")}
+
+    @pytest.mark.parametrize("elements", ["abc", "a", ""])
+    def test_string_as_elements_refused(self, elements):
+        with pytest.raises(PosetError, match="elements must be a collection of labels"):
+            FinitePoset(elements)
+
     def test_format_round_trip_of_punctuated_labels(self):
         labels = ["a,", ",b", "{x}", "(1)(2)", "e:f", "!", "c>d", "a=b"]
         P = FinitePoset(labels, [*zip(labels[:5], labels[1:5]), ("!", "c>d"), ("{x}", "a=b")])
