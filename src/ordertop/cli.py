@@ -110,8 +110,8 @@ def _build_parser() -> _Parser:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import FaceTable, fresh_label
+from .complexes import FaceTable
 from .homology import HomologyProfile, _divisor_chain, normalize_coeff, reduced_homology
 from .posets import BoundedPoset, FinitePoset, PosetError, _chain_table
 
@@ -149,7 +149,7 @@ def quotient_wedge_check(P: FinitePoset, C, coeff: str = "Z") -> QuotientWedgeRe
     if not P.is_antichain(C):
         raise AntichainError(f"{sorted(C)} is not an antichain")
     table = _chain_table(P)
-    quotient = table.cone(~_ids(table, C), fresh_label("q*", table.vertices))
+    quotient = table.cone(~_ids(table, C))
     return QuotientWedgeReport(
         antichain=tuple(sorted(C)),
         applicable=bool(C),

@@ -126,36 +126,33 @@ class FaceTable(NamedTuple):
         vertices = tuple(v for v, m in zip(self.vertices, keep) if m)
         return FaceTable(vertices, boundary_rows)
 
-    def cone(self, keep: np.ndarray, apex: str) -> "FaceTable":
+    def cone(self, keep: np.ndarray) -> "FaceTable":
         """The complex with a cone attached over the full subcomplex on the
-        ids marked in ``keep``; it has the homology of the quotient by that
-        subcomplex.  With nothing kept the apex is an isolated vertex.
+        ids marked in ``keep``: ``restrict(keep)`` plus the apex faces.  It
+        has the homology of the quotient by that subcomplex.  With nothing
+        kept the apex is an isolated vertex.
 
-        The apex, a label not among the vertices, takes id 0 and the others
+        The apex, ``fresh_label("q*", vertices)``, takes id 0 and the others
         move up by one.  Each dimension lists first the apex faces, apex
         with a kept face sigma one dimension down, in sigma's order, then
-        the complex's own faces.  An apex face's row is the ranks among the
-        apex faces of sigma's own row, then the position of sigma; an own
-        row moves up by the apex faces one dimension down.  Each
-        dimension's table is checked against ``MAX_STACK_ENTRIES`` before
-        it is built.
+        the complex's own faces.  An apex face's row is sigma's row in the
+        restriction, then the position of sigma; an own row moves up by the
+        apex faces one dimension down.  Each dimension's table is checked
+        against ``MAX_STACK_ENTRIES`` before it is built.
         """
         masks = self._kept(keep)
+        sub = self.restrict(keep).rows()  # popped below: each level freed once coned
         rows = self.rows()
-        ranks = [np.zeros(1, dtype=np.int64)]  # dimension -1: the empty face
-        ranks += [np.cumsum(m, dtype=np.int64) - 1 for m in masks]
         boundary_rows: dict[int, np.ndarray] = {}
         below = 1  # the apex faces one dimension down; in dimension 0, the apex
         for k in range(1, max(len(rows), len(masks) + 1)):
             sigma = np.flatnonzero(masks[k - 1]) if k <= len(masks) else np.empty(0, np.int64)
             own = rows.get(k, np.empty((0, k + 1), dtype=np.int64))
             _check_stack(k + 1, (k + 1) * (len(sigma) + len(own)))
-            apex_rows = np.concatenate(
-                (ranks[k - 1][rows[k - 1][sigma]], (below + sigma)[:, None]), axis=1
-            )
+            apex_rows = np.column_stack((sub.pop(k - 1, np.empty((0, k), np.int64)), below + sigma))
             boundary_rows[k] = np.concatenate((apex_rows, own + below))
             below = len(sigma)
-        return FaceTable((apex, *self.vertices), boundary_rows)
+        return FaceTable((fresh_label("q*", self.vertices), *self.vertices), boundary_rows)
 
 
 def _lex_codes(rows: np.ndarray, base: int) -> np.ndarray:

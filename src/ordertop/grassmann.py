@@ -9,11 +9,13 @@ orbit; both facts are checked numerically on sampled inputs.
 Every computation runs on stacks of shape (k, n, n): one stacked ``eigh`` per
 stack for the flags, one stacked projection residual per flag stage for the
 angles, and the slices of the whole stack at once.  An angle is the largest
-singular value of its residual; ``check_battery`` runs that SVD only on the
+singular value of its residual.  ``check_battery`` runs that SVD on one
+stage per block, whose gap floors the largest angle, and then only on the
 few stages whose Frobenius bounds say they could fail the tolerance or hold
-the maximum.  The single-matrix functions (``phi``,
-``orbit_invariance_check``, ``slice_representative``, ``subspace_gap``) are
-stacks of one, and ``check_battery`` draws its samples in blocks of
+the maximum; its report is the one that computing every gap gives.  The
+single-matrix functions (``phi``, ``orbit_invariance_check``,
+``slice_representative``, ``subspace_gap``) are stacks of one, and
+``check_battery`` draws its samples in blocks of
 ``max(1, BLOCK_ENTRIES // n^2)`` matrices, so its memory does not grow with
 the sample count.  Per matrix the arithmetic is that of a loop over single
 matrices, in the same order (weights are normalised by a sequential sum and
@@ -21,7 +23,10 @@ Frobenius norms are dot products), but not always bit-identical to it: the
 first stage's residual, taken from a strided view through a stacked matmul,
 can round differently from a contiguous 2-D product.  The angles agree with
 such a loop to rounding (5 of the first 60 samples at n = 4, seed 0 differ,
-near 1e-15), and the report at the default ``CHECK_TOL`` is the same.
+near 1e-15), and so does a battery's largest angle: in 107 of 2,880 seeded
+batteries (n from 2 to 12, 1 to 40 samples) it differs from the loop's, by
+at most 2.3e-16.  The failure counts at the default ``CHECK_TOL`` are the
+same.
 """
 
 from __future__ import annotations
@@ -117,18 +122,22 @@ def _may_matter(resid: list[np.ndarray], live: np.ndarray, top: float) -> np.nda
     """Mark the stages whose gap could reach CHECK_TOL or the largest of
     ``top`` and the live stages' gaps.
 
-    Stage i's residual R has n rows, i columns and rank at most
-    min(i, n - i), so ||R||_F / sqrt(min(i, n - i)) <= gap <= ||R||_F.  The
-    largest lower bound of a live stage is at most the largest gap, so a
-    stage whose upper bound stays under CHECK_TOL and under the larger of
-    ``top`` and that lower bound neither fails the check nor holds the
-    maximum.
+    A stage's gap is at most ||R||_F of its residual R.  In exact arithmetic
+    stage i's R has rank at most min(i, n - i), so ||R||_F / sqrt(min(i, n - i))
+    would bound the gap from below; a computed residual at rounding level
+    need not keep that rank, and its gap can fall under that figure.  So
+    that figure only picks the live stage most likely to hold the largest
+    gap, and that stage's computed gap (one SVD) is the floor: a stage whose
+    upper bound stays under CHECK_TOL and under the larger of ``top`` and
+    that gap neither fails the check nor holds the maximum.
     """
     n = len(resid) + 1
     frob = np.stack([np.sqrt(np.einsum("kij,kij->k", R, R)) for R in resid], axis=1)
     stage = np.arange(1, n)
-    lower = np.where(live, frob / np.sqrt(np.minimum(stage, n - stage)), 0.0)
-    return frob * (1.0 + BOUND_MARGIN) >= min(CHECK_TOL, lower.max(initial=top))
+    likely = np.where(live, frob / np.sqrt(np.minimum(stage, n - stage)), -1.0)
+    j, i = np.unravel_index(np.argmax(likely), likely.shape)
+    floor = float(_gaps(resid[i][j : j + 1])[0]) if live[j, i] else 0.0
+    return frob * (1.0 + BOUND_MARGIN) >= min(CHECK_TOL, max(top, floor))
 
 
 def _orbit_stack(
@@ -140,10 +149,11 @@ def _orbit_stack(
     weight and angle deviations (inf where the supports differ) and whether
     the support of M[j] is reduced.
 
-    Without ``floor`` every angle deviation is exact.  With it, only two
-    things about them are: which reach CHECK_TOL, and the largest of them
-    and ``floor``.  A stage's gap is then computed only where its bounds
-    (``_may_matter``) say it could change either, and counts as 0 elsewhere.
+    Without ``floor`` every stage's gap is computed.  With it, two things
+    about the angle deviations come out as if every gap were: which reach
+    CHECK_TOL, and the largest of them and ``floor``.  A stage's gap is then
+    computed only where ``_may_matter`` says it could change either, and
+    counts as 0 elsewhere.
     """
     n = M.shape[1]
     B = _symmetric_stack(alpha[:, None, None] * M + beta[:, None, None] * np.eye(n))

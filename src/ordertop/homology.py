@@ -48,8 +48,8 @@ columns they meet, are sliced out of the arrays; a column becomes a dict
 such columns, the loops run zero times and the pivot rows are the lows, with
 no Python object made per entry.  That is every degree of the generated
 partition lattices, Boolean lattices and exp_discrete posets under their
-own labels (``posets._chain_levels``); the same posets under random labels
-leave some hundreds of columns to the loops.  The benchmark tracer wraps
+own labels, numbered by ``posets._chain_table``; the same posets under
+random labels leave some hundreds of columns to the loops.  The benchmark tracer wraps
 both reducers by replacing these module globals, so every caller reads them
 from the module when it runs and none binds them under another name at
 import.

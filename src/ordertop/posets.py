@@ -373,25 +373,37 @@ class OrderComplex(SimplicialComplex):
         return _chain_table(self.poset)
 
 
-def _chain_levels(P: FinitePoset) -> tuple[list[int], np.ndarray, np.ndarray, list[int]]:
-    """P numbered from the top down, the strict down-sets in those ids, and
-    the number of chains of each size, every count checked against the face
-    table's limit before anything of its size is built.
+def _chain_table(P: FinitePoset) -> FaceTable:
+    """The face table of P's order complex, grown as a trie of chains.
 
-    Returns ``(order, ptr, keys, counts)``.  ``order[i]`` is the index in
-    ``P.elements`` of id i.  Ids go by strict up-set size, smallest first,
-    ties in label order: a linear extension of the dual, so every chain
-    ascends in ids from its top element down.  (On Pi_4 to Pi_7 and
-    exp_discrete(8, 4) and (11, 4), under the generators' labels, this
+    Ids go by strict up-set size, smallest first, ties in label order: a
+    linear extension of the dual, so every chain ascends in ids from its top
+    element down, and a chain's row lists it from the top.  (On Pi_4 to Pi_7
+    and exp_discrete(8, 4) and (11, 4), under the generators' labels, this
     numbering makes every pivot of every coboundary apparent; numbering from
     the bottom up, larger up-sets first, leaves 18 of exp_discrete(11, 4)'s
     13,431 to the reduction loop.  The ties make it depend on the labels:
     relabelled at random, the proper part of Pi_6 leaves about 530 of its
-    6,312 coboundary columns to the loop.)  The down-set of id a is
-    ``keys[ptr[a]:ptr[a+1]] - a * n``, ascending: ``keys`` holds a * n + b
-    for every pair b < a of P, sorted.  ``counts[k]`` is the number of
-    k-chains (chains of k + 1 elements); ``complexes.MAX_STACK_ENTRIES``
-    bounds (k + 1) * counts[k].
+    6,312 coboundary columns to the loop.)  ``keys`` holds a * n + b for
+    every pair b < a of P, sorted, so the down-set of id a is the run of
+    ``keys`` from ``start[a]``, ascending.  The pairs, and then the chains
+    of each size, are counted and checked against
+    ``complexes.MAX_STACK_ENTRIES`` ((k + 1) * f_k ids for the k-chains)
+    before any row is built.
+
+    Level k holds the k-chains in lexicographic order: each (k-1)-chain
+    followed by its extensions by the down-set of its last element,
+    ascending, so no level is sorted.  No chain is built as a row: a level
+    keeps each chain's last element, and its first child and shift while
+    the next two levels are built.  The extension of a chain x by v sits at
+    ``searchsorted(keys, last[x] * n + v) + shift[x]``, where ``shift[x]``
+    is the position of x's first child less that of its last element's
+    down-set in ``keys``.  In the boundary of a k-chain v_0, ..., v_k,
+    column 0 (drop v_k) is its parent.  Column p >= 1 drops v_{k-p}: that
+    is the parent's own column p - 1, a (k-2)-chain d, extended by v_k.
+    For p >= 2 the last element of d is v_{k-1}, so the face is d's first
+    child plus the rank of v_k among the face's own siblings; for p = 1, d
+    is the grandparent and one ``searchsorted`` finds it.
     """
     up, down = P._up, P._down
     n = len(up)
@@ -401,58 +413,30 @@ def _chain_levels(P: FinitePoset) -> tuple[list[int], np.ndarray, np.ndarray, li
     new_id = np.empty(n, dtype=np.int64)
     new_id[order] = np.arange(n)
     degree = np.fromiter((down[i].bit_count() for i in order), np.int64, n)
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=ptr[1:])
+    start = np.cumsum(degree) - degree
     lower = np.fromiter((j for i in order for j in _bits(down[i])), np.int64, pairs)
     source = np.repeat(np.arange(n), degree)
     keys = source * n + new_id[lower]
     keys.sort()  # each down-set ascending; the sources already are
-    lower = keys % n
-    counts: list[int] = []
+    lower = keys % n  # the lower element of each pair, by key
+    levels = 0
     ends = np.ones(n)  # per id, the chains of the current size that end there
     # Every sum is of counts already checked, so far below 2^53: exact.
     while total := int(ends.sum()):
-        complexes._check_stack(len(counts) + 1, (len(counts) + 1) * total)
-        counts.append(total)
+        levels += 1
+        complexes._check_stack(levels, levels * total)
         ends = np.bincount(lower, weights=ends[source], minlength=n)
-    return order, ptr, keys, counts
-
-
-def _chain_table(P: FinitePoset) -> FaceTable:
-    """The face table of P's order complex, grown as a trie of chains.
-
-    Ids are those of ``_chain_levels``, so a chain's row lists it from the
-    top down.  Level k holds the k-chains in lexicographic order: each
-    (k-1)-chain followed by its extensions by the down-set of its last
-    element, ascending, so no level is sorted.  No chain is built as a row:
-    a level keeps each chain's last element, and its first child and shift
-    while the next two levels are built.  The extension of a chain x by v
-    sits at ``searchsorted(keys, last[x] * n + v) + shift[x]``, where
-    ``shift[x]`` is the position of x's first child less that of its last
-    element's down-set in ``keys``.  In the boundary of a k-chain
-    v_0, ..., v_k, column 0 (drop v_k) is its parent.  Column p >= 1 drops
-    v_{k-p}: that is the parent's own column p - 1, a (k-2)-chain d,
-    extended by v_k.  For p >= 2 the last element of d is v_{k-1}, so the
-    face is d's first child plus the rank of v_k among the face's own
-    siblings; for p = 1, d is the grandparent and one ``searchsorted`` finds
-    it.
-    """
-    order, ptr, keys, counts = _chain_levels(P)
-    n = len(order)
-    vertices = tuple(P.elements[i] for i in order)
     boundary_rows: dict[int, np.ndarray] = {}
-    degree = np.diff(ptr)
-    lower = keys % n  # the lower element of each pair, by key
     last = np.arange(n)  # the last element of each chain of the level below
     below = None  # (last, first child, shift) of the level two down
-    for k in range(1, len(counts)):
+    for k in range(1, levels):
         child_count = degree[last]
         first_child = np.cumsum(child_count) - child_count
-        shift = first_child - ptr[last]
+        shift = first_child - start[last]
         parent = np.repeat(np.arange(len(last)), child_count)
-        face = np.arange(counts[k])
+        face = np.arange(len(parent))
         added = lower[face - shift[parent]]
-        rows = np.empty((counts[k], k + 1), dtype=np.int64)
+        rows = np.empty((len(parent), k + 1), dtype=np.int64)
         rows[:, 0] = parent
         if k == 1:
             rows[:, 1] = added
@@ -466,7 +450,7 @@ def _chain_table(P: FinitePoset) -> FaceTable:
         boundary_rows[k] = rows
         below = (last, first_child, shift)
         last = added
-    return FaceTable(vertices, boundary_rows)
+    return FaceTable(tuple(P.elements[i] for i in order), boundary_rows)
 
 
 class BoundedPoset:

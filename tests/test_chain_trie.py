@@ -243,7 +243,7 @@ class TestCone:
     @staticmethod
     def profiles(P, C, coeff):
         table = posets._chain_table(P)
-        model = table.cone(~mask_of(table, C), "q*")
+        model = table.cone(~mask_of(table, C))
         expected = reduced_homology(
             quotient_model(P.order_complex(), P.remove(C).order_complex()), coeff
         )
@@ -266,12 +266,28 @@ class TestCone:
         got, expected = self.profiles(P, frozenset(P.elements), coeff)
         assert got == expected and got.betti == {0: n}
         table = posets._chain_table(P)
-        cone = table.cone(np.zeros(n, dtype=bool), "q*")
+        cone = table.cone(np.zeros(n, dtype=bool))
         assert cone.vertices == ("q*", *table.vertices) and cone.boundary_rows == {}
+
+    @pytest.mark.parametrize("name", ["chain3", "pi4", "b4", "random3", "random11"])
+    def test_nothing_kept_adds_an_isolated_apex(self, name):
+        """Whatever the dimension of the complex, nothing kept moves only
+        the vertex ids up by one, past the apex."""
+        P = chain_poset(3) if name == "chain3" else RESTRICTED[name]()
+        table = posets._chain_table(P)
+        cone = table.cone(np.zeros(len(P), dtype=bool))
+        assert cone.vertices == ("q*", *table.vertices)
+        assert cone.rows()[0].tolist() == [[0]] * (len(P) + 1)
+        assert set(cone.boundary_rows) == set(table.boundary_rows)
+        for k, rows in table.boundary_rows.items():
+            assert np.array_equal(cone.boundary_rows[k], rows + (k == 1))
+        model = quotient_model(P.order_complex(), SimplicialComplex([]))
+        for coeff in ("Z", "Z/2"):
+            assert reduced_homology(cone, coeff) == reduced_homology(model, coeff)
 
     def test_empty_poset_is_the_apex(self):
         table = posets._chain_table(chain_poset(0))
-        cone = table.cone(np.zeros(0, dtype=bool), "q*")
+        cone = table.cone(np.zeros(0, dtype=bool))
         assert cone.vertices == ("q*",) and cone.rows()[0].tolist() == [[0]]
 
     @pytest.mark.parametrize("name", ["pi4", "b4", "random3", "random11"])
@@ -279,16 +295,23 @@ class TestCone:
         P = RESTRICTED[name]()
         table = posets._chain_table(P)
         keep = mask_of(table, set(P.elements[::2]))
-        cone = table.cone(keep, "apex")
-        assert cone.vertices == ("apex", *table.vertices)
+        cone = table.cone(keep)
+        assert cone.vertices == ("q*", *table.vertices)
         faces = label_faces(cone)
         sub = label_faces(table.restrict(keep))
         own = label_faces(table)
         for k, ids in assert_face_table(cone).items():
-            apex = {f - {"apex"} for f in faces[k] if "apex" in f}
+            apex = {f - {"q*"} for f in faces[k] if "q*" in f}
             assert apex == (sub.get(k - 1, set()) if k else {frozenset()})
-            assert faces[k] - {f | {"apex"} for f in apex} == own.get(k, set())
+            assert faces[k] - {f | {"q*"} for f in apex} == own.get(k, set())
             assert (ids[: len(apex), 0] == 0).all() and (ids[len(apex):, 0] > 0).all()
+
+    @pytest.mark.parametrize("taken, apex", [(["q*"], "q*'"), (["q*", "q*'"], "q*''")])
+    def test_the_apex_label_is_fresh(self, taken, apex):
+        P = posets.FinitePoset([*taken, "a"], [("a", taken[0])])
+        table = posets._chain_table(P)
+        for keep in (np.zeros(len(P), dtype=bool), np.ones(len(P), dtype=bool)):
+            assert table.cone(keep).vertices == (apex, *table.vertices)
 
     def test_a_face_table_is_a_chain_complex_source(self):
         P = proper_part(partition_lattice(4))
@@ -310,7 +333,7 @@ class TestConeBound:
     def cone(self, monkeypatch, limit):
         table = posets._chain_table(chain_poset(4))
         monkeypatch.setattr(complexes, "MAX_STACK_ENTRIES", limit)
-        return table.cone(np.ones(4, dtype=bool), "q*")
+        return table.cone(np.ones(4, dtype=bool))
 
     def test_at_the_limit_is_built(self, monkeypatch):
         cone = self.cone(monkeypatch, self.LARGEST)

@@ -646,6 +646,47 @@ class TestFileRefusals:
         assert (outcome.exit_code, outcome.stderr_lines) == (2, ("error: need n >= 1",))
 
 
+FILE_COMMANDS = [
+    ("homology", "FILE"),
+    MOBIUS,
+    ("ordercomplex", "FILE"),
+    ("complementation", "verify", "FILE", "--z", "a"),
+    CHECK,
+    GROTHENDIECK,
+]
+
+
+class TestEncoding:
+    """Text inputs are read as UTF-8, whatever the locale; bytes that are
+    not UTF-8 are a usage error like a missing file."""
+
+    @pytest.mark.parametrize(
+        "argv", FILE_COMMANDS, ids=lambda argv: "-".join(w for w in argv[:2] if w != "FILE")
+    )
+    def test_bytes_that_are_not_utf8_exit_2(self, tmp_path, argv):
+        path = tmp_path / "bad.input"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        outcome = run([str(path) if word == "FILE" else word for word in argv])
+        assert (outcome.exit_code, outcome.stdout_lines) == (2, ())
+        assert outcome.stderr_lines == (
+            f"usage error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte",
+        )
+
+    def test_utf8_labels_under_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "accent.poset"
+        path.write_bytes("elements: \u00e9 b\n\u00e9 < b\n".encode())
+        env = {**os.environ, "PYTHONPATH": str(SRC), "LC_ALL": "C", "PYTHONUTF8": "0"}
+        env["PYTHONCOERCECLOCALE"] = "0"  # keep the C locale's ASCII encoding
+        lone = subprocess.run(
+            [sys.executable, "-m", "ordertop", "mobius", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (lone.returncode, lone.stdout, lone.stderr) == (0, "mobius -1\n", "ok\n")
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         outcome = run(["nonsense"])

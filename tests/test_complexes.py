@@ -433,10 +433,9 @@ COMPLEMENTATION_CHECKS = {"verify", "quotient_wedge_check"}
 class TestFaceTableBuilds:
     """A complex is its vertices and facets; each check builds the face
     table of each complex it reads once.  A reader asks for a face table,
-    the one way to the faces; a build runs the label builder or counts a
-    poset's chain levels, which the chain trie starts with.  A
-    complementation check reads no complex: it builds one chain trie and
-    reads every complex off it."""
+    the one way to the faces; a build runs the label builder or grows a
+    poset's chain trie.  A complementation check reads no complex: it
+    builds one chain trie and reads every complex off it."""
 
     def test_a_complex_keeps_no_table(self):
         assert SimplicialComplex.__slots__ == ("vertices", "facets")
@@ -453,7 +452,9 @@ class TestFaceTableBuilds:
         spy(SimplicialComplex, "face_table", readers)
         spy(OrderComplex, "face_table", readers)
         spy(complexes, "_face_table", label_builds)
-        spy(posets, "_chain_levels", tries)
+        # the chain trie, as order complexes and the complementation checks call it
+        spy(posets, "_chain_table", tries)
+        spy(complementation, "_chain_table", tries)
         result = FACE_TABLE_READERS[name]()
         if name in COMPLEMENTATION_CHECKS:
             assert readers == [] and label_builds == []
