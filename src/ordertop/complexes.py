@@ -16,8 +16,9 @@ the largest too, stacks the faces one size up, each with one vertex dropped,
 on its own facets, and at the largest size that upper stack is empty.  The
 rows then come in the lexicographic order of the label tuples.  An order
 complex (``posets.OrderComplex``) numbers them from the top of its poset
-down and grows the table from the chains instead; the face table is the
-only method it overrides.  Every reader of faces (face counts, the Euler
+down, by an order read off the poset and not its labels, and grows the
+table from the chains instead; the face table is the only method it
+overrides.  Every reader of faces (face counts, the Euler
 characteristic, the boundary matrices) goes through ``FaceTable.rows``,
 which starts at degree 0, each vertex bounded by the empty face.  Label
 tuples are made only by ``faces_by_dim``, always from the facets.
@@ -76,8 +77,9 @@ class FaceTable(NamedTuple):
 
     An id is a position in ``vertices``: the sorted labels for a complex
     given by its facets; for an order complex, the poset's elements from
-    the top down (by strict up-set size, ties in label order), so a chain's
-    row lists it from its top element.  The 0-faces are the ids.
+    the top down (``posets._chain_table``: by height, then by strict
+    down-set, ties in label order), so a chain's row lists it from its top
+    element.  The 0-faces are the ids.
     ``boundary_rows[k]``, for k >= 1, has shape (f_k, k+1), one row per
     k-face in lexicographic order of the faces' id rows: entry [j, p] is the
     position among the (k-1)-faces of face j with its vertex in column k-p

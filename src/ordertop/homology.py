@@ -21,15 +21,19 @@ long as all of its terms (``_pairs_cancel``).  This decides every pair that
 time in Python integers.
 
 Coboundary.  ``reduced_homology`` reduces the coboundaries d_k^T, degree 0
-upward.  Each has its rows and columns numbered backwards (``_coboundary``,
-one in-place sort of the unique int64 keys row * nnz + entry), so the low of
-a column, its lowest nonzero row, is its lexicographically first coface.
+upward.  Each has its rows and columns numbered backwards, so the low of a
+column, its lowest nonzero row, is its lexicographically first coface.  A
+``Coboundary`` reads those lows off the rows of d_k: one ``np.minimum.at``
+over the entry positions finds the first column of d_k that holds each
+row.  The matrix itself (``_coboundary``, one in-place sort of the unique
+int64 keys row * nnz + entry) is built only for a degree that leaves some
+column to the reducer.
 
-Apparent pivots.  Before any reduction, one array pass finds the apparent
-pivots (Bauer, *Ripser*, J. Appl. Comput. Topol. 2021): the first active
-column with a given initial low owns that row, over Z only when its low
-entry is +-1 (``_apparent_pivots``).  No column has to be reduced to find
-them.  Taking pivots out of left-to-right order is still a sequence of
+Apparent pivots.  Before any reduction, one array pass over the lows finds
+the apparent pivots (Bauer, *Ripser*, J. Appl. Comput. Topol. 2021): the
+first active column with a given low owns that row, over Z only when its
+low entry is +-1 (``_apparent_pivots``).  No column has to be reduced to
+find them.  Taking pivots out of left-to-right order is still a sequence of
 unimodular column operations, since a pivot column is never changed.
 
 Clearing.  The pivot rows found in one degree are the ``cleared`` columns
@@ -39,20 +43,23 @@ is a combination of the other columns, and over Z it is an integer one
 because only +-1 lows become pivots.
 
 Reducer.  ``eliminate_unit_pivots`` (over Z) and ``rank_mod2`` (over Z/2)
-reduce the columns that are neither apparent pivots nor cleared, left to
-right, each against the pivot columns until its low is a row no pivot owns.
-Both return ``(units, residual, pivot rows)``, the residual empty over Z/2
-and the pivot rows an int64 array.  Only those columns, and the pivot
-columns they meet, are sliced out of the arrays; a column becomes a dict
-(over Z) or a bitset (over Z/2) only when its turn comes.  When there are no
-such columns, the loops run zero times and the pivot rows are the lows, with
-no Python object made per entry.  That is every degree of the generated
-partition lattices, Boolean lattices and exp_discrete posets under their
-own labels, numbered by ``posets._chain_table``; the same posets under
-random labels leave some hundreds of columns to the loops.  The benchmark tracer wraps
-both reducers by replacing these module globals, so every caller reads them
-from the module when it runs and none binds them under another name at
-import.
+take a ``SparseMatrix`` or a ``Coboundary`` and reduce the columns that are
+neither apparent pivots nor cleared, left to right, each against the pivot
+columns until its low is a row no pivot owns.  Both return ``(units,
+residual, pivot rows)``, the residual empty over Z/2 and the pivot rows an
+int64 array.  Only those columns, and the pivot columns they meet, are
+sliced out of the arrays; a column becomes a dict (over Z) or a bitset
+(over Z/2) only when its turn comes.  When there are no such columns, the
+pivot rows are the apparent lows: no Python object is made per entry, and
+a ``Coboundary`` is never built.  That is every degree of the order
+complexes of the generated partition lattices, Boolean lattices and
+exp_discrete posets, under their own labels and shuffled ones, numbered by
+``posets._chain_table``; a complex given by its facets, numbered in sorted
+label order, may leave columns (the boundary of the cyclic 6-polytope on 14
+vertices leaves 45).  The benchmark
+tracer wraps both reducers by replacing these module globals, so every
+caller reads them from the module when it runs and none binds them under
+another name at import.
 
 Dense SNF.  Over Z the residual goes to ``_dense_snf``, which pivots on
 entries of least absolute value and ends with one (gcd, lcm) pass over the
@@ -174,6 +181,32 @@ class SparseMatrix:
         """Read-only view of the (row, col, value) triples, column by column."""
         return Entries(self)
 
+    def lows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The low row of every column, its last (``rows[ptr[1:] - 1]``), or
+        -1 for an empty column, and the value there (0 for an empty one)."""
+        ends = self.ptr[1:]
+        filled = ends > self.ptr[:-1]
+        last = ends[filled] - 1
+        return _spread(filled, self.rows[last], -1), _spread(filled, self.vals[last], 0)
+
+    def odd(self) -> "SparseMatrix":
+        """The matrix over Z/2: the entries with odd values, or the matrix
+        itself when every value is +-1."""
+        vals = self.vals
+        if not len(vals) or (vals.min() >= -1 and vals.max() <= 1):
+            return self
+        odd = vals % 2 != 0
+        ptr = np.concatenate(([0], np.cumsum(odd)))[self.ptr]
+        return SparseMatrix(self.n_rows, self.n_cols, ptr, self.rows[odd], vals[odd])
+
+
+def _spread(filled: np.ndarray, values: np.ndarray, blank: int) -> np.ndarray:
+    """An array over the bool array ``filled``: ``values`` in order where it
+    is True, ``blank`` elsewhere."""
+    out = np.full(len(filled), blank, dtype=values.dtype)
+    out[filled] = values
+    return out
+
 
 class Entries:
     """The (row, col, value) triples of a ``SparseMatrix``.  The length is
@@ -194,25 +227,24 @@ class Entries:
 
 
 def _apparent_pivots(
-    ptr: np.ndarray, rows: np.ndarray, vals: np.ndarray | None, cleared: np.ndarray
+    lows: np.ndarray, low_vals: np.ndarray | None, cleared: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split the nonempty columns that are not ``cleared`` (an int64 array
-    of column indices) into apparent pivots and the rest.
+    of column indices) into apparent pivots and the rest, from every
+    column's low row (-1 when empty) and, over Z, the value there.
 
     Returns ``(lows, owners, rest)``: the apparent pivots' low rows
     ascending, the column that owns each, and the other columns ascending.
     A column is an apparent pivot when no earlier one of these columns has
-    the same initial low and, unless ``vals`` is None (over Z/2), that low
-    entry is +-1.
+    the same low and, unless ``low_vals`` is None (over Z/2), its low value
+    is +-1.
     """
-    ends = ptr[1:]
-    active = ends > ptr[:-1]
+    active = lows >= 0
     active[cleared] = False
     cols = np.flatnonzero(active)
-    last = ends[cols] - 1
-    lows, first = np.unique(rows[last], return_index=True)
-    if vals is not None:
-        unit = np.abs(vals[last[first]]) == 1
+    lows, first = np.unique(lows[cols], return_index=True)
+    if low_vals is not None:
+        unit = np.abs(low_vals[cols[first]]) == 1
         lows, first = lows[unit], first[unit]
     rest = np.ones(len(cols), dtype=bool)
     rest[first] = False
@@ -238,7 +270,9 @@ def _subtract(col: dict[int, int], q: int, piv: dict[int, int]) -> None:
 def eliminate_unit_pivots(m, cleared: np.ndarray = _NO_ROWS) -> tuple[int, list, np.ndarray]:
     """Split a sparse integer matrix into unit pivots and a small residual.
 
-    ``m`` is a ``SparseMatrix``.  Only column operations are used, and a
+    ``m`` is a ``SparseMatrix`` or a ``Coboundary``, whose matrix is built
+    only when some column is neither an apparent pivot nor cleared.  Only
+    column operations are used, and a
     column becomes a pivot only when its low entry is +-1.  A column whose
     low is not a unit is set aside; once every pivot is known it is reduced
     against them until it is zero on all pivot rows.  Returns
@@ -248,11 +282,14 @@ def eliminate_unit_pivots(m, cleared: np.ndarray = _NO_ROWS) -> tuple[int, list,
     unimodular and the residual columns vanish on its rows.  The pivot rows
     are an int64 array.
     """
-    lows, owners, rest = _apparent_pivots(m.ptr, m.rows, m.vals, cleared)
+    lows, owners, rest = _apparent_pivots(*m.lows(), cleared)
+    if not len(rest):
+        return len(lows), [], lows
+    ptr, rows, vals = m.ptr, m.rows, m.vals
 
     def column(c: int) -> dict[int, int]:
-        start, stop = m.ptr[c], m.ptr[c + 1]
-        return dict(zip(m.rows[start:stop].tolist(), m.vals[start:stop].tolist()))
+        start, stop = ptr[c], ptr[c + 1]
+        return dict(zip(rows[start:stop].tolist(), vals[start:stop].tolist()))
 
     def pivot(low: int) -> dict[int, int] | None:
         """The pivot column on row ``low``, unpacking an apparent one."""
@@ -292,17 +329,17 @@ def eliminate_unit_pivots(m, cleared: np.ndarray = _NO_ROWS) -> tuple[int, list,
 
 
 def rank_mod2(m, cleared: np.ndarray = _NO_ROWS) -> tuple[int, list, np.ndarray]:
-    """Rank over Z/2 of a ``SparseMatrix`` (without the ``cleared``
-    columns), as ``(rank, [], pivot rows)``, the pivot rows an int64 array.
-    Unless every entry is +-1, the odd entries are picked by one mask; each
-    column is packed into a Python integer, bit r for row r, only when its
-    turn comes, so at most the pivots are held as bitsets."""
-    ptr, rows, vals = m.ptr, m.rows, m.vals
-    if len(vals) and (vals.min() < -1 or vals.max() > 1):
-        odd = vals % 2 != 0
-        ptr = np.concatenate(([0], np.cumsum(odd)))[ptr]
-        rows = rows[odd]
-    lows, owners, rest = _apparent_pivots(ptr, rows, None, cleared)
+    """Rank over Z/2 of a ``SparseMatrix`` or a ``Coboundary`` (without the
+    ``cleared`` columns), as ``(rank, [], pivot rows)``, the pivot rows an
+    int64 array.  Unless every entry is +-1, the odd entries are picked by
+    one mask (``odd``); each column is packed into a Python integer, bit r
+    for row r, only when its turn comes, so at most the pivots are held as
+    bitsets."""
+    m = m.odd()
+    lows, owners, rest = _apparent_pivots(m.lows()[0], None, cleared)
+    if not len(rest):
+        return len(lows), [], lows
+    ptr, rows = m.ptr, m.rows
 
     def bitset(c: int) -> int:
         col = 0
@@ -571,6 +608,51 @@ def _coboundary(d: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(d.n_cols, d.n_rows, ptr, d.n_cols - 1 - cols[order], d.vals[order])
 
 
+class Coboundary:
+    """The coboundary ``_coboundary(d)`` of a ``SparseMatrix`` ``d``, as
+    the reducers read it: its lows come off the rows of ``d``, and its
+    entries (``ptr``, ``rows``, ``vals``) are built on first use.
+
+    Column n_rows-1-r of the coboundary is row r of ``d``, and its low is
+    n_cols-1-c for the first column c of ``d`` that holds row r, with the
+    value of ``d`` there.  Entries are stored column by column, so that
+    column holds the row's first entry: one ``np.minimum.at`` over the
+    entry positions finds it for every row.
+    """
+
+    __slots__ = ("d", "_built")
+
+    def __init__(self, d: SparseMatrix):
+        self.d = d
+        self._built: SparseMatrix | None = None
+
+    def lows(self) -> tuple[np.ndarray, np.ndarray]:
+        """As ``SparseMatrix.lows``, from one pass over the rows of ``d``."""
+        d = self.d
+        nnz = len(d.rows)
+        first = np.full(d.n_rows, nnz, dtype=np.int64)
+        np.minimum.at(first, d.rows, np.arange(nnz))
+        first = first[::-1]
+        filled = first < nnz
+        at = first[filled]
+        cols = np.repeat(np.arange(d.n_cols), np.diff(d.ptr))[at]
+        return _spread(filled, d.n_cols - 1 - cols, -1), _spread(filled, d.vals[at], 0)
+
+    def odd(self) -> "Coboundary":
+        """The coboundary over Z/2, as ``SparseMatrix.odd``."""
+        d = self.d.odd()
+        return self if d is self.d else Coboundary(d)
+
+    def _matrix(self) -> SparseMatrix:
+        if self._built is None:
+            self._built = _coboundary(self.d)
+        return self._built
+
+    ptr = property(lambda self: self._matrix().ptr)
+    rows = property(lambda self: self._matrix().rows)
+    vals = property(lambda self: self._matrix().vals)
+
+
 def _factors_by_degree(cc: ChainComplex, ring: str) -> dict[int, tuple[int, ...]]:
     """The invariant factors of every d_k over ``ring`` (over Z/2, one 1 per
     unit of rank), from the coboundaries reduced degree 0 upward.
@@ -582,7 +664,7 @@ def _factors_by_degree(cc: ChainComplex, ring: str) -> dict[int, tuple[int, ...]
     factors: dict[int, tuple[int, ...]] = {}
     cleared = _NO_ROWS
     for k in sorted(cc.boundary):
-        units, residual, cleared = reduce(_coboundary(cc.boundary[k]), cleared)
+        units, residual, cleared = reduce(Coboundary(cc.boundary[k]), cleared)
         factors[k] = (1,) * units + tuple(_dense_snf(residual))
     return factors
 

@@ -373,23 +373,62 @@ class OrderComplex(SimplicialComplex):
         return _chain_table(self.poset)
 
 
+def _bottom_up(source: np.ndarray, lower: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """The element indices of a poset from the bottom up, given its pairs
+    b < a as ``lower`` and ``source`` (ascending in a) and the size of each
+    strict down-set as ``degree``.
+
+    Elements go by height (the longest chain below them), the lowest first.
+    Within one height they go by their strict down-set, read as a bitmask
+    over the positions already given: as an integer, smallest first, which
+    compares the highest position first (colex).  The bytes of a row packed
+    from its top bit (``packbits`` pads every row alike at its low end)
+    compare as those integers; a layer of m elements above p placed ones
+    takes an m x p bool array.  Remaining ties go in reverse index order,
+    which is label order reversed, so that read from the top down they are
+    in label order.  Labels enter only through those ties.
+    """
+    n = len(degree)
+    position = np.empty(n, dtype=np.int64)
+    pending = degree.copy()  # per element, the elements below not yet placed
+    in_layer = np.zeros(n, dtype=bool)
+    row = np.empty(n, dtype=np.int64)  # per element of the layer, its row there
+    placed = 0
+    while len(layer := np.flatnonzero(pending == 0)[::-1]):
+        in_layer[:] = False
+        in_layer[layer] = True
+        below = np.zeros((len(layer), placed), dtype=bool)
+        row[layer] = np.arange(len(layer))
+        pick = in_layer[source]
+        below[row[source[pick]], placed - 1 - position[lower[pick]]] = True
+        masks = [r.tobytes() for r in np.packbits(below, axis=1)]
+        ranked = sorted(range(len(layer)), key=masks.__getitem__)  # stable: ties stay
+        position[layer[ranked]] = placed + np.arange(len(layer))
+        placed += len(layer)
+        pending -= np.bincount(source[in_layer[lower]], minlength=n)
+        pending[layer] = -1
+    order = np.empty(n, dtype=np.int64)
+    order[position] = np.arange(n)
+    return order
+
+
 def _chain_table(P: FinitePoset) -> FaceTable:
     """The face table of P's order complex, grown as a trie of chains.
 
-    Ids go by strict up-set size, smallest first, ties in label order: a
-    linear extension of the dual, so every chain ascends in ids from its top
-    element down, and a chain's row lists it from the top.  (On Pi_4 to Pi_7
-    and exp_discrete(8, 4) and (11, 4), under the generators' labels, this
-    numbering makes every pivot of every coboundary apparent; numbering from
-    the bottom up, larger up-sets first, leaves 18 of exp_discrete(11, 4)'s
-    13,431 to the reduction loop.  The ties make it depend on the labels:
-    relabelled at random, the proper part of Pi_6 leaves about 530 of its
-    6,312 coboundary columns to the loop.)  ``keys`` holds a * n + b for
-    every pair b < a of P, sorted, so the down-set of id a is the run of
-    ``keys`` from ``start[a]``, ascending.  The pairs, and then the chains
-    of each size, are counted and checked against
-    ``complexes.MAX_STACK_ENTRIES`` ((k + 1) * f_k ids for the k-chains)
-    before any row is built.
+    Ids number the elements from the top down: ``_bottom_up`` reversed, so
+    they are a linear extension of the dual, every chain ascends in ids from
+    its top element down, and a chain's row lists it from the top.  The
+    numbering is read off the order, with labels only breaking ties, and it
+    leaves every pivot of every coboundary apparent on the proper parts of
+    B_5 to B_7 and Pi_5 to Pi_7 and on exp_discrete(8, 4), (9, 3) and
+    (11, 4), under their own labels and three seeded relabellings each.
+    Ids by strict up-set size, ties in label order, left 18 to 17,023
+    columns of those relabellings to the reduction loop.
+    ``keys`` holds a * n + b for every pair b < a of P, sorted, so the
+    down-set of id a is the run of ``keys`` from ``start[a]``, ascending.
+    The pairs, and then the chains of each size, are counted and checked
+    against ``complexes.MAX_STACK_ENTRIES`` ((k + 1) * f_k ids for the
+    k-chains) before the numbering and before any row is built.
 
     Level k holds the k-chains in lexicographic order: each (k-1)-chain
     followed by its extensions by the down-set of its last element,
@@ -405,27 +444,29 @@ def _chain_table(P: FinitePoset) -> FaceTable:
     child plus the rank of v_k among the face's own siblings; for p = 1, d
     is the grandparent and one ``searchsorted`` finds it.
     """
-    up, down = P._up, P._down
-    n = len(up)
-    pairs = sum(m.bit_count() for m in down)
+    down = P._down
+    n = len(down)
+    degree = np.fromiter((m.bit_count() for m in down), np.int64, n)
+    pairs = int(degree.sum())
     complexes._check_stack(2, 2 * pairs)
-    order = sorted(range(n), key=lambda i: up[i].bit_count())
-    new_id = np.empty(n, dtype=np.int64)
-    new_id[order] = np.arange(n)
-    degree = np.fromiter((down[i].bit_count() for i in order), np.int64, n)
-    start = np.cumsum(degree) - degree
-    lower = np.fromiter((j for i in order for j in _bits(down[i])), np.int64, pairs)
+    lower = np.fromiter((j for m in down for j in _bits(m)), np.int64, pairs)
     source = np.repeat(np.arange(n), degree)
-    keys = source * n + new_id[lower]
-    keys.sort()  # each down-set ascending; the sources already are
-    lower = keys % n  # the lower element of each pair, by key
     levels = 0
-    ends = np.ones(n)  # per id, the chains of the current size that end there
+    ends = np.ones(n)  # per element, the chains of the current size that end there
     # Every sum is of counts already checked, so far below 2^53: exact.
     while total := int(ends.sum()):
         levels += 1
         complexes._check_stack(levels, levels * total)
         ends = np.bincount(lower, weights=ends[source], minlength=n)
+    order = _bottom_up(source, lower, degree)[::-1]
+    new_id = np.empty(n, dtype=np.int64)
+    new_id[order] = np.arange(n)
+    degree = degree[order]
+    start = np.cumsum(degree) - degree
+    keys = new_id[source] * n + new_id[lower]
+    del source
+    keys.sort()  # by source, each down-set ascending
+    lower = keys % n  # the lower element of each pair, by key
     boundary_rows: dict[int, np.ndarray] = {}
     last = np.arange(n)  # the last element of each chain of the level below
     below = None  # (last, first child, shift) of the level two down
@@ -450,7 +491,7 @@ def _chain_table(P: FinitePoset) -> FaceTable:
         boundary_rows[k] = rows
         below = (last, first_child, shift)
         last = added
-    return FaceTable(tuple(P.elements[i] for i in order), boundary_rows)
+    return FaceTable(tuple(P.elements[i] for i in order.tolist()), boundary_rows)
 
 
 class BoundedPoset:

@@ -6,7 +6,8 @@ dict-based boundary-of-boundary check, dense Gaussian elimination over exact
 fractions for Betti numbers, sympy for Smith normal forms, the evenness
 filter over all subsets for cyclic polytopes, direct recursion for Mobius
 numbers, Warshall's closure and chain enumeration for orders (every chain
-grown one element at a time), exhaustive enumeration for counting problems,
+grown one element at a time), the chain trie's element numbering from its
+definition with integer bitmasks, exhaustive enumeration for counting problems,
 pairwise inclusion and refinement tests for the generated orders, set
 operations for complements in closure systems, the quadratic maximal-face
 scan for facet normalization, the sphere calculus on fully expanded
@@ -335,6 +336,28 @@ def brute_maximal_chains(elements, lt):
         for c in chains
         if c and not any(e not in c and all(comparable(e, x) for x in c) for e in elements)
     )
+
+
+def chain_numbering(elements, lt):
+    """The elements of a strict order, given as a predicate, in the order of
+    the chain trie's ids, by its definition read from the bottom up: by
+    height (the longest chain below), then by the strict down-set as the
+    integer sum of 2**position over the elements already placed, then by
+    label descending; the ids are that order reversed."""
+    height = {}
+
+    def height_of(e):
+        if e not in height:
+            height[e] = max((1 + height_of(x) for x in elements if lt(x, e)), default=0)
+        return height[e]
+
+    position = {}
+    for h in sorted({height_of(e) for e in elements}):
+        layer = sorted((e for e in elements if height[e] == h), reverse=True)
+        layer.sort(key=lambda e: sum(2 ** position[x] for x in elements if lt(x, e)))
+        for e in layer:
+            position[e] = len(position)
+    return tuple(sorted(elements, key=position.__getitem__, reverse=True))
 
 
 def brute_chains(elements, lt):

@@ -18,6 +18,7 @@ from ordertop.complexes import ComplexError, SimplicialComplex, quotient_model
 from ordertop.homology import ChainComplex, reduced_homology
 from ordertop.posets import (
     BoundedPoset,
+    FinitePoset,
     OrderComplex,
     boolean_lattice,
     chain_poset,
@@ -67,6 +68,12 @@ class TestChainTrie:
             assert (np.diff(ids, axis=1) > 0).all()
             assert sorted(map(tuple, ids.tolist())) == list(map(tuple, ids.tolist()))
 
+    def test_vertices_follow_the_numbering(self, name):
+        P = POSETS[name]()
+        assert P.order_complex().face_table().vertices == oracles.chain_numbering(
+            P.elements, P.lt
+        )
+
     def test_boundary_rows_drop_one_vertex(self, name):
         table = POSETS[name]().order_complex().face_table()
         rows_by_dim = face_rows(table)
@@ -86,6 +93,15 @@ class TestChainTrie:
     def test_profile_equals_the_label_builders(self, name, coeff):
         K = POSETS[name]().order_complex()
         assert reduced_homology(K, coeff) == reduced_homology(SimplicialComplex(K.facets), coeff)
+
+
+def test_ties_keep_label_order():
+    # Elements with equal height and equal down-sets keep label order in
+    # the ids, above as well as at the bottom.
+    antichain = FinitePoset(["a", "b", "c"])
+    assert posets._chain_table(antichain).vertices == ("a", "b", "c")
+    two_tops = FinitePoset(["x", "y", "z"], [("z", "x"), ("z", "y")])
+    assert posets._chain_table(two_tops).vertices == ("x", "y", "z")
 
 
 def test_an_order_complex_overrides_only_its_face_table():

@@ -13,6 +13,8 @@ from ordertop.homology import (
     Z,
     Z2,
     ChainComplex,
+    Coboundary,
+    HomologyProfile,
     SparseMatrix,
     _apparent_pivots,
     _coboundary,
@@ -219,7 +221,7 @@ def test_all_apparent_reduction_makes_no_object_per_entry(reduce):
     cc = ChainComplex.from_complex(graph)
     _, _, cleared = reduce(_coboundary(cc.boundary[0]))
     cob = _coboundary(cc.boundary[1])
-    assert not len(_apparent_pivots(cob.ptr, cob.rows, cob.vals, cleared)[2])
+    assert not len(_apparent_pivots(*cob.lows(), cleared)[2])
     tracemalloc.start()
     try:
         units, residual, pivot_rows = reduce(cob, cleared)
@@ -231,28 +233,145 @@ def test_all_apparent_reduction_makes_no_object_per_entry(reduce):
     assert peak < cob.rows.nbytes // 4
 
 
-def test_relabelled_poset_reaches_the_reduction_loop():
-    # Under the generator's labels every pivot of the proper part of B_5 is
-    # apparent.  Ids of equal up-set size go in label order, so under
-    # shuffled labels some columns are left to the loop, over each ring, and
-    # the profile must not change.
-    canonical = BoundedPoset.from_poset(boolean_lattice(5)).truncate()
-    names = [f"v{i:02d}" for i in range(len(canonical))]
-    random.Random(0).shuffle(names)
-    name = dict(zip(canonical.elements, names))
-    relabelled = FinitePoset(names, [(name[a], name[b]) for a, b in canonical.covers])
-    cc = ChainComplex.from_complex(relabelled.order_complex())
+def relabelled(P, seed):
+    """P with its labels replaced by shuffled ones."""
+    names = [f"v{i:03d}" for i in range(len(P))]
+    random.Random(seed).shuffle(names)
+    name = dict(zip(P.elements, names))
+    return FinitePoset(names, [(name[a], name[b]) for a, b in P.covers])
+
+
+def loop_columns(K):
+    """Per ring, the columns of every coboundary of K that are neither
+    apparent pivots nor cleared: those the reduction loop runs on."""
+    cc = ChainComplex.from_complex(K)
+    rest = {}
     for ring, reduce in ((Z, eliminate_unit_pivots), (Z2, rank_mod2)):
-        cleared, rest = np.empty(0, dtype=np.int64), 0
+        cleared, rest[ring] = np.empty(0, dtype=np.int64), 0
         for k in sorted(cc.boundary):
-            cob = _coboundary(cc.boundary[k])
-            vals = cob.vals if ring == Z else None
-            rest += len(_apparent_pivots(cob.ptr, cob.rows, vals, cleared)[2])
+            cob = Coboundary(cc.boundary[k])
+            lows, vals = cob.lows()
+            rest[ring] += len(_apparent_pivots(lows, vals if ring == Z else None, cleared)[2])
             cleared = reduce(cob, cleared)[2]
-        assert rest > 0, ring
-        assert reduced_homology(relabelled.order_complex(), ring) == reduced_homology(
+    return rest
+
+
+def proper_poset(P):
+    return BoundedPoset.from_poset(P).truncate()
+
+
+RELABELLED = {
+    "b5": lambda: proper_poset(boolean_lattice(5)),
+    "pi5": lambda: proper_poset(partition_lattice(5)),
+    "exp8_4": lambda: exp_discrete_poset(8, 4),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(RELABELLED))
+def test_relabelled_posets_leave_no_column_to_the_loop(name, seed):
+    # The chain trie numbers elements from the order alone, so every pivot
+    # stays apparent under shuffled labels, over each ring, and the profile
+    # does not change.
+    canonical = RELABELLED[name]()
+    shuffled = relabelled(canonical, seed)
+    assert loop_columns(shuffled.order_complex()) == {Z: 0, Z2: 0}
+    for ring in (Z, Z2):
+        assert reduced_homology(shuffled.order_complex(), ring) == reduced_homology(
             canonical.order_complex(), ring
         )
+
+
+def test_cyclic_polytope_reaches_the_reduction_loop():
+    # A complex given by its facets numbers its vertices in sorted label
+    # order, and "10" sorts before "2": the boundary of the cyclic 6-polytope
+    # on 14 vertices leaves 45 columns to the loop, over each ring.
+    K = cyclic_polytope_boundary(14, 6)
+    assert loop_columns(K) == {Z: 45, Z2: 45}
+    assert reduced_homology(K, Z2).betti == oracles.brute_betti(K.facets, "GF2")
+    # a simplicial 5-sphere
+    assert reduced_homology(K, Z) == HomologyProfile(Z, {5: 1})
+
+
+def split_by_definition(dense, over_z, cleared):
+    """The apparent pivots of a dense matrix by their definition, column by
+    column: the first column with a given low owns it, over Z only when the
+    value there is +-1.  Returns (their lows ascending, their columns, the
+    other columns)."""
+    owner, seen, rest = {}, set(), []
+    for c in range(dense.shape[1]):
+        nonzero = np.flatnonzero(dense[:, c])
+        if c in cleared or not len(nonzero):
+            continue
+        low = int(nonzero[-1])
+        if low not in seen and (not over_z or abs(dense[low, c]) == 1):
+            owner[low] = c
+        else:
+            rest.append(c)
+        seen.add(low)
+    lows = sorted(owner)
+    return lows, [owner[r] for r in lows], rest
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lows_from_the_rows_match_the_coboundary(seed):
+    # Random boundaries with empty rows and columns and values other than
+    # +-1: the split read off the rows of d equals the split of the built
+    # coboundary and the one by definition, over each ring, with a cleared
+    # set; and both reducers give the same on the lazy and the built one.
+    rng = random.Random(3000 + seed)
+    n_rows, n_cols = rng.randint(0, 9), rng.randint(0, 9)
+    nnz = rng.randint(0, 30) if n_rows and n_cols else 0
+    d = matrix(n_rows, n_cols, random_entries(rng, n_rows, n_cols, nnz, -3, 3))
+    built = _coboundary(d)
+    cleared = np.array(sorted(rng.sample(range(n_rows), rng.randint(0, n_rows))), dtype=np.int64)
+    for over_z, reduce in ((True, eliminate_unit_pivots), (False, rank_mod2)):
+        lazy = Coboundary(d) if over_z else Coboundary(d).odd()
+        target = built if over_z else built.odd()
+        lows, vals = lazy.lows()
+        split = _apparent_pivots(lows, vals if over_z else None, cleared)
+        target_lows, target_vals = target.lows()
+        expected = _apparent_pivots(target_lows, target_vals if over_z else None, cleared)
+        assert [a.tolist() for a in split] == [a.tolist() for a in expected]
+        by_definition = split_by_definition(dense_array(target), over_z, set(cleared.tolist()))
+        assert [a.tolist() for a in split] == list(by_definition)
+        assert plain(reduce(Coboundary(d), cleared)) == plain(reduce(built, cleared))
+
+
+def coboundary_calls(monkeypatch):
+    """The boundaries whose coboundary gets built, as (rows, columns)."""
+    calls = []
+    original = homology._coboundary
+
+    def counted(d):
+        calls.append((d.n_rows, d.n_cols))
+        return original(d)
+
+    monkeypatch.setattr(homology, "_coboundary", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shuffle", [None, 0])
+@pytest.mark.parametrize("name", ["b5", "pi5"])
+def test_apparent_degrees_build_no_coboundary(monkeypatch, name, shuffle):
+    P = RELABELLED[name]()
+    K = P.order_complex() if shuffle is None else relabelled(P, shuffle).order_complex()
+    calls = coboundary_calls(monkeypatch)
+    for ring in (Z, Z2):
+        reduced_homology(K, ring)
+    assert calls == []
+
+
+def test_degrees_with_loop_columns_build_their_coboundary(monkeypatch):
+    # Of the cyclic sphere's coboundaries, those of d_3, d_4 and d_5 keep
+    # columns for the loop (16, 27 and 2): only those are built, once a ring.
+    K = cyclic_polytope_boundary(14, 6)
+    cc = ChainComplex.from_complex(K)
+    calls = coboundary_calls(monkeypatch)
+    for ring in (Z, Z2):
+        reduced_homology(K, ring)
+    shapes = [(cc.boundary[k].n_rows, cc.boundary[k].n_cols) for k in (3, 4, 5)]
+    assert calls == shapes * 2
 
 
 class TestReducerGlobals:
